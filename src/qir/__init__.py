@@ -12,6 +12,7 @@ from .channels import DephasedDecomposition, dephase, dephased_decomposition, mo
 from .entropies import (
     EntropyProfile,
     cond_entropy,
+    dephased_entropy,
     irreality,
     profile,
     relative_entropy,

@@ -4,6 +4,8 @@
 unread projective measurement); ``monitor`` mixes the input with its
 dephased image, modelling a measurement of strength ``eps``. Outputs are
 re-symmetrized to keep round-off from accumulating across long chains.
+``dephased_blocks`` is the one place the state is rewritten in the
+measured frame; entropies of dephased states are taken from its blocks.
 """
 
 from __future__ import annotations
@@ -23,10 +25,35 @@ def _check_pair(x: ObservableBasis, rho: BipartiteState) -> None:
         raise DimensionMismatch(f"basis dim {x.d} != state d_a {rho.d_a}")
 
 
-def _measured_frame(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
-    """State rewritten in the eigenbasis of the measured observable."""
-    w = np.kron(x.vectors, np.eye(rho.d_b))
-    return w.conj().T @ rho.rho @ w
+def _frame(x: ObservableBasis, d_b: int) -> np.ndarray:
+    """Unitary with columns x_i (x) e_j; ``w^dag rho w`` is rho in the measured frame."""
+    return np.kron(x.vectors, np.eye(d_b))
+
+
+def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
+    """Diagonal blocks of ``rho`` in the eigenbasis of ``x``, shape (d_a, d_b, d_b).
+
+    Block i is the unnormalized conditional state p_i sigma_i on B. They
+    are all that dephasing keeps: the dephased state is their direct sum
+    in that frame, so its spectrum is the union of theirs.
+    """
+    _check_pair(x, rho)
+    d_a, d_b = rho.d_a, rho.d_b
+    w = _frame(x, d_b)
+    tilted = (w.conj().T @ rho.rho @ w).reshape(d_a, d_b, d_a, d_b)
+    idx = np.arange(d_a)
+    return tilted[idx, :, idx, :]
+
+
+def _dephased_matrix(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
+    """Dense sum of (P_i x 1_B) rho (P_i x 1_B), symmetrized but not validated."""
+    d_a, d_b, dim = rho.d_a, rho.d_b, rho.dim
+    kept = np.zeros((d_a, d_b, d_a, d_b), dtype=np.complex128)
+    idx = np.arange(d_a)
+    kept[idx, :, idx, :] = dephased_blocks(x, rho)
+    w = _frame(x, d_b)
+    out = w @ kept.reshape(dim, dim) @ w.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
@@ -34,16 +61,7 @@ def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
 
     Idempotent, trace preserving, and leaves the B marginal untouched.
     """
-    _check_pair(x, rho)
-    d_a, d_b, dim = rho.d_a, rho.d_b, rho.dim
-    tilted = _measured_frame(x, rho).reshape(d_a, d_b, d_a, d_b)
-    kept = np.zeros_like(tilted)
-    idx = np.arange(d_a)
-    kept[idx, :, idx, :] = tilted[idx, :, idx, :]
-    w = np.kron(x.vectors, np.eye(d_b))
-    out = w @ kept.reshape(dim, dim) @ w.conj().T
-    out = (out + out.conj().T) / 2.0
-    return BipartiteState(d_a, d_b, out)
+    return BipartiteState(rho.d_a, rho.d_b, _dephased_matrix(x, rho))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +89,10 @@ class DephasedDecomposition:
 
 def dephased_decomposition(x: ObservableBasis, rho: BipartiteState) -> DephasedDecomposition:
     """Outcome probabilities and conditional B states of the dephased state."""
-    _check_pair(x, rho)
-    d_a, d_b = rho.d_a, rho.d_b
-    tilted = _measured_frame(x, rho).reshape(d_a, d_b, d_a, d_b)
-    probs = np.empty(d_a)
+    blocks = dephased_blocks(x, rho)
+    probs = np.empty(rho.d_a)
     cond = []
-    for i in range(d_a):
-        block = tilted[i, :, i, :]
+    for i, block in enumerate(blocks):
         p = float(np.trace(block).real)
         probs[i] = p
         if p <= NULL_PROB:
@@ -85,7 +100,7 @@ def dephased_decomposition(x: ObservableBasis, rho: BipartiteState) -> DephasedD
         else:
             sigma = block / p
             cond.append((sigma + sigma.conj().T) / 2.0)
-    return DephasedDecomposition(x, d_b, probs, tuple(cond))
+    return DephasedDecomposition(x, rho.d_b, probs, tuple(cond))
 
 
 def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
@@ -96,7 +111,7 @@ def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteSta
     _check_pair(y, rho)
     if eps == 0.0:
         return rho
-    mixed = (1.0 - eps) * rho.rho + eps * dephase(y, rho).rho
+    mixed = (1.0 - eps) * rho.rho + eps * _dephased_matrix(y, rho)
     mixed = (mixed + mixed.conj().T) / 2.0
     return BipartiteState(rho.d_a, rho.d_b, mixed)
 

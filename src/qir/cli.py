@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__, serialize
-from .entropies import profile, uncertainty, irreality
 from .errors import ConfigError, QirError, TheoremViolation
 from .explore import (
     CampaignConfig,
@@ -35,7 +34,13 @@ from .explore import (
     evaluate_point,
     run_campaign_records,
 )
-from .relations import DEFAULT_TOL, RELATIONS, evaluate_relations, mu_bound, report_slack
+from .relations import (
+    DEFAULT_TOL,
+    RELATIONS,
+    entropy_bundle,
+    evaluate_relations,
+    report_slack,
+)
 from .serialize import fmt_nats
 from .states import (
     basis_from_token,
@@ -113,18 +118,12 @@ def _print_case(label, state, x, y, tol, eps, bits):
     def fmt(v):
         return fmt_nats(v / unit)
 
-    q = mu_bound(x, y)
-    prof_x = profile(x, state)
-    h_y_given_b = uncertainty(y, state)
-    irr_y = irreality(y, state)
-    print(f"case {label}: q = {fmt(q)}")
-    print(
-        f"  H(AB) = {fmt(prof_x.h_ab)}  H(B) = {fmt(prof_x.h_b)}"
-        f"  H(A|B) = {fmt(prof_x.h_a_given_b)}"
-    )
-    print(f"  H(X|B) = {fmt(prof_x.h_x_given_b)}  H(Y|B) = {fmt(h_y_given_b)}")
-    print(f"  irr(X) = {fmt(prof_x.irreality_x)}  irr(Y) = {fmt(irr_y)}")
-    reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=eps, tol=tol)
+    b = entropy_bundle(x, state, y)
+    print(f"case {label}: q = {fmt(b.q)}")
+    print(f"  H(AB) = {fmt(b.h_ab)}  H(B) = {fmt(b.h_b)}  H(A|B) = {fmt(b.h_a_given_b)}")
+    print(f"  H(X|B) = {fmt(b.h_x_given_b)}  H(Y|B) = {fmt(b.h_y_given_b)}")
+    print(f"  irr(X) = {fmt(b.irreality_x)}  irr(Y) = {fmt(b.irreality_y)}")
+    reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=eps, tol=tol, bundle=b)
     ok = True
     for name, report in reports.items():
         if RELATIONS[name].kind == "identity":

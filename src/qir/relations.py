@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import dephase, monitor
-from .entropies import irreality, vn_entropy
+from .channels import monitor
+from .entropies import dephased_entropy, irreality, vn_entropy
 from .errors import ConfigError, DimensionMismatch
 from .states import BipartiteState, ObservableBasis
 
@@ -99,8 +99,8 @@ def entropy_bundle(
     """Evaluate the shared entropies once; the Y side only when ``y`` is given."""
     h_ab = vn_entropy(rho)
     h_b = vn_entropy(rho.reduced_b())
-    h_xb = vn_entropy(dephase(x, rho))
-    h_yb = vn_entropy(dephase(y, rho)) if y is not None else None
+    h_xb = dephased_entropy(x, rho)
+    h_yb = dephased_entropy(y, rho) if y is not None else None
     return EntropyBundle(
         h_ab=h_ab,
         h_b=h_b,
@@ -263,16 +263,20 @@ def evaluate_relations(
     rho: BipartiteState,
     eps: float | None = None,
     tol: float = DEFAULT_TOL,
+    bundle: EntropyBundle | None = None,
 ) -> dict[str, Report]:
     """Evaluate the named relations on one configuration, sharing entropies.
 
     ``eps`` is required iff one of the names needs a monitoring strength.
+    A caller that already holds ``entropy_bundle(x, rho, y)`` may pass it
+    as ``bundle`` to skip evaluating it again.
     """
     names = list(names)
     for name in names:
         if name not in RELATIONS:
             raise ConfigError(f"unknown relation {name!r}; choices: {sorted(RELATIONS)}")
-    bundle = entropy_bundle(x, rho, y)
+    if bundle is None:
+        bundle = entropy_bundle(x, rho, y)
     reports: dict[str, Report] = {}
     for name in names:
         if name == "eq5":

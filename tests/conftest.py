@@ -1,5 +1,16 @@
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qir
+from qir import backend
 
 
 @pytest.fixture
@@ -18,3 +29,34 @@ def random_density(rng, n, rank=None):
     z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = z @ z.conj().T
     return m / np.trace(m).real
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled Jacobi twin, built from the shipped ``_jacobi.c`` when not installed.
+
+    The build goes to a pytest temp directory. The module is registered as
+    backend "compiled" and as the attribute ``qir._jacobi``; the active
+    backend is left as it is. Skips when gcc or the Python headers are
+    missing.
+    """
+    if "compiled" in backend.available_backends():
+        return backend._KERNELS["compiled"]
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not os.path.isfile(os.path.join(include, "Python.h")):
+        pytest.skip("compiled kernel not built and no gcc or Python headers to build it")
+    source = Path(qir.__file__).with_name("_jacobi.c")
+    target = tmp_path_factory.mktemp("kernel") / ("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        check=True,
+        capture_output=True,
+    )
+    loader = importlib.machinery.ExtensionFileLoader("qir._jacobi", str(target))
+    spec = importlib.util.spec_from_file_location("qir._jacobi", target, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    qir._jacobi = module
+    backend._KERNELS["compiled"] = module
+    return module

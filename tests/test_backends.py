@@ -8,10 +8,8 @@ from qir.errors import ConfigError
 
 from conftest import random_hermitian
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in backend.available_backends(),
-    reason="compiled extension not built",
-)
+# the compiled twin, built from the shipped C source by the conftest fixture if need be
+needs_compiled = pytest.mark.usefixtures("compiled_kernel")
 
 
 @pytest.fixture

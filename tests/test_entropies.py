@@ -1,14 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qir import backend
 from qir.channels import dephase
 from qir.entropies import (
     EntropyProfile,
     cond_entropy,
+    dephased_entropy,
     irreality,
     profile,
     relative_entropy,
@@ -16,8 +19,10 @@ from qir.entropies import (
     uncertainty,
     vn_entropy,
 )
-from qir.errors import DimensionMismatch, InvariantViolation, NotDistribution
+from qir.errors import DimensionMismatch, InvariantViolation, NotDistribution, NotHermitian
+from qir.explore import CampaignConfig, run_campaign_records
 from qir.states import (
+    BipartiteState,
     computational_basis,
     fourier_basis,
     haar_random_pure,
@@ -32,6 +37,7 @@ from qir.states import (
 from conftest import random_density
 
 LN2 = math.log(2.0)
+ACCEPTANCE_DIMS = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
 
 
 def binary_entropy(p):
@@ -189,6 +195,71 @@ class TestRelativeEntropy:
             lhs = relative_entropy(state, pinched)
             rhs = vn_entropy(pinched) - vn_entropy(state)
             assert abs(lhs - rhs) <= 1e-8
+
+
+class TestDephasedEntropy:
+    """The block-spectrum S(dephased state) against the dense dephased matrix."""
+
+    def test_matches_dense_path_on_acceptance_dims(self):
+        for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
+            states = (
+                haar_random_pure(d_a, d_b, (40, k)),
+                random_mixed(d_a, d_b, d_a * d_b, (41, k)),
+                random_mixed(d_a, d_b, 2, (42, k)),
+            )
+            for x in (random_basis(d_a, (43, k)), computational_basis(d_a)):
+                for state in states:
+                    dense = vn_entropy(dephase(x, state))
+                    assert abs(dephased_entropy(x, state) - dense) <= 1e-12, (d_a, d_b)
+
+    def test_zero_probability_outcomes(self, rng):
+        # A in |0>, so every block but the first is p_i sigma_i = 0
+        for d_a, d_b in ((2, 1), (3, 2), (4, 3)):
+            a = np.zeros((d_a, d_a))
+            a[0, 0] = 1.0
+            sigma = random_density(rng, d_b)
+            state = BipartiteState(d_a, d_b, np.kron(a, sigma))
+            x = computational_basis(d_a)
+            expected = vn_entropy(sigma)
+            assert abs(dephased_entropy(x, state) - expected) <= 1e-12
+            assert abs(dephased_entropy(x, state) - vn_entropy(dephase(x, state))) <= 1e-12
+            assert abs(irreality(x, state)) <= 1e-12
+
+    def test_block_checks_fire(self):
+        x = computational_basis(2)
+        # off-diagonal A coherences are dropped, so only the blocks are judged
+        negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvariantViolation):
+            dephased_entropy(x, SimpleNamespace(d_a=2, d_b=2, rho=negative))
+        skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        skew[0, 1] = 1e-6
+        with pytest.raises(NotHermitian):
+            dephased_entropy(x, SimpleNamespace(d_a=2, d_b=2, rho=skew))
+        with pytest.raises(NotDistribution):
+            dephased_entropy(x, SimpleNamespace(d_a=2, d_b=2, rho=2 * np.eye(4) / 4))
+        with pytest.raises(DimensionMismatch):
+            dephased_entropy(computational_basis(3), max_mixed(2, 2))
+
+    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
+    def test_campaign_trial_runs_two_full_size_eigendecompositions(self, monkeypatch, ensemble):
+        # the state and the monitored state; every dephased entropy comes from blocks
+        sizes = []
+        kernel = backend.jacobi_eigh
+
+        def counting(a, v, max_rotations):
+            sizes.append(a.shape[0])
+            return kernel(a, v, max_rotations)
+
+        monkeypatch.setattr(backend, "jacobi_eigh", counting)
+        relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
+        for d_a, d_b in ACCEPTANCE_DIMS:
+            cfg = CampaignConfig(
+                dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
+            )
+            sizes.clear()
+            run_campaign_records(cfg)
+            assert sizes.count(d_a * d_b) == 2 * cfg.trials, (d_a, d_b)
+            assert max(sizes) == d_a * d_b
 
 
 class TestUncertainty:

@@ -163,26 +163,40 @@ class TestSweep:
         with pytest.raises(OutOfRange):
             monitoring_sweep(x, x, state, [])
 
-    def test_rising_sweep_is_rejected(self):
-        # configurations exist where monitoring a skew observable raises
-        # irr(X); the trace contract mandates non-increasing columns, so the
-        # sweep must refuse them rather than return an invalid trace
+    def test_rising_sweep_is_returned(self):
+        # monitoring a skew observable may raise irr(X); eq16 still holds,
+        # so the sweep is returned with the rising column
         from qir.states import BipartiteState, ObservableBasis
 
         state = BipartiteState(2, 1, np.diag([1.0, 0.0]))
         x = computational_basis(2)
         a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
-        y = ObservableBasis(2, np.array([[a, -b], [b, a]]))
-        with pytest.raises(InvariantViolation):
-            monitoring_sweep(x, y, state, [0.0, 0.5, 1.0])
+        v = np.array([[a, -b], [b, a]])
+        y = ObservableBasis(2, v)
+        trace = monitoring_sweep(x, y, state, [0.0, 0.5, 1.0])
+
+        def entropy(weights):
+            return -sum(p * math.log(p) for p in weights if p > 1e-15)
+
+        def irr_x(eps):
+            # independent reference: dephasing |0><0| in Y keeps |<y_j|0>|^2 on |y_j><y_j|
+            dephased_y = (v * v[0] ** 2) @ v.T
+            mixed = (1 - eps) * np.diag([1.0, 0.0]) + eps * dephased_y
+            return entropy(np.diag(mixed)) - entropy(np.linalg.eigvalsh(mixed))
+
+        expected = [irr_x(eps) for eps in (0.0, 0.5, 1.0)]
+        assert np.abs(trace.irreality_x - expected).max() <= 1e-12
+        assert np.abs(trace.irreality_x - [0.0, 0.041, 0.146]).max() <= 1e-3
+        assert np.all(np.diff(trace.irreality_x) > 0.04)
+        assert trace.bound_slack().min() >= -1e-9
 
     def test_trace_invariants_enforced(self):
         with pytest.raises(InvariantViolation):
             SweepTrace(
                 eps_grid=np.array([0.0, 1.0]),
-                irreality_x=np.array([0.1, 0.5]),
+                irreality_x=np.array([0.5, 0.1]),
                 uncertainty_y=np.array([0.3, 0.3]),
-                bound_q=0.0,
+                bound_q=0.5,
             )
         with pytest.raises(InvariantViolation):
             SweepTrace(
@@ -191,6 +205,20 @@ class TestSweep:
                 uncertainty_y=np.array([0.3, 0.4]),
                 bound_q=0.0,
             )
+        with pytest.raises(InvariantViolation):
+            SweepTrace(
+                eps_grid=np.array([0.0, 1.0]),
+                irreality_x=np.array([0.5]),
+                uncertainty_y=np.array([0.3, 0.3]),
+                bound_q=0.0,
+            )
+        rising = SweepTrace(
+            eps_grid=np.array([0.0, 1.0]),
+            irreality_x=np.array([0.1, 0.5]),
+            uncertainty_y=np.array([0.3, 0.3]),
+            bound_q=0.4,
+        )
+        assert rising.bound_slack().min() == pytest.approx(0.0)
 
 
 class TestMinimize:
