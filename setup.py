@@ -1,13 +1,15 @@
-"""Build script: compiles the optional Cython eigensolver core.
+"""Build script: compiles the optional eigensolver core from the shipped C.
 
+``src/qir/_jacobi.c`` is generated by Cython from ``_jacobi.pyx`` and
+shipped with the package, so the build needs a C compiler but no Cython.
 The package works without the extension (a pure-Python kernel is selected
-at import time), so an unavailable compiler or Cython must not break the
-install. Any failure while building the extension downgrades to a warning.
+at import time), so a failed build must not break the install: any
+failure while building the extension downgrades to a warning.
 """
 
 import warnings
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -27,18 +29,7 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled core skipped ({exc}); using pure-Python kernel")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # pragma: no cover - build environment without Cython
-        return []
-    return cythonize(
-        ["src/qir/_jacobi.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[Extension("qir._jacobi", ["src/qir/_jacobi.c"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .channels import DephasedDecomposition, dephase, dephased_decomposition, monitor, monitor_n
 from .entropies import (
-    EntropyProfile,
     cond_entropy,
     dephased_entropy,
     irreality,
-    profile,
     relative_entropy,
     shannon,
     uncertainty,
@@ -45,6 +43,7 @@ from .explore import (
 )
 from .linalg import EigenDecomposition, dagger, herm_eig, kron, matmul, partial_trace_a, partial_trace_b
 from .relations import (
+    EntropyBundle as EntropyProfile,
     IdentityReport,
     InequalityReport,
     RELATIONS,
@@ -55,6 +54,7 @@ from .relations import (
     check_memory_ur,
     check_mixed_ur,
     check_monitor_bound,
+    entropy_bundle as profile,
     evaluate_relations,
     mu_bound,
     mu_overlap,

@@ -31,13 +31,13 @@ from .explore import (
     CampaignConfig,
     minimize_slack,
     monitoring_sweep,
-    evaluate_point,
     run_campaign_records,
 )
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
     entropy_bundle,
+    evaluate_point,
     evaluate_relations,
     report_slack,
 )

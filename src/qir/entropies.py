@@ -11,7 +11,6 @@ frame rather than from the dense dephased matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,34 +125,3 @@ def irreality(x: ObservableBasis, rho: BipartiteState) -> float:
     dephasing, i.e. when the observable is fully real for the state.
     """
     return dephased_entropy(x, rho) - vn_entropy(rho)
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    """The five scalars describing one (state, observable) pair, in nats."""
-
-    h_ab: float
-    h_b: float
-    h_a_given_b: float
-    h_x_given_b: float
-    irreality_x: float
-
-    def __post_init__(self):
-        if self.irreality_x < -1e-9:
-            raise InvariantViolation(f"irreality {self.irreality_x:.3e} below -1e-9")
-        if self.h_x_given_b < -1e-9:
-            raise InvariantViolation(f"H(X|B) {self.h_x_given_b:.3e} below -1e-9")
-
-
-def profile(x: ObservableBasis, rho: BipartiteState) -> EntropyProfile:
-    """Bundle H(AB), H(B), H(A|B), H(X|B), and the irreality of ``x``."""
-    h_xb = dephased_entropy(x, rho)
-    h_ab = vn_entropy(rho)
-    h_b = vn_entropy(rho.reduced_b())
-    return EntropyProfile(
-        h_ab=h_ab,
-        h_b=h_b,
-        h_a_given_b=h_ab - h_b,
-        h_x_given_b=h_xb - h_b,
-        irreality_x=h_xb - h_ab,
-    )

@@ -25,8 +25,9 @@ from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
-    Report,
+    evaluate_point,
     evaluate_relations,
+    lookup_relation,
     mu_bound,
     report_slack,
 )
@@ -88,8 +89,7 @@ class CampaignConfig:
         if not self.relations:
             raise ConfigError("relations must name at least one relation")
         for name in self.relations:
-            if name not in RELATIONS:
-                raise ConfigError(f"unknown relation {name!r}; choices: {sorted(RELATIONS)}")
+            lookup_relation(name)
         kind, arg = _parse_ensemble(self.ensemble)
         if kind == "named":
             named = state_from_token(arg)
@@ -278,18 +278,6 @@ def monitoring_sweep(
     return SweepTrace(eps_grid, irr, unc, mu_bound(x, y))
 
 
-def evaluate_point(
-    relation: str,
-    x: ObservableBasis,
-    y: ObservableBasis,
-    rho: BipartiteState,
-    eps: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Evaluate a single relation on a fully specified configuration."""
-    return evaluate_relations([relation], x, y, rho, eps=eps, tol=tol)[relation]
-
-
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
     """Best configuration found by the slack search, replayable as-is."""
@@ -349,9 +337,7 @@ def minimize_slack(
     """
     from scipy.optimize import minimize as scipy_minimize  # slow import, needed only here
 
-    info = RELATIONS.get(relation)
-    if info is None:
-        raise ConfigError(f"unknown relation {relation!r}; choices: {sorted(RELATIONS)}")
+    info = lookup_relation(relation)
     if info.kind != "inequality":
         raise ConfigError(f"relation {relation!r} is an identity; nothing to minimize")
     if d_a < 2 or d_b < 1:

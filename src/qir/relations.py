@@ -1,7 +1,8 @@
 """The identity and inequality suite, each evaluated with signed slack.
 
-Relations are addressed by short registry names (``eq5`` ... ``eq16``),
-which are also the tokens the CLI and campaign configs accept:
+Each relation is one row of the ``RELATIONS`` table, addressed by its name
+(``eq5`` ... ``eq16``), which is also the token the CLI and campaign
+configs accept:
 
     eq5   H(X|B) + H(Y|B) >= q + H(A|B)      memory-assisted uncertainty
     eq7   irr(X) = H(X|B) - H(A|B)           linear constraint (identity)
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import monitor
 from .entropies import dephased_entropy, irreality, vn_entropy
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
 
 DEFAULT_TOL = 1e-9
@@ -78,7 +81,12 @@ Report = InequalityReport | IdentityReport
 
 @dataclass(frozen=True)
 class EntropyBundle:
-    """Entropies of one (state, X[, Y]) configuration, shared by the checks."""
+    """Entropies of one (state, X[, Y]) configuration, in nats.
+
+    The Y side and ``q`` are None when no second basis is given. H(X|B)
+    and irr(X), and H(Y|B) and irr(Y) when present, are checked to be at
+    least -1e-9.
+    """
 
     h_ab: float
     h_b: float
@@ -87,6 +95,16 @@ class EntropyBundle:
     h_y_given_b: float | None = None
     irreality_y: float | None = None
     q: float | None = None
+
+    def __post_init__(self):
+        for label, value in (
+            ("H(X|B)", self.h_x_given_b),
+            ("irreality of X", self.irreality_x),
+            ("H(Y|B)", self.h_y_given_b),
+            ("irreality of Y", self.irreality_y),
+        ):
+            if value is not None and value < -1e-9:
+                raise InvariantViolation(f"{label} {value:.3e} below -1e-9")
 
     @property
     def h_a_given_b(self) -> float:
@@ -112,88 +130,91 @@ def entropy_bundle(
     )
 
 
-def _eq5(b: EntropyBundle, tol: float) -> InequalityReport:
-    return InequalityReport("eq5", b.h_x_given_b + b.h_y_given_b, b.q + b.h_a_given_b, tol)
+class Relation(NamedTuple):
+    """One row of the relation table.
+
+    ``fn`` takes the configuration's ``EntropyBundle`` and, when
+    ``needs_eps``, irr(X) of the state monitored by Y at strength eps. It
+    returns the residual of an identity or the (lhs, rhs) of an inequality
+    lhs >= rhs.
+    """
+
+    name: str
+    kind: str  # "identity" | "inequality"
+    needs_eps: bool
+    fn: Callable[..., float | tuple[float, float]]
 
 
-def _eq7(b: EntropyBundle, tol: float) -> IdentityReport:
-    residual = abs(b.irreality_x - (b.h_x_given_b - b.h_a_given_b))
-    return IdentityReport("eq7", residual, tol)
+def _max_gap(*values: float) -> float:
+    """Largest pairwise difference; 0 exactly when all values are equal."""
+    return max(abs(u - v) for u, v in combinations(values, 2))
 
 
-def _eq8(b: EntropyBundle, tol: float) -> IdentityReport:
-    side_x = b.h_x_given_b - b.irreality_x
-    side_y = b.h_y_given_b - b.irreality_y
-    residual = max(
-        abs(side_x - side_y),
-        abs(side_x - b.h_a_given_b),
-        abs(side_y - b.h_a_given_b),
+RELATIONS: dict[str, Relation] = {
+    row.name: row
+    for row in (
+        Relation("eq5", "inequality", False,
+                 lambda b: (b.h_x_given_b + b.h_y_given_b, b.q + b.h_a_given_b)),
+        Relation("eq7", "identity", False,
+                 lambda b: abs(b.irreality_x - (b.h_x_given_b - b.h_a_given_b))),
+        Relation("eq8", "identity", False,
+                 lambda b: _max_gap(b.h_x_given_b - b.irreality_x,
+                                    b.h_y_given_b - b.irreality_y, b.h_a_given_b)),
+        Relation("eq9", "inequality", False,
+                 lambda b: (b.irreality_x + b.h_y_given_b, b.q)),
+        Relation("eq10", "inequality", False,
+                 lambda b: (b.irreality_x + b.irreality_y, b.q - b.h_a_given_b)),
+        Relation("eq11", "inequality", False,
+                 lambda b: (b.h_x_given_b + b.irreality_x + b.h_y_given_b + b.irreality_y,
+                            2.0 * b.q)),
+        Relation("eq16", "inequality", True,
+                 lambda b, irreality_x_monitored: (irreality_x_monitored + b.h_y_given_b, b.q)),
     )
-    return IdentityReport("eq8", residual, tol)
-
-
-def _eq9(b: EntropyBundle, tol: float) -> InequalityReport:
-    return InequalityReport("eq9", b.irreality_x + b.h_y_given_b, b.q, tol)
-
-
-def _eq9_swapped(b: EntropyBundle, tol: float) -> InequalityReport:
-    return InequalityReport("eq9_swapped", b.h_x_given_b + b.irreality_y, b.q, tol)
-
-
-def _eq10(b: EntropyBundle, tol: float) -> InequalityReport:
-    return InequalityReport("eq10", b.irreality_x + b.irreality_y, b.q - b.h_a_given_b, tol)
-
-
-def _eq11(b: EntropyBundle, tol: float) -> InequalityReport:
-    lhs = b.h_x_given_b + b.irreality_x + b.h_y_given_b + b.irreality_y
-    return InequalityReport("eq11", lhs, 2.0 * b.q, tol)
-
-
-def _eq16(b: EntropyBundle, irreality_x_monitored: float, tol: float) -> InequalityReport:
-    return InequalityReport("eq16", irreality_x_monitored + b.h_y_given_b, b.q, tol)
+}
 
 
 def check_memory_ur(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
-    """H(X|B) + H(Y|B) >= q + H(A|B)."""
-    return _eq5(entropy_bundle(x, rho, y), tol)
+    """eq5, the memory-assisted uncertainty relation."""
+    return evaluate_point("eq5", x, y, rho, tol=tol)
 
 
 def check_constraint1(
     x: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> IdentityReport:
-    """Identity irr(X) = H(X|B) - H(A|B)."""
-    return _eq7(entropy_bundle(x, rho), tol)
+    """eq7, the linear constraint (an identity)."""
+    return evaluate_point("eq7", x, None, rho, tol=tol)
 
 
 def check_constraint2(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> IdentityReport:
-    """Identity H(X|B) - irr(X) = H(Y|B) - irr(Y), both sides H(A|B)."""
-    return _eq8(entropy_bundle(x, rho, y), tol)
+    """eq8, the cross constraint (an identity)."""
+    return evaluate_point("eq8", x, y, rho, tol=tol)
 
 
 def check_mixed_ur(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> tuple[InequalityReport, InequalityReport]:
-    """irr(X) + H(Y|B) >= q, in both orderings (equal left sides)."""
+    """eq9, the mixed uncertainty/irreality bound, and ``eq9_swapped``, H(X|B) + irr(Y) >= q."""
     b = entropy_bundle(x, rho, y)
-    return _eq9(b, tol), _eq9_swapped(b, tol)
+    eq9 = evaluate_relations(["eq9"], x, y, rho, tol=tol, bundle=b)["eq9"]
+    return eq9, InequalityReport("eq9_swapped", b.h_x_given_b + b.irreality_y, b.q, tol)
 
 
 def check_irreality_ur(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
-    """irr(X) + irr(Y) >= q - H(A|B)."""
-    return _eq10(entropy_bundle(x, rho, y), tol)
+    """eq10, the two-observable irreality bound."""
+    return evaluate_point("eq10", x, y, rho, tol=tol)
 
 
 def check_combined_ur(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
-    """H(X|B) + irr(X) + H(Y|B) + irr(Y) >= 2q."""
-    return _eq11(entropy_bundle(x, rho, y), tol)
+    """eq11, the combined four-term bound."""
+    return evaluate_point("eq11", x, y, rho, tol=tol)
 
 
 def check_monitor_bound(
@@ -203,13 +224,12 @@ def check_monitor_bound(
     rho: BipartiteState,
     tol: float = DEFAULT_TOL,
 ) -> InequalityReport:
-    """irr(X | state monitored by Y at strength eps) + H(Y|B) >= q.
+    """eq16, the monitored irreality bound, at monitoring strength ``eps``.
 
     H(Y|B) is evaluated on the original state; monitoring by Y leaves it
     unchanged, so this matches evaluating everything on the monitored state.
     """
-    b = entropy_bundle(x, rho, y)
-    return _eq16(b, irreality(x, monitor(y, eps, rho)), tol)
+    return evaluate_point("eq16", x, y, rho, eps=eps, tol=tol)
 
 
 def reality_change(
@@ -225,28 +245,12 @@ def reality_change(
     return irreality(x, rho_before) - irreality(x, rho_after)
 
 
-@dataclass(frozen=True)
-class RelationInfo:
-    name: str
-    kind: str  # "identity" | "inequality"
-    needs_eps: bool
-    description: str
-
-
-RELATIONS: dict[str, RelationInfo] = {
-    info.name: info
-    for info in (
-        RelationInfo("eq5", "inequality", False, "memory-assisted uncertainty bound"),
-        RelationInfo("eq7", "identity", False, "linear constraint irr(X) = H(X|B) - H(A|B)"),
-        RelationInfo("eq8", "identity", False, "cross constraint, both sides H(A|B)"),
-        RelationInfo("eq9", "inequality", False, "mixed uncertainty/irreality bound"),
-        RelationInfo("eq10", "inequality", False, "two-observable irreality bound"),
-        RelationInfo("eq11", "inequality", False, "combined four-term bound"),
-        RelationInfo("eq16", "inequality", True, "monitored irreality bound"),
-    )
-}
-
-INEQUALITY_NAMES = tuple(n for n, i in RELATIONS.items() if i.kind == "inequality")
+def lookup_relation(name: str) -> Relation:
+    """The table row of ``name``; ``ConfigError`` for an unknown name."""
+    row = RELATIONS.get(name)
+    if row is None:
+        raise ConfigError(f"unknown relation {name!r}; choices: {sorted(RELATIONS)}")
+    return row
 
 
 def report_slack(report: Report) -> float:
@@ -259,7 +263,7 @@ def report_slack(report: Report) -> float:
 def evaluate_relations(
     names,
     x: ObservableBasis,
-    y: ObservableBasis,
+    y: ObservableBasis | None,
     rho: BipartiteState,
     eps: float | None = None,
     tol: float = DEFAULT_TOL,
@@ -271,28 +275,32 @@ def evaluate_relations(
     A caller that already holds ``entropy_bundle(x, rho, y)`` may pass it
     as ``bundle`` to skip evaluating it again.
     """
-    names = list(names)
-    for name in names:
-        if name not in RELATIONS:
-            raise ConfigError(f"unknown relation {name!r}; choices: {sorted(RELATIONS)}")
+    rows = [lookup_relation(name) for name in names]
+    for row in rows:
+        if row.needs_eps and eps is None:
+            raise ConfigError(f"relation {row.name} needs a monitoring strength eps")
     if bundle is None:
         bundle = entropy_bundle(x, rho, y)
     reports: dict[str, Report] = {}
-    for name in names:
-        if name == "eq5":
-            reports[name] = _eq5(bundle, tol)
-        elif name == "eq7":
-            reports[name] = _eq7(bundle, tol)
-        elif name == "eq8":
-            reports[name] = _eq8(bundle, tol)
-        elif name == "eq9":
-            reports[name] = _eq9(bundle, tol)
-        elif name == "eq10":
-            reports[name] = _eq10(bundle, tol)
-        elif name == "eq11":
-            reports[name] = _eq11(bundle, tol)
-        elif name == "eq16":
-            if eps is None:
-                raise ConfigError("relation eq16 needs a monitoring strength eps")
-            reports[name] = _eq16(bundle, irreality(x, monitor(y, eps, rho)), tol)
+    for row in rows:
+        if row.needs_eps:
+            value = row.fn(bundle, irreality(x, monitor(y, eps, rho)))
+        else:
+            value = row.fn(bundle)
+        if row.kind == "identity":
+            reports[row.name] = IdentityReport(row.name, value, tol)
+        else:
+            reports[row.name] = InequalityReport(row.name, *value, tol)
     return reports
+
+
+def evaluate_point(
+    relation: str,
+    x: ObservableBasis,
+    y: ObservableBasis | None,
+    rho: BipartiteState,
+    eps: float | None = None,
+    tol: float = DEFAULT_TOL,
+) -> Report:
+    """Evaluate a single relation on a fully specified configuration."""
+    return evaluate_relations([relation], x, y, rho, eps=eps, tol=tol)[relation]

@@ -17,10 +17,9 @@ import tempfile
 
 import numpy as np
 
-from .entropies import EntropyProfile
 from .errors import ConfigError
 from .explore import CampaignConfig, CampaignResult, MinimizeResult, SweepTrace, TrialRecord
-from .relations import IdentityReport, InequalityReport, Report
+from .relations import EntropyBundle, IdentityReport, InequalityReport, Report
 from .states import BipartiteState, ObservableBasis
 
 
@@ -95,7 +94,7 @@ def report_to_dict(report: Report) -> dict:
     raise TypeError(f"not a report: {report!r}")
 
 
-def profile_to_dict(p: EntropyProfile) -> dict:
+def profile_to_dict(p: EntropyBundle) -> dict:
     return {
         "h_ab": p.h_ab,
         "h_b": p.h_b,

@@ -23,8 +23,8 @@ from .errors import (
     NotNormalized,
     OutOfRange,
 )
+from .linalg import HERMITICITY_TOL
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10

@@ -10,17 +10,12 @@ import time
 
 import numpy as np
 
-from qir import serialize
+from qir import profile, serialize
 from qir.channels import dephase, monitor, monitor_n
-from qir.entropies import irreality, profile, relative_entropy, uncertainty
-from qir.explore import (
-    CampaignConfig,
-    evaluate_point,
-    minimize_slack,
-    run_campaign_records,
-)
+from qir.entropies import irreality, relative_entropy, uncertainty
+from qir.explore import CampaignConfig, minimize_slack, run_campaign_records
 from qir.linalg import herm_eig
-from qir.relations import check_combined_ur, mu_bound
+from qir.relations import check_combined_ur, evaluate_point, mu_bound
 from qir.states import (
     computational_basis,
     fourier_basis,

@@ -1,8 +1,12 @@
 """The compiled and pure-Python Jacobi kernels must be interchangeable."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qir
 from qir import backend, linalg
 from qir.errors import ConfigError
 
@@ -67,3 +71,31 @@ def test_kernel_rotation_counts_match(rng, restore_backend):
     assert conv1 and conv2
     assert rot1 == rot2
     assert np.abs(a1 - a2).max() <= 1e-12
+
+
+def test_shipped_c_matches_pyx():
+    """Each ``_jacobi.pyx`` line that Cython quoted in ``_jacobi.c`` is unchanged.
+
+    Cython opens a comment ``/* "qir/_jacobi.pyx":N`` before the C code of
+    source line N and quotes that line with an arrow suffix. A mismatch means
+    the shipped C was generated from another version of the ``.pyx``.
+    """
+    package = Path(qir.__file__).parent
+    pyx = (package / "_jacobi.pyx").read_text().splitlines()
+    c_lines = (package / "_jacobi.c").read_text().splitlines()
+    marker = re.compile(r'/\* "qir/_jacobi\.pyx":(\d+)$')
+    arrow = "             # <<<<<<<<<<<<<<"
+    mismatches = []
+    checked = 0
+    for i, line in enumerate(c_lines):
+        found = marker.search(line)
+        if found is None:
+            continue
+        n = int(found.group(1))
+        block = c_lines[i + 1 : c_lines.index("*/", i + 1)]
+        (quoted,) = [q[len(" * ") : -len(arrow)] for q in block if q.endswith(arrow)]
+        checked += 1
+        if quoted != pyx[n - 1].rstrip():
+            mismatches.append((i + 1, n, quoted, pyx[n - 1]))
+    assert checked > 0
+    assert not mismatches, f"_jacobi.c is stale against _jacobi.pyx: {mismatches[:3]}"

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import backend
+from qir import backend, profile
 from qir.channels import dephase
 from qir.entropies import (
-    EntropyProfile,
     cond_entropy,
     dephased_entropy,
     irreality,
-    profile,
     relative_entropy,
     shannon,
     uncertainty,
@@ -21,6 +19,7 @@ from qir.entropies import (
 )
 from qir.errors import DimensionMismatch, InvariantViolation, NotDistribution, NotHermitian
 from qir.explore import CampaignConfig, run_campaign_records
+from qir.relations import EntropyBundle
 from qir.states import (
     BipartiteState,
     computational_basis,
@@ -355,5 +354,14 @@ class TestProfile:
             assert abs(p.irreality_x - (p.h_x_given_b - p.h_a_given_b)) <= 1e-9
 
     def test_invariant_validation(self):
-        with pytest.raises(InvariantViolation):
-            EntropyProfile(h_ab=0.0, h_b=0.0, h_a_given_b=0.0, h_x_given_b=-1.0, irreality_x=0.0)
+        zeros = dict(h_ab=0.0, h_b=0.0, h_x_given_b=0.0, irreality_x=0.0)
+        EntropyBundle(**zeros)
+        EntropyBundle(**dict(zeros, h_x_given_b=-1e-10, irreality_x=-1e-10))
+        EntropyBundle(**zeros, h_y_given_b=-1e-10, irreality_y=-1e-10, q=0.0)
+        for field in ("h_x_given_b", "irreality_x"):
+            with pytest.raises(InvariantViolation):
+                EntropyBundle(**dict(zeros, **{field: -2e-9}))
+        for field in ("h_y_given_b", "irreality_y"):
+            y_side = dict(h_y_given_b=0.0, irreality_y=0.0, q=0.0)
+            with pytest.raises(InvariantViolation):
+                EntropyBundle(**zeros, **dict(y_side, **{field: -2e-9}))

@@ -11,13 +11,13 @@ from qir.explore import (
     ArgminDescriptor,
     CampaignConfig,
     SweepTrace,
-    evaluate_point,
     minimize_slack,
     monitoring_sweep,
     run_campaign,
     run_campaign_records,
     _trial_inputs,
 )
+from qir.relations import evaluate_point
 from qir.states import (
     computational_basis,
     fourier_basis,

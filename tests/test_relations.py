@@ -10,6 +10,8 @@ from qir.entropies import cond_entropy, irreality, uncertainty
 from qir.errors import ConfigError, DimensionMismatch
 from qir.relations import (
     RELATIONS,
+    IdentityReport,
+    InequalityReport,
     check_combined_ur,
     check_constraint1,
     check_constraint2,
@@ -256,6 +258,20 @@ class TestRegistry:
         assert set(RELATIONS) == {"eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16"}
         assert RELATIONS["eq7"].kind == "identity"
         assert RELATIONS["eq16"].needs_eps
+
+    def test_rows_match_their_reports(self):
+        state, x, y = random_config(15)
+        kinds = {"identity": IdentityReport, "inequality": InequalityReport}
+        for name, row in RELATIONS.items():
+            assert row.name == name
+            report = evaluate_relations((name,), x, y, state, eps=0.3)[name]
+            assert type(report) is kinds[row.kind]
+            assert report.name == name
+            if row.needs_eps:
+                with pytest.raises(ConfigError):
+                    evaluate_relations((name,), x, y, state)
+            else:
+                assert evaluate_relations((name,), x, y, state)[name] == report
 
     def test_evaluate_matches_individual_checks(self):
         state, x, y = random_config(11)

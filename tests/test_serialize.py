@@ -67,7 +67,7 @@ class TestReports:
         assert set(d) == {"name", "residual", "holds", "tol"}
 
     def test_profile_flat_json(self):
-        from qir.entropies import profile
+        from qir import profile
 
         p = profile(computational_basis(2), werner(0.5))
         d = serialize.profile_to_dict(p)
