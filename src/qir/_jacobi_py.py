@@ -11,6 +11,12 @@ smaller root of ``t^2 - 2*theta*t - 1 = 0``, ``theta`` being the scaled
 diagonal gap. Sweeps repeat until the off-diagonal Frobenius norm falls
 below ``OFF_NORM_FACTOR`` times the Frobenius norm of the input, or the
 rotation budget runs out.
+
+``jacobi_eigh_stack`` runs the same schedule on every slice of a
+``(k, n, n)`` stack at once (cf. batched Jacobi, Golub & Van Loan,
+*Matrix Computations*, 8.5). Each slice ends bit for bit as
+``jacobi_eigh`` leaves it: the stacked arithmetic is the scalar
+arithmetic, operation by operation, applied to the slices that rotate.
 """
 
 import math
@@ -81,3 +87,90 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
                 v[:, p] = c * colp + s * colq
                 v[:, q] = -np.conj(s) * colp + c * colq
                 rotations += 1
+
+
+# A vectorized off-diagonal norm may differ from np.linalg.norm in its last
+# bits; within this relative distance of the threshold the exact one decides.
+_NEAR_THRESHOLD = 1e-8
+
+
+def _converged(a: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per slice of ``a``, whether ``_offdiag_norm`` is at most ``thr``."""
+    off = a.copy()
+    idx = np.arange(a.shape[1])
+    off[:, idx, idx] = 0.0
+    norms = np.sqrt((off.real**2 + off.imag**2).sum(axis=(1, 2)))
+    done = norms <= thr
+    for i in np.flatnonzero(np.abs(norms - thr) <= _NEAR_THRESHOLD * thr):
+        done[i] = _offdiag_norm(a[i]) <= thr[i]
+    return done
+
+
+def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
+
+    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, ``v`` identities
+    on entry. Every slice follows ``jacobi_eigh``'s schedule, its own
+    threshold, skip test and rotation budget; a rotation at pivot (p, q)
+    acts on the slices whose entry there is above their skip level. Returns
+    per-slice ``(rotations, converged)`` arrays.
+    """
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
+        raise ValueError("kernel buffers must be stacks of square matrices of equal size")
+    k, n = a.shape[0], a.shape[1]
+    rotations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    thr = np.array([OFF_NORM_FACTOR * float(np.linalg.norm(m)) for m in a])
+    skip = thr / n if n > 0 else thr
+    live = np.arange(k)
+
+    while live.size:
+        done = _converged(a[live], thr[live])
+        converged[live[done]] = True
+        live = live[~done]
+        live = live[rotations[live] < max_rotations]
+        if not live.size:
+            break
+        # a slice that cannot run out of budget in this sweep needs no check per pivot
+        budgeted = bool((rotations[live] + n * (n - 1) // 2 > max_rotations).any())
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rows = live[rotations[live] < max_rotations] if budgeted else live
+                apq = a[rows, p, q]
+                beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
+                turn = beta > skip[rows]
+                if not turn.all():
+                    rows, apq, beta = rows[turn], apq[turn], beta[turn]
+                if not rows.size:
+                    continue
+                app = a[rows, p, p].real
+                aqq = a[rows, q, q].real
+                theta = (aqq - app) / (2.0 * beta)
+                sgn = np.where(theta >= 0.0, 1.0, -1.0)
+                t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                # the scalar expression as complex ufuncs: the same bits, signed zeros too
+                s = (t * c) * (np.conj(apq) / beta)
+                c, s = c[:, None], s[:, None]
+                s_conj = np.conj(s)
+
+                colp = a[rows, :, p]
+                colq = a[rows, :, q]
+                a[rows, :, p] = c * colp + s * colq
+                a[rows, :, q] = -s_conj * colp + c * colq
+                rowp = a[rows, p, :]
+                rowq = a[rows, q, :]
+                a[rows, p, :] = c * rowp + s_conj * rowq
+                a[rows, q, :] = -s * rowp + c * rowq
+                a[rows, p, p] = app + t * beta
+                a[rows, q, q] = aqq - t * beta
+                a[rows, p, q] = 0.0
+                a[rows, q, p] = 0.0
+
+                colp = v[rows, :, p]
+                colq = v[rows, :, q]
+                v[rows, :, p] = c * colp + s * colq
+                v[rows, :, q] = -s_conj * colp + c * colq
+                rotations[rows] += 1
+
+    return rotations, converged

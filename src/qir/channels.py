@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .states import BipartiteState, ObservableBasis
+from .states import BipartiteState, ObservableBasis, _states_from_stack
 
 NULL_PROB = 1e-12
 
@@ -30,6 +30,14 @@ def _frame(x: ObservableBasis, d_b: int) -> np.ndarray:
     return np.kron(x.vectors, np.eye(d_b))
 
 
+def _blocks(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Diagonal d_b x d_b blocks of the d_a*d_b matrix ``m`` in the frame of ``x``."""
+    w = _frame(x, d_b)
+    tilted = (w.conj().T @ m @ w).reshape(d_a, d_b, d_a, d_b)
+    idx = np.arange(d_a)
+    return tilted[idx, :, idx, :]
+
+
 def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
     """Diagonal blocks of ``rho`` in the eigenbasis of ``x``, shape (d_a, d_b, d_b).
 
@@ -38,22 +46,24 @@ def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
     in that frame, so its spectrum is the union of theirs.
     """
     _check_pair(x, rho)
-    d_a, d_b = rho.d_a, rho.d_b
-    w = _frame(x, d_b)
-    tilted = (w.conj().T @ rho.rho @ w).reshape(d_a, d_b, d_a, d_b)
-    idx = np.arange(d_a)
-    return tilted[idx, :, idx, :]
+    return _blocks(x, rho.rho, rho.d_a, rho.d_b)
 
 
-def _dephased_matrix(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
-    """Dense sum of (P_i x 1_B) rho (P_i x 1_B), symmetrized but not validated."""
-    d_a, d_b, dim = rho.d_a, rho.d_b, rho.dim
+def _dephased_matrix(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Dense sum of (P_i x 1_B) m (P_i x 1_B), symmetrized but not validated."""
+    dim = d_a * d_b
     kept = np.zeros((d_a, d_b, d_a, d_b), dtype=np.complex128)
     idx = np.arange(d_a)
-    kept[idx, :, idx, :] = dephased_blocks(x, rho)
+    kept[idx, :, idx, :] = _blocks(x, m, d_a, d_b)
     w = _frame(x, d_b)
     out = w @ kept.reshape(dim, dim) @ w.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def _monitored_matrix(m: np.ndarray, dephased: np.ndarray, eps: float) -> np.ndarray:
+    """(1-eps) * m + eps * dephased, symmetrized but not validated."""
+    mixed = (1.0 - eps) * m + eps * dephased
+    return (mixed + mixed.conj().T) / 2.0
 
 
 def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
@@ -61,7 +71,8 @@ def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
 
     Idempotent, trace preserving, and leaves the B marginal untouched.
     """
-    return BipartiteState(rho.d_a, rho.d_b, _dephased_matrix(x, rho))
+    _check_pair(x, rho)
+    return BipartiteState(rho.d_a, rho.d_b, _dephased_matrix(x, rho.rho, rho.d_a, rho.d_b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,17 +114,35 @@ def dephased_decomposition(x: ObservableBasis, rho: BipartiteState) -> DephasedD
     return DephasedDecomposition(x, rho.d_b, probs, tuple(cond))
 
 
-def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
-    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho)."""
+def _check_strength(eps: float) -> float:
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise OutOfRange(f"monitoring strength must lie in [0, 1], got {eps}")
+    return eps
+
+
+def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
+    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho)."""
+    eps = _check_strength(eps)
     _check_pair(y, rho)
     if eps == 0.0:
         return rho
-    mixed = (1.0 - eps) * rho.rho + eps * _dephased_matrix(y, rho)
-    mixed = (mixed + mixed.conj().T) / 2.0
-    return BipartiteState(rho.d_a, rho.d_b, mixed)
+    dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
+    return BipartiteState(rho.d_a, rho.d_b, _monitored_matrix(rho.rho, dephased, eps))
+
+
+def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> list[BipartiteState]:
+    """``monitor(y, eps, rho)`` for each strength in [0, 1], bit for bit.
+
+    The dephased image is taken once, and the spectra of the monitored
+    states in one stacked call.
+    """
+    _check_pair(y, rho)
+    strengths = [_check_strength(eps) for eps in strengths]
+    dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
+    mixed = [_monitored_matrix(rho.rho, dephased, eps) for eps in strengths if eps != 0.0]
+    monitored = iter(_states_from_stack(rho.d_a, rho.d_b, mixed))
+    return [rho if eps == 0.0 else next(monitored) for eps in strengths]
 
 
 def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> BipartiteState:
@@ -121,11 +150,19 @@ def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> Bi
 
     Equals a single application at strength 1 - (1-eps)**n; keeping the
     iteration genuine lets tests treat the composition law as a check
-    rather than a definition.
+    rather than a definition. Only the final state is validated: each
+    step's output is exactly Hermitian, so it is what ``monitor`` would
+    have stored.
     """
     if n < 0:
         raise OutOfRange(f"repetition count must be >= 0, got {n}")
-    out = rho
+    if n == 0:
+        return rho
+    eps = _check_strength(eps)
+    _check_pair(y, rho)
+    if eps == 0.0:
+        return rho
+    m = rho.rho
     for _ in range(n):
-        out = monitor(y, eps, out)
-    return out
+        m = _monitored_matrix(m, _dephased_matrix(y, m, rho.d_a, rho.d_b), eps)
+    return BipartiteState(rho.d_a, rho.d_b, m)

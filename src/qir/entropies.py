@@ -95,18 +95,46 @@ def relative_entropy(rho, sigma) -> float:
     return tr_r_ln_r - tr_r_ln_s
 
 
+def _joint_entropies(parts) -> list[float]:
+    """Entropy of the joined spectrum of each part; all blocks in one stacked call.
+
+    Each part is a ``(j, m, m)`` stack holding the diagonal blocks of one
+    block-diagonal density matrix (a lone matrix is a part with j = 1);
+    every part has the same m. Each block passes the checks of
+    ``herm_eig``; each joined spectrum is checked for positivity and unit
+    trace. The result is bit for bit what per-block ``herm_eig`` calls give.
+    """
+    spectra = linalg.herm_eig_stack(np.concatenate(parts))
+    bounds = np.cumsum([0] + [len(part) for part in parts])
+    return [
+        shannon(_clipped_spectrum(spectra[lo:hi].reshape(-1)))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _configuration_entropies(bases, states) -> list[list[float]]:
+    """Per state, S(rho_B) and then S(rho dephased in b) for each basis b.
+
+    The B marginals and the blocks of every state and basis go through one
+    stacked call of ``_joint_entropies``.
+    """
+    parts = []
+    for rho in states:
+        parts.append(rho.reduced_b()[None])
+        parts.extend(dephased_blocks(b, rho) for b in bases)
+    flat = _joint_entropies(parts)
+    width = 1 + len(bases)
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
 def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:
     """von Neumann entropy of the state dephased in the eigenbasis of ``x``.
 
     Equals ``vn_entropy(dephase(x, rho))``: the dephased state is block
     diagonal in the measured frame, so its spectrum is the union of the
     spectra of the d_a blocks p_i sigma_i (the joint-entropy theorem).
-    Each block passes the Hermiticity check of ``herm_eig``; the joined
-    spectrum is checked for positivity and unit trace.
     """
-    blocks = dephased_blocks(x, rho)
-    spectrum = np.concatenate([linalg.herm_eig(block).eigenvalues for block in blocks])
-    return shannon(_clipped_spectrum(spectrum))
+    return _joint_entropies([dephased_blocks(x, rho)])[0]
 
 
 def uncertainty(x: ObservableBasis, rho: BipartiteState) -> float:

@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .channels import monitor
-from .entropies import irreality, uncertainty
+from .channels import _monitor_grid
+from .entropies import _configuration_entropies, vn_entropy
 from .errors import BadDimension, ConfigError, InvariantViolation, OutOfRange, TheoremViolation
 from ._rng import spawn_rng
 from .relations import (
@@ -261,7 +261,13 @@ class SweepTrace:
 def monitoring_sweep(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, grid
 ) -> SweepTrace:
-    """Track irr(X) and H(Y|B) while monitoring by Y at each grid strength."""
+    """Track irr(X) and H(Y|B) while monitoring by Y at each grid strength.
+
+    Gives bit for bit ``irreality(x, monitor(y, eps, rho))`` and
+    ``uncertainty(y, monitor(y, eps, rho))`` at each eps, with two stacked
+    eigendecompositions for the whole grid: one of the monitored states,
+    one of all their B marginals and X and Y blocks.
+    """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
         raise OutOfRange("grid must be a nonempty vector")
@@ -269,12 +275,14 @@ def monitoring_sweep(
         raise OutOfRange("grid values must lie in [0, 1]")
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
+    states = _monitor_grid(y, eps_grid, rho)
     irr = np.empty_like(eps_grid)
     unc = np.empty_like(eps_grid)
-    for k, eps in enumerate(eps_grid):
-        monitored = monitor(y, float(eps), rho)
-        irr[k] = irreality(x, monitored)
-        unc[k] = uncertainty(y, monitored)
+    for k, (state, (h_b, h_xb, h_yb)) in enumerate(
+        zip(states, _configuration_entropies([x, y], states))
+    ):
+        irr[k] = h_xb - vn_entropy(state)
+        unc[k] = h_yb - h_b
     return SweepTrace(eps_grid, irr, unc, mu_bound(x, y))
 
 

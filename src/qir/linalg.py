@@ -76,6 +76,25 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _symmetrized(a: np.ndarray, label: str) -> tuple[np.ndarray, int]:
+    """Check a ``(k, n, n)`` stack for Hermiticity; its symmetrized copy and default budget.
+
+    A slice whose largest entry of ``a - a^dag`` exceeds 1e-10 raises
+    ``NotHermitian``; ``label.format(i=slice, n=n)`` names it.
+    """
+    k, n = a.shape[0], a.shape[1]
+    adjoint = a.conj().transpose(0, 2, 1)
+    if k and n:
+        defects = np.abs(a - adjoint).max(axis=(1, 2))
+        i = int(defects.argmax())
+        if defects[i] > HERMITICITY_TOL:
+            raise NotHermitian(
+                f"{label.format(i=i, n=n)}: Hermiticity defect {defects[i]:.3e} "
+                f"exceeds {HERMITICITY_TOL:.0e}"
+            )
+    return np.ascontiguousarray((a + adjoint) / 2.0), 100 * n * n
+
+
 def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
 
@@ -86,16 +105,44 @@ def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
     """
     a = as_operator(m)
     n = a.shape[0]
-    defect = float(np.abs(a - a.conj().T).max()) if n else 0.0
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    work = np.ascontiguousarray((a + a.conj().T) / 2.0)
+    work, budget = _symmetrized(a[None], "{n}x{n} matrix")
+    work = work[0]
     vecs = np.eye(n, dtype=np.complex128)
     if max_rotations is None:
-        max_rotations = 100 * n * n
+        max_rotations = budget
     rotations, converged = backend.jacobi_eigh(work, vecs, max_rotations)
     if not converged:
-        raise NoConvergence(f"off-diagonal norm still above threshold after {rotations} rotations")
+        raise NoConvergence(
+            f"{n}x{n} matrix: off-diagonal norm still above threshold after {rotations} rotations"
+        )
     w = np.diag(work).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
+
+
+def herm_eig_stack(ms) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a ``(k, n, n)`` stack, shape ``(k, n)``.
+
+    Slice i gets exactly the bits of ``herm_eig(ms[i]).eigenvalues``: the
+    same checks (finite, Hermitian to 1e-10, then symmetrized), the same
+    budget of 100 * n**2 rotations and the same rotation schedule, run by
+    the kernel on all slices at once. Errors name the slice.
+    """
+    a = np.asarray(ms, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    n = a.shape[1]
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvariantViolation(f"slice {i} ({n}x{n}) contains non-finite entries")
+    work, budget = _symmetrized(a, "slice {i} ({n}x{n})")
+    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
+    rotations, converged = backend.jacobi_eigh_stack(work, vecs, budget)
+    if not converged.all():
+        i = int(np.argmin(converged))
+        raise NoConvergence(
+            f"slice {i} ({n}x{n}): off-diagonal norm still above threshold "
+            f"after {rotations[i]} rotations"
+        )
+    return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import monitor
-from .entropies import dephased_entropy, irreality, vn_entropy
+from .entropies import _configuration_entropies, irreality, vn_entropy
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
 
@@ -116,9 +116,8 @@ def entropy_bundle(
 ) -> EntropyBundle:
     """Evaluate the shared entropies once; the Y side only when ``y`` is given."""
     h_ab = vn_entropy(rho)
-    h_b = vn_entropy(rho.reduced_b())
-    h_xb = dephased_entropy(x, rho)
-    h_yb = dephased_entropy(y, rho) if y is not None else None
+    ((h_b, h_xb, *y_side),) = _configuration_entropies([x] if y is None else [x, y], [rho])
+    h_yb = y_side[0] if y_side else None
     return EntropyBundle(
         h_ab=h_ab,
         h_b=h_b,

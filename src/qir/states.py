@@ -46,31 +46,8 @@ class BipartiteState:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d_a < 2:
-            raise BadDimension(f"d_a must be >= 2, got {self.d_a}")
-        if self.d_b < 1:
-            raise BadDimension(f"d_b must be >= 1, got {self.d_b}")
-        rho = linalg.as_operator(self.rho)
-        if rho.shape[0] != self.d_a * self.d_b:
-            raise DimensionMismatch(
-                f"matrix dim {rho.shape[0]} != d_a*d_b = {self.d_a * self.d_b}"
-            )
-        defect = float(np.abs(rho - rho.conj().T).max())
-        if defect > HERMITICITY_TOL:
-            raise InvariantViolation(f"state not Hermitian (defect {defect:.3e})")
-        rho = (rho + rho.conj().T) / 2.0
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"state trace {tr!r} != 1")
-        spectrum = linalg.herm_eig(rho).eigenvalues
-        if spectrum[0] < -PSD_TOL:
-            raise InvariantViolation(
-                f"state not positive semidefinite (min eigenvalue {spectrum[0]:.3e})"
-            )
-        rho.setflags(write=False)
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "spectrum", spectrum)
+        rho = _checked_matrix(self.d_a, self.d_b, self.rho)
+        _settle(self, rho, linalg.herm_eig(rho).eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -84,6 +61,52 @@ class BipartiteState:
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
+
+
+def _checked_matrix(d_a: int, d_b: int, m) -> np.ndarray:
+    """The constructor's checks that come before the spectrum; returns the symmetrized matrix."""
+    if d_a < 2:
+        raise BadDimension(f"d_a must be >= 2, got {d_a}")
+    if d_b < 1:
+        raise BadDimension(f"d_b must be >= 1, got {d_b}")
+    rho = linalg.as_operator(m)
+    if rho.shape[0] != d_a * d_b:
+        raise DimensionMismatch(f"matrix dim {rho.shape[0]} != d_a*d_b = {d_a * d_b}")
+    defect = float(np.abs(rho - rho.conj().T).max())
+    if defect > HERMITICITY_TOL:
+        raise InvariantViolation(f"({d_a}, {d_b}) state not Hermitian (defect {defect:.3e})")
+    rho = (rho + rho.conj().T) / 2.0
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvariantViolation(f"({d_a}, {d_b}) state trace {tr!r} != 1")
+    return rho
+
+
+def _settle(state: BipartiteState, rho: np.ndarray, spectrum: np.ndarray) -> None:
+    """Check positivity on the ascending ``spectrum`` of ``rho`` and freeze both into ``state``."""
+    if spectrum[0] < -PSD_TOL:
+        raise InvariantViolation(
+            f"({state.d_a}, {state.d_b}) state not positive semidefinite "
+            f"(min eigenvalue {spectrum[0]:.3e})"
+        )
+    rho.setflags(write=False)
+    spectrum.setflags(write=False)
+    object.__setattr__(state, "rho", rho)
+    object.__setattr__(state, "spectrum", spectrum)
+
+
+def _states_from_stack(d_a: int, d_b: int, matrices) -> list[BipartiteState]:
+    """States of the given dims, validated as the constructor does, spectra in one stacked call."""
+    rhos = [_checked_matrix(d_a, d_b, m) for m in matrices]
+    spectra = linalg.herm_eig_stack(np.array(rhos)) if rhos else ()
+    states = []
+    for rho, spectrum in zip(rhos, spectra):
+        state = object.__new__(BipartiteState)
+        object.__setattr__(state, "d_a", d_a)
+        object.__setattr__(state, "d_b", d_b)
+        _settle(state, rho, spectrum.copy())
+        states.append(state)
+    return states
 
 
 @dataclass(frozen=True, eq=False)

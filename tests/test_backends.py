@@ -9,8 +9,9 @@ import pytest
 import qir
 from qir import backend, linalg
 from qir.errors import ConfigError
+from qir.states import werner
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 # the compiled twin, built from the shipped C source by the conftest fixture if need be
 needs_compiled = pytest.mark.usefixtures("compiled_kernel")
@@ -71,6 +72,116 @@ def test_kernel_rotation_counts_match(rng, restore_backend):
     assert conv1 and conv2
     assert rot1 == rot2
     assert np.abs(a1 - a2).max() <= 1e-12
+
+
+STACK_SIZES = (1, 2, 3, 4, 5, 6, 9, 15)
+
+
+def real_density(rng, n):
+    z = rng.standard_normal((n, n))
+    m = z @ z.T
+    return (m / np.trace(m)).astype(complex)
+
+
+def signed_zeros(n):
+    """Real symmetric, with -0.0 in every entry that no coupling fills."""
+    m = np.full((n, n), complex(-0.0, -0.0))
+    m[np.arange(n), np.arange(n)] = np.where(np.arange(n) % 2, -1.0, 1.0)
+    for i in range(0, n - 1, 2):
+        m[i, i + 1] = m[i + 1, i] = 0.5
+    return m
+
+
+def kernel_stack(rng, n):
+    """Complex densities of rank 1, 2 and n; real symmetric slices (a real
+    density, a Werner state at n = 4, signed zeros); a diagonal slice and the
+    zero matrix."""
+    slices = [random_density(rng, n, rank) for rank in (1, 2, n) for _ in range(2)]
+    slices.append(real_density(rng, n))
+    if n == 4:
+        slices.append(werner(0.7).rho)
+    slices.append(signed_zeros(n))
+    slices.append(np.diag(rng.standard_normal(n)).astype(complex))
+    slices.append(np.zeros((n, n), dtype=complex))
+    return np.array(slices)
+
+
+def loop_twin(kernel, m, budget):
+    a, v = m.copy(), np.eye(m.shape[0], dtype=complex)
+    rotations, converged = kernel.jacobi_eigh(a, v, budget)
+    return a, v, rotations, converged
+
+
+def run_stack(run, ms, budget):
+    a = ms.copy()
+    v = np.broadcast_to(np.eye(ms.shape[1], dtype=complex), ms.shape).copy()
+    rotations, converged = run(a, v, budget)
+    return a, v, rotations, converged
+
+
+def assert_slices_equal_twin(kernel, ms, stacked, budget):
+    a, v, rotations, converged = stacked
+    assert rotations.shape == converged.shape == (len(ms),)
+    for i, m in enumerate(ms):
+        a1, v1, rot1, conv1 = loop_twin(kernel, m, budget)
+        assert (rotations[i], converged[i]) == (rot1, conv1), (i, m.shape)
+        # bytes, so that the sign of a zero counts too
+        assert a[i].tobytes() == a1.tobytes(), (i, m.shape, budget)
+        assert v[i].tobytes() == v1.tobytes(), (i, m.shape, budget)
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_stack_is_bitwise_the_loop_twin(rng, n):
+    from qir import _jacobi_py
+
+    ms = kernel_stack(rng, n)
+    for budget in (0, 1, 3, 7, 100 * n * n):
+        stacked = run_stack(_jacobi_py.jacobi_eigh_stack, ms, budget)
+        assert_slices_equal_twin(_jacobi_py, ms, stacked, budget)
+    assert stacked[3].all()
+
+
+def test_stack_slice_alone_and_inside_a_stack(rng):
+    from qir import _jacobi_py
+
+    for n in (3, 9):
+        ms = kernel_stack(rng, n)
+        whole = run_stack(_jacobi_py.jacobi_eigh_stack, ms, 100 * n * n)
+        for i in range(len(ms)):
+            alone = run_stack(_jacobi_py.jacobi_eigh_stack, ms[i : i + 1], 100 * n * n)
+            assert alone[0].tobytes() == whole[0][i].tobytes()
+            assert alone[1].tobytes() == whole[1][i].tobytes()
+            assert (alone[2][0], alone[3][0]) == (whole[2][i], whole[3][i])
+    rotations, converged = _jacobi_py.jacobi_eigh_stack(
+        np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 4, 4), dtype=complex), 1600
+    )
+    assert rotations.shape == converged.shape == (0,)
+    assert linalg.herm_eig_stack(np.zeros((0, 4, 4))).shape == (0, 4)
+
+
+def test_herm_eig_stack_is_bitwise_herm_eig(rng, restore_backend):
+    for name in backend.available_backends():
+        backend.set_backend(name)
+        for n in (1, 2, 4, 6):
+            ms = kernel_stack(rng, n)
+            values = linalg.herm_eig_stack(ms)
+            for i, m in enumerate(ms):
+                assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes()
+
+
+@needs_compiled
+def test_compiled_stack_loops_its_kernel(rng, restore_backend):
+    from qir import _jacobi
+
+    backend.set_backend("compiled")
+    for n in (2, 5, 9):
+        ms = kernel_stack(rng, n)
+        for budget in (0, 3, 100 * n * n):
+            stacked = run_stack(backend.jacobi_eigh_stack, ms, budget)
+            assert_slices_equal_twin(_jacobi, ms, stacked, budget)
+        assert linalg.herm_eig_stack(ms).tobytes() == np.array(
+            [linalg.herm_eig(m).eigenvalues for m in ms]
+        ).tobytes()
 
 
 def test_shipped_c_matches_pyx():

@@ -158,6 +158,21 @@ class TestMonitor:
             effective = monitor(y, 1.0 - (1.0 - eps) ** n, state)
             assert np.abs(iterated.rho - effective.rho).max() <= 1e-10
 
+    def test_monitor_n_is_bitwise_the_chained_monitor(self):
+        # monitor_n validates only its final state; each step's matrix is
+        # still the one a chain of validated monitor() calls stores
+        for i in range(12):
+            d_a, d_b = ((2, 2), (3, 2), (2, 3), (4, 1))[i % 4]
+            state, _, y = random_triple(i, d_a, d_b)
+            eps = 0.05 + 0.08 * i
+            chained = state
+            for n in range(1, 6):
+                chained = monitor(y, eps, chained)
+                iterated = monitor_n(y, eps, n, state)
+                assert iterated.rho.tobytes() == chained.rho.tobytes(), (i, n)
+                assert iterated.spectrum.tobytes() == chained.spectrum.tobytes(), (i, n)
+        assert monitor_n(y, 0.0, 3, state) is state
+
     def test_monitor_n_edge_counts(self):
         state, _, y = random_triple(7)
         assert monitor_n(y, 0.3, 0, state) is state

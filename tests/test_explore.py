@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qir.channels import dephase
-from qir.entropies import irreality
+from qir import backend, linalg
+from qir.channels import dephase, dephased_blocks, monitor
+from qir.entropies import irreality, shannon, vn_entropy
 from qir.errors import ConfigError, InvariantViolation, OutOfRange
 from qir.explore import (
     ArgminDescriptor,
@@ -25,10 +26,20 @@ from qir.states import (
     max_entangled,
     max_mixed,
     random_basis,
+    random_mixed,
     werner,
 )
 
 ALL_RELATIONS = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
+
+
+ACCEPTANCE_DIMS = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
+
+
+def per_block_entropy(x, rho):
+    """S(rho dephased in x) with one ``herm_eig`` call per block."""
+    blocks = dephased_blocks(x, rho)
+    return shannon(np.clip(np.concatenate([linalg.herm_eig(b).eigenvalues for b in blocks]), 0.0, None))
 
 
 def small_config(**overrides):
@@ -152,6 +163,42 @@ class TestSweep:
         x, y = random_basis(2, 6), random_basis(2, 7)
         trace = monitoring_sweep(x, y, state, [0.0, 0.5, 1.0])
         assert abs(trace.irreality_x[-1] - irreality(x, dephase(y, state))) <= 1e-12
+
+    def test_sweep_is_bitwise_the_per_point_route(self):
+        # monitor() builds each state through the constructor and herm_eig;
+        # every entropy here takes one herm_eig call per block
+        for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
+            for state in (random_mixed(d_a, d_b, d_a * d_b, (60, k)), haar_random_pure(d_a, d_b, (61, k))):
+                x, y = random_basis(d_a, (62, k)), random_basis(d_a, (63, k))
+                for grid in (np.linspace(0.0, 1.0, 6), [0.0, 0.3], [1.0]):
+                    trace = monitoring_sweep(x, y, state, grid)
+                    monitored = [monitor(y, eps, state) for eps in grid]
+                    irr = [per_block_entropy(x, m) - vn_entropy(m) for m in monitored]
+                    unc = [per_block_entropy(y, m) - vn_entropy(m.reduced_b()) for m in monitored]
+                    assert trace.irreality_x.tobytes() == np.array(irr).tobytes(), (d_a, d_b, grid)
+                    assert trace.uncertainty_y.tobytes() == np.array(unc).tobytes(), (d_a, d_b, grid)
+                    assert [irreality(x, m) for m in monitored] == irr
+
+    def test_sweep_makes_no_full_size_call_per_point(self, monkeypatch):
+        singles, stacks = [], []
+        kernel, stacked = backend.jacobi_eigh, backend.jacobi_eigh_stack
+
+        def counting(a, v, max_rotations):
+            singles.append(a.shape)
+            return kernel(a, v, max_rotations)
+
+        def counting_stack(a, v, max_rotations):
+            stacks.append(a.shape)
+            return stacked(a, v, max_rotations)
+
+        state = random_mixed(3, 2, 6, 64)
+        x, y = random_basis(3, 65), random_basis(3, 66)
+        monkeypatch.setattr(backend, "jacobi_eigh", counting)
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", counting_stack)
+        monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21))
+        assert singles == []
+        # the 20 monitored states, then per point rho_B and 3 + 3 blocks
+        assert stacks == [(20, 6, 6), (21 * 7, 2, 2)]
 
     def test_grid_validation(self):
         state = werner(0.5)

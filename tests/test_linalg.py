@@ -202,7 +202,7 @@ class TestHermEig:
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotHermitian, match=r"2x2 matrix: Hermiticity defect 1\.000e\+00"):
             linalg.herm_eig(m)
 
     def test_symmetrizes_small_defect(self, rng):
@@ -213,5 +213,45 @@ class TestHermEig:
 
     def test_no_convergence_on_tiny_budget(self, rng):
         m = random_hermitian(rng, 4)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"4x4 matrix: .* after 1 rotations"):
             linalg.herm_eig(m, max_rotations=1)
+
+
+class TestHermEigStack:
+    def test_values_per_slice(self, rng):
+        ms = np.array([random_hermitian(rng, 5) for _ in range(4)])
+        values = linalg.herm_eig_stack(ms)
+        assert values.shape == (4, 5)
+        assert np.all(np.diff(values, axis=1) >= 0)
+        assert np.abs(values - np.linalg.eigvalsh(ms)).max() <= 1e-12
+
+    def test_symmetrizes_small_defect(self, rng):
+        ms = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        perturbed = ms + 1e-12 * rng.standard_normal(ms.shape)
+        assert np.abs(linalg.herm_eig_stack(perturbed) - linalg.herm_eig_stack(ms)).max() <= 1e-10
+
+    def test_errors_name_the_slice(self, rng, monkeypatch):
+        ms = np.array([random_hermitian(rng, 3) for _ in range(3)])
+        skew = ms.copy()
+        skew[2, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian, match=r"slice 2 \(3x3\): Hermiticity defect 1\.000e-06"):
+            linalg.herm_eig_stack(skew)
+        stacked_kernel = linalg.backend.jacobi_eigh_stack
+        budgets = []
+
+        def stalls_on_slice_1(a, v, max_rotations):
+            budgets.append(max_rotations)
+            rotations, converged = stacked_kernel(a, v, max_rotations)
+            converged[1] = False
+            return rotations, converged
+
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stalls_on_slice_1)
+        with pytest.raises(NoConvergence, match=r"slice 1 \(3x3\): .* after \d+ rotations"):
+            linalg.herm_eig_stack(ms)
+        assert budgets == [100 * 3 * 3]
+        monkeypatch.undo()
+        ms[1, 1, 1] = np.nan
+        with pytest.raises(InvariantViolation, match=r"slice 1 \(3x3\)"):
+            linalg.herm_eig_stack(ms)
+        with pytest.raises(DimensionMismatch):
+            linalg.herm_eig_stack(ms[0])

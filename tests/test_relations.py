@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir.channels import monitor
-from qir.entropies import cond_entropy, irreality, uncertainty
+from qir import linalg
+from qir.channels import dephased_blocks, monitor
+from qir.entropies import cond_entropy, irreality, shannon, uncertainty, vn_entropy
 from qir.errors import ConfigError, DimensionMismatch
 from qir.relations import (
     RELATIONS,
@@ -19,6 +20,7 @@ from qir.relations import (
     check_memory_ur,
     check_mixed_ur,
     check_monitor_bound,
+    entropy_bundle,
     evaluate_relations,
     mu_bound,
     mu_overlap,
@@ -251,6 +253,31 @@ class TestRealityChange:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             reality_change(computational_basis(2), max_mixed(2, 2), max_mixed(2, 3))
+
+
+class TestEntropyBundle:
+    def test_fields_are_bitwise_the_per_point_route(self):
+        # the per-point route: one herm_eig call per block and for rho_B
+        def per_block(x, rho):
+            spectra = [linalg.herm_eig(b).eigenvalues for b in dephased_blocks(x, rho)]
+            return shannon(np.clip(np.concatenate(spectra), 0.0, None))
+
+        dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
+        for k, (d_a, d_b) in enumerate(dims):
+            for rho in (random_mixed(d_a, d_b, d_a * d_b, (70, k)), haar_random_pure(d_a, d_b, (71, k))):
+                x, y = random_basis(d_a, (72, k)), random_basis(d_a, (73, k))
+                b = entropy_bundle(x, rho, y)
+                h_ab = vn_entropy(rho)
+                h_b = shannon(np.clip(linalg.herm_eig(rho.reduced_b()).eigenvalues, 0.0, None))
+                h_xb, h_yb = per_block(x, rho), per_block(y, rho)
+                expected = (h_ab, h_b, h_xb - h_b, h_xb - h_ab, h_yb - h_b, h_yb - h_ab, mu_bound(x, y))
+                got = (b.h_ab, b.h_b, b.h_x_given_b, b.irreality_x, b.h_y_given_b, b.irreality_y, b.q)
+                assert got == expected, (d_a, d_b)
+                assert (b.h_x_given_b, b.irreality_x) == (uncertainty(x, rho), irreality(x, rho))
+                assert (b.h_y_given_b, b.irreality_y) == (uncertainty(y, rho), irreality(y, rho))
+                x_only = entropy_bundle(x, rho)
+                assert (x_only.h_x_given_b, x_only.irreality_x) == (b.h_x_given_b, b.irreality_x)
+                assert x_only.h_y_given_b is x_only.irreality_y is x_only.q is None
 
 
 class TestRegistry:

@@ -26,7 +26,10 @@ from qir.states import (
     random_mixed,
     state_from_token,
     werner,
+    _states_from_stack,
 )
+
+from conftest import random_density
 
 
 def assert_valid_state(state):
@@ -38,17 +41,17 @@ def assert_valid_state(state):
 
 class TestBipartiteState:
     def test_validation_catches_bad_trace(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"\(2, 1\) state trace \(2\+0j\) != 1"):
             BipartiteState(2, 1, np.eye(2))
 
     def test_validation_catches_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"\(2, 1\) state not Hermitian \(defect 5\.000e-01\)"):
             BipartiteState(2, 1, m)
 
     def test_validation_catches_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"\(2, 1\) state not positive .* -5\.000e-01"):
             BipartiteState(2, 1, m)
 
     def test_validation_catches_dim_mismatch(self):
@@ -67,6 +70,34 @@ class TestBipartiteState:
     def test_spectrum_matches_solver(self):
         state = werner(0.3)
         assert np.abs(state.spectrum - linalg.herm_eig(state.rho).eigenvalues).max() <= 1e-14
+
+
+class TestStackedValidation:
+    """The private path that validates states from one stacked eigendecomposition."""
+
+    def test_same_state_as_the_constructor(self, rng):
+        for d_a, d_b in ((2, 1), (3, 2), (2, 3)):
+            ms = [random_density(rng, d_a * d_b, rank) for rank in (1, 2, d_a * d_b)]
+            for m, state in zip(ms, _states_from_stack(d_a, d_b, ms)):
+                direct = BipartiteState(d_a, d_b, m)
+                assert (state.d_a, state.d_b) == (d_a, d_b)
+                assert state.rho.tobytes() == direct.rho.tobytes()
+                assert state.spectrum.tobytes() == direct.spectrum.tobytes()
+                assert not state.rho.flags.writeable and not state.spectrum.flags.writeable
+        assert _states_from_stack(2, 2, []) == []
+
+    def test_same_checks_as_the_constructor(self):
+        fine = np.eye(2) / 2
+        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5])):
+            with pytest.raises(InvariantViolation) as direct:
+                BipartiteState(2, 1, bad)
+            with pytest.raises(InvariantViolation) as stacked:
+                _states_from_stack(2, 1, [fine, bad])
+            assert str(stacked.value) == str(direct.value)
+        with pytest.raises(DimensionMismatch):
+            _states_from_stack(2, 2, [fine])
+        with pytest.raises(BadDimension):
+            _states_from_stack(1, 2, [fine])
 
 
 class TestNamedStates:

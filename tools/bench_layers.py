@@ -1,0 +1,165 @@
+"""Per-layer timings of qir's eigendecomposition paths, as JSON.
+
+Usage, from the root of the repository:
+
+    python3 tools/bench_layers.py --src src --repeats 7
+    python3 tools/bench_layers.py --src src --compiled path/to/_jacobi.<ext>
+
+``--src`` is the qir source tree to import, so that two checkouts can be
+measured by the same harness. ``--compiled`` registers a compiled Jacobi
+kernel built from the shipped ``_jacobi.c`` and measures on it instead of
+the Python kernel. Each case reports the best of ``--repeats`` wall times
+per operation, and the eigendecompositions and rotations one operation
+runs, counted at the backend (a stacked call counts each slice).
+
+Cases:
+- ``kernel``: the eigendecompositions of one 21-point monitoring sweep at
+  (d_A, d_B) = (3, 2), as ``herm_eig`` one matrix at a time (``loop``)
+  and as ``herm_eig_stack`` (``stack``, absent from trees without it):
+  the 20 monitored 6 x 6 states, and the 147 2 x 2 B marginals and blocks;
+- ``entropy_bundle``: one bundle with X and Y for each of the 12 pairs
+  d_A in 2..5, d_B in 1..3 (one operation is all 12);
+- ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.machinery
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+
+def load_qir(src: str, compiled: str | None):
+    sys.path.insert(0, os.path.abspath(src))
+    import qir
+    from qir import backend
+
+    if compiled:
+        loader = importlib.machinery.ExtensionFileLoader("qir._jacobi", compiled)
+        spec = importlib.util.spec_from_file_location("qir._jacobi", compiled, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        backend._KERNELS["compiled"] = module
+        backend.set_backend("compiled")
+    else:
+        backend.set_backend("python")
+    return qir
+
+
+class Counter:
+    """Counts eigendecompositions and rotations at the backend's entry points."""
+
+    def __init__(self, backend):
+        self.eigs = self.rotations = 0
+        single = backend.jacobi_eigh
+
+        def counted(a, v, max_rotations):
+            rotations, converged = single(a, v, max_rotations)
+            self.eigs += 1
+            self.rotations += rotations
+            return rotations, converged
+
+        backend.jacobi_eigh = counted
+        stack = getattr(backend, "jacobi_eigh_stack", None)
+        if stack is not None:
+            def counted_stack(a, v, max_rotations):
+                rotations, converged = stack(a, v, max_rotations)
+                self.eigs += len(rotations)
+                self.rotations += int(rotations.sum())
+                return rotations, converged
+
+            backend.jacobi_eigh_stack = counted_stack
+
+
+def measure(counter: Counter, fn, repeats: int) -> dict:
+    fn()  # warm-up
+    counter.eigs = counter.rotations = 0
+    fn()
+    eigs, rotations = counter.eigs, counter.rotations
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return {"best_s": min(times), "eigendecompositions": eigs, "rotations": rotations}
+
+
+def sweep_inputs(qir):
+    state = qir.random_mixed(3, 2, 6, (20, 0))
+    return qir.random_basis(3, (21, 0)), qir.random_basis(3, (22, 0)), state
+
+
+def cases(qir):
+    from qir import linalg
+    from qir.channels import dephased_blocks
+    from qir.relations import entropy_bundle
+
+    grid = np.linspace(0.0, 1.0, 21)
+    x, y, state = sweep_inputs(qir)
+    monitored = [qir.monitor(y, eps, state) for eps in grid[1:]]
+    big = np.array([m.rho for m in monitored])
+    small = np.array([b for m in [state] + monitored for b in
+                      [m.reduced_b(), *dephased_blocks(x, m), *dephased_blocks(y, m)]])
+    bundles = []
+    for k, (d_a, d_b) in enumerate((a, b) for a in (2, 3, 4, 5) for b in (1, 2, 3)):
+        bundles.append((qir.random_basis(d_a, (23, k)), qir.random_mixed(d_a, d_b, d_a * d_b, (24, k)),
+                        qir.random_basis(d_a, (25, k))))
+
+    out = {
+        "kernel.loop.monitored_6x6_k20": lambda: [linalg.herm_eig(m) for m in big],
+        "kernel.loop.blocks_2x2_k147": lambda: [linalg.herm_eig(m) for m in small],
+        "entropy_bundle.12_pairs": lambda: [entropy_bundle(bx, rho, by) for bx, rho, by in bundles],
+        "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
+    }
+    if hasattr(linalg, "herm_eig_stack"):
+        out["kernel.stack.monitored_6x6_k20"] = lambda: linalg.herm_eig_stack(big)
+        out["kernel.stack.blocks_2x2_k147"] = lambda: linalg.herm_eig_stack(small)
+    return out
+
+
+def git_sha(src: str) -> str:
+    """HEAD of the tree holding ``src``, with ``+dirty`` when ``src`` differs from it."""
+    try:
+        sha = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        clean = subprocess.run(["git", "-C", src, "diff", "--quiet", "HEAD", "--", "."]).returncode == 0
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return sha if clean else sha + "+dirty"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src")
+    parser.add_argument("--compiled", help="compiled _jacobi extension to measure on")
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    qir = load_qir(args.src, args.compiled)
+    import scipy
+
+    from qir import backend
+
+    counter = Counter(backend)
+    results = {name: measure(counter, fn, args.repeats) for name, fn in sorted(cases(qir).items())}
+    print(json.dumps({
+        "backend": backend.backend_name(),
+        "sha": git_sha(args.src),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "repeats": args.repeats,
+        "cases": results,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()
