@@ -74,4 +74,77 @@ from .states import (
     werner,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # channels
+    "DephasedDecomposition",
+    "dephase",
+    "dephased_decomposition",
+    "monitor",
+    "monitor_n",
+    # entropies
+    "cond_entropy",
+    "dephased_entropy",
+    "irreality",
+    "relative_entropy",
+    "shannon",
+    "uncertainty",
+    "vn_entropy",
+    # errors
+    "BadDimension",
+    "ConfigError",
+    "DimensionMismatch",
+    "InvariantViolation",
+    "NoConvergence",
+    "NotDistribution",
+    "NotHermitian",
+    "NotNormalized",
+    "OutOfRange",
+    "QirError",
+    "TheoremViolation",
+    # explore
+    "CampaignConfig",
+    "CampaignResult",
+    "MinimizeResult",
+    "SweepTrace",
+    "minimize_slack",
+    "monitoring_sweep",
+    "run_campaign",
+    "run_campaign_records",
+    # linalg
+    "EigenDecomposition",
+    "dagger",
+    "herm_eig",
+    "kron",
+    "matmul",
+    "partial_trace_a",
+    "partial_trace_b",
+    # relations
+    "EntropyProfile",
+    "IdentityReport",
+    "InequalityReport",
+    "RELATIONS",
+    "check_combined_ur",
+    "check_constraint1",
+    "check_constraint2",
+    "check_irreality_ur",
+    "check_memory_ur",
+    "check_mixed_ur",
+    "check_monitor_bound",
+    "evaluate_relations",
+    "mu_bound",
+    "mu_overlap",
+    "profile",
+    "reality_change",
+    # states
+    "BipartiteState",
+    "ObservableBasis",
+    "computational_basis",
+    "fourier_basis",
+    "haar_random_pure",
+    "max_entangled",
+    "max_mixed",
+    "pure_from_schmidt",
+    "random_basis",
+    "random_mixed",
+    "werner",
+]

@@ -30,12 +30,16 @@ def _frame(x: ObservableBasis, d_b: int) -> np.ndarray:
     return np.kron(x.vectors, np.eye(d_b))
 
 
-def _blocks(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Diagonal d_b x d_b blocks of the d_a*d_b matrix ``m`` in the frame of ``x``."""
+def _blocks(x: ObservableBasis, ms: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Diagonal d_b x d_b blocks of each d_a*d_b matrix of the stack ``ms`` in the frame of ``x``.
+
+    ``ms`` has shape ``(k, d_a*d_b, d_a*d_b)`` and the result ``(k, d_a, d_b, d_b)``.
+    The frame is built once, and each slice gets the bits a stack of one gives it.
+    """
     w = _frame(x, d_b)
-    tilted = (w.conj().T @ m @ w).reshape(d_a, d_b, d_a, d_b)
+    tilted = (w.conj().T @ ms @ w).reshape(len(ms), d_a, d_b, d_a, d_b)
     idx = np.arange(d_a)
-    return tilted[idx, :, idx, :]
+    return tilted[:, idx, :, idx, :].swapaxes(0, 1)
 
 
 def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
@@ -46,7 +50,7 @@ def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
     in that frame, so its spectrum is the union of theirs.
     """
     _check_pair(x, rho)
-    return _blocks(x, rho.rho, rho.d_a, rho.d_b)
+    return _blocks(x, rho.rho[None], rho.d_a, rho.d_b)[0]
 
 
 def _dephased_matrix(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -54,16 +58,20 @@ def _dephased_matrix(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> n
     dim = d_a * d_b
     kept = np.zeros((d_a, d_b, d_a, d_b), dtype=np.complex128)
     idx = np.arange(d_a)
-    kept[idx, :, idx, :] = _blocks(x, m, d_a, d_b)
+    kept[idx, :, idx, :] = _blocks(x, m[None], d_a, d_b)[0]
     w = _frame(x, d_b)
     out = w @ kept.reshape(dim, dim) @ w.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def _monitored_matrix(m: np.ndarray, dephased: np.ndarray, eps: float) -> np.ndarray:
-    """(1-eps) * m + eps * dephased, symmetrized but not validated."""
+def _monitored_matrix(m: np.ndarray, dephased: np.ndarray, eps) -> np.ndarray:
+    """(1-eps) * m + eps * dephased, symmetrized but not validated.
+
+    An ``eps`` of shape ``(k, 1, 1)`` gives the ``(k, n, n)`` stack of one
+    matrix per strength, each with the bits of its scalar ``eps``.
+    """
     mixed = (1.0 - eps) * m + eps * dephased
-    return (mixed + mixed.conj().T) / 2.0
+    return (mixed + np.swapaxes(mixed.conj(), -1, -2)) / 2.0
 
 
 def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
@@ -140,7 +148,8 @@ def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> list[Bi
     _check_pair(y, rho)
     strengths = [_check_strength(eps) for eps in strengths]
     dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
-    mixed = [_monitored_matrix(rho.rho, dephased, eps) for eps in strengths if eps != 0.0]
+    eps = np.array([eps for eps in strengths if eps != 0.0])[:, None, None]
+    mixed = _monitored_matrix(rho.rho, dephased, eps)
     monitored = iter(_states_from_stack(rho.d_a, rho.d_b, mixed))
     return [rho if eps == 0.0 else next(monitored) for eps in strengths]
 

@@ -1,4 +1,4 @@
-"""Scalar entropy functionals, all in nats.
+"""Entropy functionals, all in nats.
 
 Shannon and von Neumann entropies, the conditional entropies H(A|B) and
 H(X|B), quantum relative entropy on the support of its second argument,
@@ -6,6 +6,12 @@ and the irreality of an observable (the entropy gained by dephasing the
 state in that observable's eigenbasis). The entropy of a dephased state
 is taken from its d_a diagonal blocks of size d_b x d_b in the measured
 frame rather than from the dense dephased matrix.
+
+Every entropy is one row of ``_entropies``, a vectorized pass over a
+stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
+``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
+entropies of a stack of states with one frame per basis, one stacked
+eigendecomposition and two entropy passes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .channels import dephased_blocks
+from .channels import _blocks, _check_pair, dephased_blocks
 from .errors import DimensionMismatch, InvariantViolation, NotDistribution
 from .states import BipartiteState, ObservableBasis
 
@@ -25,6 +31,37 @@ SUPPORT_LEAK_TOL = 1e-9
 SUM_TOL = 1e-8
 
 
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """-sum p_i ln p_i of each row of a ``(k, n)`` stack of spectra, in nats.
+
+    Entries down to -1e-10 are clipped to 0, then each row is normalized
+    by its sum; 0 ln 0 = 0. A row with an entry below -1e-10 raises
+    ``InvariantViolation`` and a row whose sum is off 1 by more than 1e-8
+    raises ``NotDistribution``, both naming the row. The rows are summed
+    together, which gives each the bits of a lone row, but a row with a
+    zero is summed again over its positive terms alone: their count sets
+    numpy's pairwise grouping.
+    """
+    if spectra.min() < -EIG_CLIP:
+        lows = spectra.min(axis=1)
+        i = int(lows.argmin())
+        raise InvariantViolation(f"row {i}: eigenvalue {lows[i]:.3e} below -{EIG_CLIP:.0e}")
+    p = np.maximum(spectra, 0.0)
+    totals = p.sum(axis=1)
+    defects = np.abs(totals - 1.0)
+    if defects.max() > SUM_TOL:
+        i = int(defects.argmax())
+        raise NotDistribution(f"row {i}: weights sum to {float(totals[i])!r}, not 1")
+    p /= totals[:, None]
+    positive = p > 0.0
+    terms = p * np.log(np.where(positive, p, 1.0))
+    h = 0.0 - terms.sum(axis=1)  # 0 - s is -s + 0.0: no -0.0
+    if not positive.all():
+        for i in np.flatnonzero(~positive.all(axis=1)):
+            h[i] = 0.0 - terms[i][positive[i]].sum()
+    return h
+
+
 def shannon(p) -> float:
     """-sum p_i ln p_i with 0 ln 0 = 0; clips and renormalizes tiny noise."""
     arr = np.asarray(p, dtype=float)
@@ -32,13 +69,7 @@ def shannon(p) -> float:
         raise NotDistribution("expected a nonempty probability vector")
     if arr.min() < -EIG_CLIP:
         raise NotDistribution(f"negative weight {arr.min():.3e} beyond tolerance")
-    arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise NotDistribution(f"weights sum to {total!r}, not 1")
-    arr = arr / total
-    pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0
+    return float(_entropies(arr[None])[0])
 
 
 def _clipped_spectrum(w: np.ndarray) -> np.ndarray:
@@ -61,7 +92,7 @@ def _density_spectrum(rho) -> np.ndarray:
 
 def vn_entropy(rho) -> float:
     """von Neumann entropy -Tr(rho ln rho) of a state or density matrix."""
-    return shannon(_clipped_spectrum(_density_spectrum(rho)))
+    return float(_entropies(_density_spectrum(rho)[None])[0])
 
 
 def cond_entropy(rho: BipartiteState) -> float:
@@ -95,36 +126,32 @@ def relative_entropy(rho, sigma) -> float:
     return tr_r_ln_r - tr_r_ln_s
 
 
-def _joint_entropies(parts) -> list[float]:
-    """Entropy of the joined spectrum of each part; all blocks in one stacked call.
+def _marginals(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """B marginal of each matrix of a ``(k, d_a*d_b, d_a*d_b)`` stack, with ``reduced_b``'s bits."""
+    return np.einsum("kijil->kjl", rhos.reshape(len(rhos), d_a, d_b, d_a, d_b))
 
-    Each part is a ``(j, m, m)`` stack holding the diagonal blocks of one
-    block-diagonal density matrix (a lone matrix is a part with j = 1);
-    every part has the same m. Each block passes the checks of
-    ``herm_eig``; each joined spectrum is checked for positivity and unit
-    trace. The result is bit for bit what per-block ``herm_eig`` calls give.
+
+def _configuration_entropies(bases, states) -> np.ndarray:
+    """S(rho_B), S(rho), then S(rho dephased in b) for each basis b, per state.
+
+    Shape ``(k, 2 + len(bases))`` for k states sharing (d_a, d_b), with
+    the bits of the per-state route (``vn_entropy`` of the state and of
+    its marginal, ``dephased_entropy``). Each basis's frame is built once;
+    the B marginals and the blocks of every state and basis, state by
+    state in that order, go through one ``herm_eig_stack`` call. S(rho)
+    and the dephased entropies, all of length d_a*d_b, take one entropy
+    pass and the marginals a second.
     """
-    spectra = linalg.herm_eig_stack(np.concatenate(parts))
-    bounds = np.cumsum([0] + [len(part) for part in parts])
-    return [
-        shannon(_clipped_spectrum(spectra[lo:hi].reshape(-1)))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-def _configuration_entropies(bases, states) -> list[list[float]]:
-    """Per state, S(rho_B) and then S(rho dephased in b) for each basis b.
-
-    The B marginals and the blocks of every state and basis go through one
-    stacked call of ``_joint_entropies``.
-    """
-    parts = []
-    for rho in states:
-        parts.append(rho.reduced_b()[None])
-        parts.extend(dephased_blocks(b, rho) for b in bases)
-    flat = _joint_entropies(parts)
-    width = 1 + len(bases)
-    return [flat[i : i + width] for i in range(0, len(flat), width)]
+    d_a, d_b = states[0].d_a, states[0].d_b
+    for b in bases:
+        _check_pair(b, states[0])
+    rhos = np.array([rho.rho for rho in states])
+    k, n = rhos.shape[:2]
+    parts = [_marginals(rhos, d_a, d_b)[:, None]] + [_blocks(b, rhos, d_a, d_b) for b in bases]
+    spectra = linalg.herm_eig_stack(np.concatenate(parts, axis=1).reshape(-1, d_b, d_b)).reshape(k, -1)
+    full = np.array([rho.spectrum for rho in states])
+    joint = _entropies(np.concatenate([full, spectra[:, d_b:]], axis=1).reshape(-1, n))
+    return np.column_stack([_entropies(spectra[:, :d_b]), joint.reshape(k, -1)])
 
 
 def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:
@@ -134,7 +161,8 @@ def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:
     diagonal in the measured frame, so its spectrum is the union of the
     spectra of the d_a blocks p_i sigma_i (the joint-entropy theorem).
     """
-    return _joint_entropies([dephased_blocks(x, rho)])[0]
+    spectrum = linalg.herm_eig_stack(dephased_blocks(x, rho)).reshape(1, -1)
+    return float(_entropies(spectrum)[0])
 
 
 def uncertainty(x: ObservableBasis, rho: BipartiteState) -> float:
@@ -143,7 +171,8 @@ def uncertainty(x: ObservableBasis, rho: BipartiteState) -> float:
     Nonnegative (the dephased state is separable across the A:B cut); for
     d_b = 1 it reduces to the Shannon entropy of the outcome probabilities.
     """
-    return dephased_entropy(x, rho) - vn_entropy(rho.reduced_b())
+    h_b, _, h_x = _configuration_entropies([x], [rho])[0].tolist()
+    return h_x - h_b
 
 
 def irreality(x: ObservableBasis, rho: BipartiteState) -> float:

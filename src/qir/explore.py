@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .channels import _monitor_grid
-from .entropies import _configuration_entropies, vn_entropy
+from .entropies import _configuration_entropies
 from .errors import BadDimension, ConfigError, InvariantViolation, OutOfRange, TheoremViolation
 from ._rng import spawn_rng
 from .relations import (
@@ -248,11 +248,15 @@ class SweepTrace:
         if float(slack.min()) < -1e-9:
             k = int(slack.argmin())
             raise InvariantViolation(
-                f"eq16 slack {slack[k]:.3e} below -1e-9 at eps = {self.eps_grid[k]!r}"
+                f"eq16 slack {slack[k]:.3e} below -1e-9 at eps = {float(self.eps_grid[k])!r}"
             )
-        spread = float(self.uncertainty_y.max() - self.uncertainty_y.min())
+        lo, hi = int(self.uncertainty_y.argmin()), int(self.uncertainty_y.argmax())
+        spread = float(self.uncertainty_y[hi] - self.uncertainty_y[lo])
         if spread > 1e-9:
-            raise InvariantViolation(f"monitored-observable uncertainty drifted by {spread:.3e}")
+            raise InvariantViolation(
+                f"monitored-observable uncertainty drifted by {spread:.3e} "
+                f"between eps = {float(self.eps_grid[lo])!r} and eps = {float(self.eps_grid[hi])!r}"
+            )
 
     def bound_slack(self) -> np.ndarray:
         return self.irreality_x + self.uncertainty_y - self.bound_q
@@ -275,15 +279,11 @@ def monitoring_sweep(
         raise OutOfRange("grid values must lie in [0, 1]")
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
-    states = _monitor_grid(y, eps_grid, rho)
-    irr = np.empty_like(eps_grid)
-    unc = np.empty_like(eps_grid)
-    for k, (state, (h_b, h_xb, h_yb)) in enumerate(
-        zip(states, _configuration_entropies([x, y], states))
-    ):
-        irr[k] = h_xb - vn_entropy(state)
-        unc[k] = h_yb - h_b
-    return SweepTrace(eps_grid, irr, unc, mu_bound(x, y))
+    h_b, h_ab, h_xb, h_yb = _configuration_entropies([x, y], _monitor_grid(y, eps_grid, rho)).T
+    try:
+        return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
+    except InvariantViolation as err:
+        raise InvariantViolation(f"sweep at (d_A, d_B) = ({rho.d_a}, {rho.d_b}): {err}") from None
 
 
 @dataclass(frozen=True, eq=False)

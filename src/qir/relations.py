@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import monitor
-from .entropies import _configuration_entropies, irreality, vn_entropy
+from .entropies import _configuration_entropies, irreality
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
 
@@ -115,8 +115,7 @@ def entropy_bundle(
     x: ObservableBasis, rho: BipartiteState, y: ObservableBasis | None = None
 ) -> EntropyBundle:
     """Evaluate the shared entropies once; the Y side only when ``y`` is given."""
-    h_ab = vn_entropy(rho)
-    ((h_b, h_xb, *y_side),) = _configuration_entropies([x] if y is None else [x, y], [rho])
+    h_b, h_ab, h_xb, *y_side = _configuration_entropies([x] if y is None else [x, y], [rho])[0].tolist()
     h_yb = y_side[0] if y_side else None
     return EntropyBundle(
         h_ab=h_ab,

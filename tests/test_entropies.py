@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import backend, profile
-from qir.channels import dephase
+from qir import backend, linalg, profile
+from qir.channels import _blocks, _monitor_grid, dephase, dephased_blocks
 from qir.entropies import (
+    EIG_CLIP,
+    _clipped_spectrum,
+    _configuration_entropies,
+    _entropies,
+    _marginals,
     cond_entropy,
     dephased_entropy,
     irreality,
@@ -51,6 +56,18 @@ def werner_entropy(w):
 def werner_dephased_entropy(w):
     """Entropy from the dephased closed-form spectrum ((1+w)/4 x2, (1-w)/4 x2)."""
     return shannon([(1 + w) / 4, (1 + w) / 4, (1 - w) / 4, (1 - w) / 4])
+
+
+def scalar_entropy(row):
+    """The per-row route: clip, normalize by the sum, -sum p ln p over the positive entries."""
+    arr = np.clip(np.asarray(row, dtype=float), 0.0, None)
+    arr = arr / float(arr.sum())
+    pos = arr[arr > 0.0]
+    return float(-(pos * np.log(pos)).sum()) + 0.0
+
+
+def bits(value):
+    return np.float64(value).tobytes()
 
 
 def charpoly_spectrum(m):
@@ -259,6 +276,91 @@ class TestDephasedEntropy:
             run_campaign_records(cfg)
             assert sizes.count(d_a * d_b) == 2 * cfg.trials, (d_a, d_b)
             assert max(sizes) == d_a * d_b
+
+
+class TestBatchedEntropies:
+    """The vectorized entropy pass and the batched configuration entropies, bit for bit."""
+
+    @staticmethod
+    def rows(rng, width, k=40):
+        """Weights summing to 1 within 1e-9; for width > 1, by i % 3, one exact
+        zero, one negative entry within EIG_CLIP, or all positive, with a -0.0
+        in row 2 and a lone 1 in row 5."""
+        rows = rng.dirichlet(np.ones(width), size=k)
+        spot = rng.integers(width, size=k)
+        if width > 1:
+            for i in range(k):
+                if i % 3 != 2 or i == 2:
+                    rows[i, spot[i]] = 0.0
+            rows[5] = np.eye(width)[spot[5]]
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows *= 1.0 + rng.uniform(-1e-9, 1e-9, (k, 1))
+        if width > 1:
+            for i in range(1, k, 3):
+                rows[i, spot[i]] = -rng.uniform(0.0, EIG_CLIP)
+            rows[2, spot[2]] = -0.0
+        return rows
+
+    @pytest.mark.parametrize("width", range(1, 16))
+    def test_rows_are_bitwise_the_per_row_route(self, rng, width):
+        rows = self.rows(rng, width)
+        positive = rows[(rows > 0.0).all(axis=1)]
+        for stack in (rows, positive, rows[:1]):
+            h = _entropies(stack)
+            for i, row in enumerate(stack):
+                assert bits(h[i]) == bits(scalar_entropy(row)), (width, i)
+                assert bits(h[i]) == bits(shannon(_clipped_spectrum(row))), (width, i)
+
+    def test_errors_name_the_row_and_the_defect(self):
+        rows = np.full((4, 3), 1.0 / 3.0)
+        rows[2] = [0.5, 0.5 + 2e-10, -2e-10]
+        with pytest.raises(InvariantViolation, match=r"^row 2: eigenvalue -2\.000e-10 below -1e-10$"):
+            _entropies(rows)
+        rows[2] = [0.5, 0.5, -EIG_CLIP]
+        _entropies(rows)
+        rows[1] = [0.5, 0.5, 0.5]
+        with pytest.raises(NotDistribution, match=r"^row 1: weights sum to 1\.5, not 1$"):
+            _entropies(rows)
+        with pytest.raises(NotDistribution, match=r"weights sum to 0\.9, not 1"):
+            shannon([0.5, 0.4])
+
+    @staticmethod
+    def stacks(k, d_a, d_b):
+        """Pure and mixed stacks of k states: the input and its monitored images."""
+        grid = np.linspace(0.0, 1.0, k)
+        y = random_basis(d_a, (44, d_a, d_b))
+        for state in (haar_random_pure(d_a, d_b, (45, d_a, d_b)), random_mixed(d_a, d_b, d_a * d_b, (46, d_a, d_b))):
+            yield _monitor_grid(y, grid, state) if k > 1 else [state]
+
+    @pytest.mark.parametrize("k", [1, 21])
+    def test_blocks_and_marginals_are_bitwise_per_state(self, k):
+        for d_a, d_b in ACCEPTANCE_DIMS:
+            x = random_basis(d_a, (47, d_a, d_b))
+            for states in self.stacks(k, d_a, d_b):
+                rhos = np.array([state.rho for state in states])
+                blocks, marginals = _blocks(x, rhos, d_a, d_b), _marginals(rhos, d_a, d_b)
+                assert blocks.shape == (k, d_a, d_b, d_b) and marginals.shape == (k, d_b, d_b)
+                for i, state in enumerate(states):
+                    assert blocks[i].tobytes() == dephased_blocks(x, state).tobytes(), (d_a, d_b, i)
+                    assert marginals[i].tobytes() == state.reduced_b().tobytes(), (d_a, d_b, i)
+
+    @pytest.mark.parametrize("k", [1, 21])
+    def test_configuration_entropies_are_bitwise_the_per_state_route(self, k):
+        def per_block(x, state):
+            spectra = [linalg.herm_eig(b).eigenvalues for b in dephased_blocks(x, state)]
+            return scalar_entropy(np.concatenate(spectra))
+
+        for d_a, d_b in ACCEPTANCE_DIMS:
+            x, y = random_basis(d_a, (48, d_a, d_b)), computational_basis(d_a)
+            for states in self.stacks(k, d_a, d_b):
+                h = _configuration_entropies([x, y], states)
+                assert h.shape == (k, 4)
+                for i, state in enumerate(states):
+                    h_b = scalar_entropy(linalg.herm_eig(state.reduced_b()).eigenvalues)
+                    expected = (h_b, scalar_entropy(state.spectrum), per_block(x, state), per_block(y, state))
+                    assert [bits(v) for v in h[i]] == [bits(v) for v in expected], (d_a, d_b, i)
+                    assert bits(h[i, 2]) == bits(dephased_entropy(x, state))
+                    assert bits(h[i, 1]) == bits(vn_entropy(state))
 
 
 class TestUncertainty:

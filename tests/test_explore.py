@@ -237,15 +237,43 @@ class TestSweep:
         assert np.all(np.diff(trace.irreality_x) > 0.04)
         assert trace.bound_slack().min() >= -1e-9
 
+    def test_sweep_errors_name_dims_and_eps(self, monkeypatch):
+        import qir.explore as explore
+
+        state = random_mixed(3, 2, 6, 67)
+        x, y = random_basis(3, 68), random_basis(3, 69)
+        grid = np.linspace(0.0, 1.0, 5)
+        monkeypatch.setattr(explore, "mu_bound", lambda x, y: 10.0)
+        with pytest.raises(
+            InvariantViolation, match=r"sweep at \(d_A, d_B\) = \(3, 2\): eq16 slack -\d\.\d{3}e\+00 below -1e-9 at eps = [01]\.\d+$"
+        ):
+            monitoring_sweep(x, y, state, grid)
+        monkeypatch.undo()
+
+        entropies = explore._configuration_entropies
+
+        def drifting(bases, states):
+            h = entropies(bases, states)
+            h[-1, 3] += 1e-6  # S(rho dephased in Y) at eps = 1
+            return h
+
+        monkeypatch.setattr(explore, "_configuration_entropies", drifting)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"sweep at \(d_A, d_B\) = \(3, 2\): monitored-observable uncertainty drifted "
+            r"by 1\.000e-06 between eps = 0\.\d+ and eps = 1\.0$",
+        ):
+            monitoring_sweep(x, y, state, grid)
+
     def test_trace_invariants_enforced(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"eq16 slack -1\.000e-01 below -1e-9 at eps = 1\.0"):
             SweepTrace(
                 eps_grid=np.array([0.0, 1.0]),
                 irreality_x=np.array([0.5, 0.1]),
                 uncertainty_y=np.array([0.3, 0.3]),
                 bound_q=0.5,
             )
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"drifted by 1\.000e-01 between eps = 0\.0 and eps = 1\.0"):
             SweepTrace(
                 eps_grid=np.array([0.0, 1.0]),
                 irreality_x=np.array([0.5, 0.1]),

@@ -19,6 +19,9 @@ Cases:
   the 20 monitored 6 x 6 states, and the 147 2 x 2 B marginals and blocks;
 - ``entropy_bundle``: one bundle with X and Y for each of the 12 pairs
   d_A in 2..5, d_B in 1..3 (one operation is all 12);
+- ``bundle_2x2``: one bundle with X and Y at (2, 2), the size the
+  ``minimize`` workload evaluates, so that a slowdown of a lone small
+  bundle is not lost in the 12-pair sum;
 - ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2).
 """
 
@@ -117,6 +120,7 @@ def cases(qir):
         "kernel.loop.monitored_6x6_k20": lambda: [linalg.herm_eig(m) for m in big],
         "kernel.loop.blocks_2x2_k147": lambda: [linalg.herm_eig(m) for m in small],
         "entropy_bundle.12_pairs": lambda: [entropy_bundle(bx, rho, by) for bx, rho, by in bundles],
+        "bundle_2x2": lambda: entropy_bundle(*bundles[1]),
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
     }
     if hasattr(linalg, "herm_eig_stack"):
