@@ -8,7 +8,7 @@ them, with campaign and slack-minimization tooling on top.
 
 __version__ = "0.1.0"
 
-from .channels import DephasedDecomposition, dephase, dephased_decomposition, monitor, monitor_n
+from .channels import dephase, monitor, monitor_n
 from .entropies import (
     cond_entropy,
     dephased_entropy,
@@ -41,9 +41,9 @@ from .explore import (
     run_campaign,
     run_campaign_records,
 )
-from .linalg import EigenDecomposition, dagger, herm_eig, kron, matmul, partial_trace_a, partial_trace_b
+from .linalg import EigenDecomposition, herm_eig, partial_trace_a, partial_trace_b
 from .relations import (
-    EntropyBundle as EntropyProfile,
+    EntropyBundle,
     IdentityReport,
     InequalityReport,
     RELATIONS,
@@ -54,11 +54,10 @@ from .relations import (
     check_memory_ur,
     check_mixed_ur,
     check_monitor_bound,
-    entropy_bundle as profile,
+    entropy_bundle,
     evaluate_relations,
     mu_bound,
     mu_overlap,
-    reality_change,
 )
 from .states import (
     BipartiteState,
@@ -76,9 +75,7 @@ from .states import (
 
 __all__ = [
     # channels
-    "DephasedDecomposition",
     "dephase",
-    "dephased_decomposition",
     "monitor",
     "monitor_n",
     # entropies
@@ -112,14 +109,11 @@ __all__ = [
     "run_campaign_records",
     # linalg
     "EigenDecomposition",
-    "dagger",
     "herm_eig",
-    "kron",
-    "matmul",
     "partial_trace_a",
     "partial_trace_b",
     # relations
-    "EntropyProfile",
+    "EntropyBundle",
     "IdentityReport",
     "InequalityReport",
     "RELATIONS",
@@ -130,11 +124,10 @@ __all__ = [
     "check_memory_ur",
     "check_mixed_ur",
     "check_monitor_bound",
+    "entropy_bundle",
     "evaluate_relations",
     "mu_bound",
     "mu_overlap",
-    "profile",
-    "reality_change",
     # states
     "BipartiteState",
     "ObservableBasis",

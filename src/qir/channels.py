@@ -6,18 +6,16 @@ dephased image, modelling a measurement of strength ``eps``. Outputs are
 re-symmetrized to keep round-off from accumulating across long chains.
 ``dephased_blocks`` is the one place the state is rewritten in the
 measured frame; entropies of dephased states are taken from its blocks.
+Block i is p_i sigma_i: its trace is the probability of outcome i and,
+where that is nonzero, the block over it is the conditional B state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
 from .states import BipartiteState, ObservableBasis, _states_from_stack
-
-NULL_PROB = 1e-12
 
 
 def _check_pair(x: ObservableBasis, rho: BipartiteState) -> None:
@@ -81,45 +79,6 @@ def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
     """
     _check_pair(x, rho)
     return BipartiteState(rho.d_a, rho.d_b, _dephased_matrix(x, rho.rho, rho.d_a, rho.d_b))
-
-
-@dataclass(frozen=True, eq=False)
-class DephasedDecomposition:
-    """Separable form of a dephased state: outcome probabilities and the
-    conditional B states, one per basis column (None where the outcome
-    probability is below ``NULL_PROB``)."""
-
-    basis: ObservableBasis
-    d_b: int
-    probs: np.ndarray
-    cond_states: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        """Assemble sum_i p_i |x_i><x_i| (x) sigma_i as a dense matrix."""
-        d_a, d_b = self.basis.d, self.d_b
-        out = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-        for i, sigma in enumerate(self.cond_states):
-            if sigma is None:
-                continue
-            col = self.basis.column(i)
-            out += self.probs[i] * np.kron(np.outer(col, col.conj()), sigma)
-        return out
-
-
-def dephased_decomposition(x: ObservableBasis, rho: BipartiteState) -> DephasedDecomposition:
-    """Outcome probabilities and conditional B states of the dephased state."""
-    blocks = dephased_blocks(x, rho)
-    probs = np.empty(rho.d_a)
-    cond = []
-    for i, block in enumerate(blocks):
-        p = float(np.trace(block).real)
-        probs[i] = p
-        if p <= NULL_PROB:
-            cond.append(None)
-        else:
-            sigma = block / p
-            cond.append((sigma + sigma.conj().T) / 2.0)
-    return DephasedDecomposition(x, rho.d_b, probs, tuple(cond))
 
 
 def _check_strength(eps: float) -> float:

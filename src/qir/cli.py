@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__, serialize
@@ -72,41 +71,42 @@ def resolve_tol(explicit: float | None) -> float:
     return DEFAULT_TOL
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation; every output file points back here."""
-
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    started: str
-    finished: str = ""
-    outputs: list | None = None
-
-    def finish(self) -> None:
-        self.finished = _now()
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs or [],
-        }
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command: str, config: dict, seed: int | None) -> RunManifest:
-    return RunManifest(
-        command=command, config=config, seed=seed, version=__version__, started=_now()
-    )
+def _record(
+    command: str, config: dict, seed: int | None, started: str, outputs: dict, manifest_path: str
+) -> None:
+    """Write each output, then the manifest that names them.
+
+    ``outputs`` maps a path to a JSON object, which gets a ``"manifest"``
+    back-reference, or to a ``(header, rows)`` CSV table. The manifest
+    records ``started`` and, once the outputs are on disk, ``finished``.
+    A path that cannot be written is a ``ConfigError``.
+    """
+    manifest_name = os.path.basename(manifest_path)
+    try:
+        for path, body in outputs.items():
+            if isinstance(body, dict):
+                serialize.write_json(path, {"manifest": manifest_name, **body})
+            else:
+                serialize.write_csv(path, *body)
+        path = manifest_path
+        serialize.write_json(
+            manifest_path,
+            {
+                "command": command,
+                "config": config,
+                "seed": seed,
+                "version": __version__,
+                "started": started,
+                "finished": _now(),
+                "outputs": [os.path.basename(p) for p in outputs],
+            },
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- saturate
@@ -261,23 +261,24 @@ def cmd_verify(args) -> int:
     if not args.config:
         raise ConfigError("verify needs --config <file> or --replay <argmin.json>")
     cfg = parse_campaign_config(args.config, args.tol)
-    manifest = _manifest("verify", serialize.campaign_config_to_dict(cfg), cfg.seed)
+    started = _now()
     result, records = run_campaign_records(cfg, workers=args.workers)
-
-    out_dir = args.out
-    result_path = os.path.join(out_dir, "campaign_result.json")
-    csv_path = os.path.join(out_dir, "slacks.csv")
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    payload = {"manifest": "manifest.json", **serialize.campaign_result_to_dict(result)}
-    serialize.write_json(result_path, payload)
-    serialize.write_csv(
-        csv_path,
-        ["trial", "dA", "dB", "relation", "slack"],
-        serialize.trial_csv_rows(records, cfg.relations),
+    result_path = os.path.join(args.out, "campaign_result.json")
+    csv_path = os.path.join(args.out, "slacks.csv")
+    _record(
+        "verify",
+        serialize.campaign_config_to_dict(cfg),
+        cfg.seed,
+        started,
+        {
+            result_path: serialize.campaign_result_to_dict(result),
+            csv_path: (
+                ["trial", "dA", "dB", "relation", "slack"],
+                serialize.trial_csv_rows(records, cfg.relations),
+            ),
+        },
+        os.path.join(args.out, "manifest.json"),
     )
-    manifest.outputs = ["campaign_result.json", "slacks.csv"]
-    manifest.finish()
-    serialize.write_json(manifest_path, manifest.to_dict())
 
     for name in cfg.relations:
         s = result.relations[name]
@@ -328,21 +329,21 @@ def cmd_sweep(args) -> int:
     x = _basis_arg(args.x)
     y = _basis_arg(args.y)
     grid = parse_grid(args.grid)
+    started = _now()
     trace = monitoring_sweep(x, y, state, grid)
-
-    manifest = _manifest(
+    _record(
         "sweep",
         {"state": args.state, "x": args.x, "y": args.y, "grid": args.grid, "out": args.out},
         None,
+        started,
+        {
+            args.out: (
+                ["eps", "irreality_x", "uncertainty_y", "q", "bound_slack"],
+                serialize.sweep_csv_rows(trace),
+            )
+        },
+        args.out + ".manifest.json",
     )
-    serialize.write_csv(
-        args.out,
-        ["eps", "irreality_x", "uncertainty_y", "q", "bound_slack"],
-        serialize.sweep_csv_rows(trace),
-    )
-    manifest.outputs = [os.path.basename(args.out)]
-    manifest.finish()
-    serialize.write_json(args.out + ".manifest.json", manifest.to_dict())
     print(
         f"swept {len(grid)} strengths: irr(X) {fmt_nats(trace.irreality_x[0])} ->"
         f" {fmt_nats(trace.irreality_x[-1])}, H(Y|B) {fmt_nats(trace.uncertainty_y[0])},"
@@ -357,6 +358,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_minimize(args) -> int:
     tol = resolve_tol(args.tol)
+    started = _now()
     result = minimize_slack(
         args.relation,
         args.dA,
@@ -366,7 +368,7 @@ def cmd_minimize(args) -> int:
         tol=tol,
         target=args.target,
     )
-    manifest = _manifest(
+    _record(
         "minimize",
         {
             "relation": args.relation,
@@ -378,15 +380,10 @@ def cmd_minimize(args) -> int:
             "target": args.target,
         },
         args.seed,
+        started,
+        {args.out: serialize.argmin_to_dict(result)},
+        args.out + ".manifest.json",
     )
-    payload = {
-        "manifest": os.path.basename(args.out) + ".manifest.json",
-        **serialize.argmin_to_dict(result),
-    }
-    serialize.write_json(args.out, payload)
-    manifest.outputs = [os.path.basename(args.out)]
-    manifest.finish()
-    serialize.write_json(args.out + ".manifest.json", manifest.to_dict())
     print(
         f"{result.relation}: best slack {fmt_nats(result.best_slack)} after"
         f" {result.evaluations} evaluations in {result.restarts_used} restarts"

@@ -1,11 +1,12 @@
 """Dense complex linear algebra for small operators.
 
 Everything operates on square ``complex128`` arrays in row-major layout.
-Composite systems put the A factor on the slow (outer) index: ``kron(a, b)``
-tiles ``b`` inside the blocks of ``a``. The Hermitian eigensolver is a
-cyclic Jacobi scheme (compiled core with a pure-Python fallback, see
-``qir.backend``); products, adjoints, Kronecker products, and partial
-traces are delegated to numpy behind these wrappers.
+Composite systems put the A factor on the slow (outer) index:
+``np.kron(a, b)`` tiles ``b`` inside the blocks of ``a``. The Hermitian
+eigensolver is a cyclic Jacobi scheme (compiled core with a pure-Python
+fallback, see ``qir.backend``). Products, adjoints and Kronecker
+products are numpy's own (``@``, ``.conj().T``, ``np.kron``); the
+partial traces are ``np.einsum`` over that index layout.
 """
 
 from __future__ import annotations
@@ -28,25 +29,6 @@ def as_operator(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvariantViolation("matrix contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose, returned as a fresh row-major array."""
-    return np.ascontiguousarray(as_operator(a).conj().T)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with ``a`` on the slow (outer) index."""
-    return np.kron(as_operator(a), as_operator(b))
 
 
 def _bipartite(m, d_a: int, d_b: int) -> np.ndarray:

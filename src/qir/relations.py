@@ -230,19 +230,6 @@ def check_monitor_bound(
     return evaluate_point("eq16", x, y, rho, eps=eps, tol=tol)
 
 
-def reality_change(
-    x: ObservableBasis, rho_before: BipartiteState, rho_after: BipartiteState
-) -> float:
-    """Drop in irreality of ``x`` from ``rho_before`` to ``rho_after``.
-
-    Positive values mean the observable became more real; the matching
-    irreality change is exactly the negative of this number.
-    """
-    if rho_before.d_a != rho_after.d_a or rho_before.d_b != rho_after.d_b:
-        raise DimensionMismatch("states live on different dimensions")
-    return irreality(x, rho_before) - irreality(x, rho_after)
-
-
 def lookup_relation(name: str) -> Relation:
     """The table row of ``name``; ``ConfigError`` for an unknown name."""
     row = RELATIONS.get(name)

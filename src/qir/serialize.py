@@ -1,4 +1,4 @@
-"""JSON and CSV forms of matrices, states, reports, and campaign artifacts.
+"""JSON and CSV forms of matrices, states, and campaign artifacts.
 
 The matrix interchange format is shared repo-wide:
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .explore import CampaignConfig, CampaignResult, MinimizeResult, SweepTrace, TrialRecord
-from .relations import EntropyBundle, IdentityReport, InequalityReport, Report
 from .states import BipartiteState, ObservableBasis
 
 
@@ -72,36 +71,6 @@ def basis_from_dict(d: dict) -> ObservableBasis:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad basis object: {exc}") from exc
     return ObservableBasis(dim, matrix_from_dict(d))
-
-
-def report_to_dict(report: Report) -> dict:
-    if isinstance(report, InequalityReport):
-        return {
-            "name": report.name,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "slack": report.slack,
-            "satisfied": report.satisfied,
-            "tol": report.tol,
-        }
-    if isinstance(report, IdentityReport):
-        return {
-            "name": report.name,
-            "residual": report.residual,
-            "holds": report.holds,
-            "tol": report.tol,
-        }
-    raise TypeError(f"not a report: {report!r}")
-
-
-def profile_to_dict(p: EntropyBundle) -> dict:
-    return {
-        "h_ab": p.h_ab,
-        "h_b": p.h_b,
-        "h_a_given_b": p.h_a_given_b,
-        "h_x_given_b": p.h_x_given_b,
-        "irreality_x": p.irreality_x,
-    }
 
 
 def campaign_config_to_dict(cfg: CampaignConfig) -> dict:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qir import profile, serialize
+from qir import entropy_bundle, serialize
 from qir.channels import dephase, monitor, monitor_n
 from qir.entropies import irreality, relative_entropy, uncertainty
 from qir.explore import CampaignConfig, minimize_slack, run_campaign_records
@@ -215,7 +215,7 @@ def test_criterion_6_pinching_relative_entropy_identity():
 
 
 def test_criterion_7_werner_benchmark():
-    p = profile(computational_basis(2), werner(0.5))
+    p = entropy_bundle(computational_basis(2), werner(0.5))
     got = np.array([p.h_ab, p.h_b, p.h_a_given_b, p.h_x_given_b, p.irreality_x])
     expected = np.array([1.073543, 0.693147, 0.380396, 0.562335, 0.181939])
     gap = np.abs(got - expected).max()

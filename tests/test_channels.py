@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qir.channels import dephase, dephased_decomposition, monitor, monitor_n
+from qir.channels import dephase, dephased_blocks, monitor, monitor_n
 from qir.entropies import irreality, uncertainty
 from qir.errors import DimensionMismatch, OutOfRange
 from qir.relations import mu_bound
@@ -29,6 +29,17 @@ def projector_sum_dephase(x, rho):
         p = np.kron(np.outer(col, col.conj()), np.eye(d_b))
         out += p @ rho.rho @ p
     return out
+
+
+def direct_sum(x, blocks):
+    """sum_i |x_i><x_i| (x) block_i: the blocks placed back in the frame of x."""
+    return sum(np.kron(np.outer(x.column(i), x.column(i).conj()), b) for i, b in enumerate(blocks))
+
+
+def conditionals(blocks):
+    """Outcome probabilities p_i = tr(block_i) and conditional states block_i / p_i."""
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    return probs, [b / p for b, p in zip(blocks, probs)]
 
 
 def random_triple(i, d_a=2, d_b=2):
@@ -86,48 +97,52 @@ class TestDephase:
 
 
 class TestDephasedDecomposition:
+    """Block i of ``dephased_blocks`` is p_i sigma_i: the dephased state's separable form."""
+
     def test_max_entangled_computational(self):
-        dec = dephased_decomposition(computational_basis(2), max_entangled(2))
-        assert np.abs(dec.probs - 0.5).max() <= 1e-12
-        assert np.abs(dec.cond_states[0] - np.diag([1.0, 0.0])).max() <= 1e-12
-        assert np.abs(dec.cond_states[1] - np.diag([0.0, 1.0])).max() <= 1e-12
+        probs, cond = conditionals(dephased_blocks(computational_basis(2), max_entangled(2)))
+        assert np.abs(probs - 0.5).max() <= 1e-12
+        assert np.abs(cond[0] - np.diag([1.0, 0.0])).max() <= 1e-12
+        assert np.abs(cond[1] - np.diag([0.0, 1.0])).max() <= 1e-12
 
     def test_product_state_conditionals_all_equal(self):
         sigma = np.diag([0.7, 0.3])
         state = BipartiteState(2, 2, np.kron(np.diag([0.2, 0.8]), sigma))
-        dec = dephased_decomposition(fourier_basis(2), state)
-        for cond in dec.cond_states:
-            assert np.abs(cond - sigma).max() <= 1e-12
+        _, cond = conditionals(dephased_blocks(fourier_basis(2), state))
+        for c in cond:
+            assert np.abs(c - sigma).max() <= 1e-12
 
     def test_werner_block_extraction(self):
-        dec = dephased_decomposition(computational_basis(2), werner(0.5))
-        assert np.abs(dec.probs - 0.5).max() <= 1e-12
-        assert np.abs(dec.cond_states[0] - np.diag([0.75, 0.25])).max() <= 1e-12
-        assert np.abs(dec.cond_states[1] - np.diag([0.25, 0.75])).max() <= 1e-12
+        probs, cond = conditionals(dephased_blocks(computational_basis(2), werner(0.5)))
+        assert np.abs(probs - 0.5).max() <= 1e-12
+        assert np.abs(cond[0] - np.diag([0.75, 0.25])).max() <= 1e-12
+        assert np.abs(cond[1] - np.diag([0.25, 0.75])).max() <= 1e-12
 
     def test_reconstruction(self):
         for i in range(10):
             state, x, _ = random_triple(i, 3, 2)
-            dec = dephased_decomposition(x, state)
-            assert abs(dec.probs.sum() - 1.0) <= 1e-10
-            assert np.abs(dec.reconstruct() - dephase(x, state).rho).max() <= 1e-10
+            blocks = dephased_blocks(x, state)
+            probs, _ = conditionals(blocks)
+            assert abs(probs.sum() - 1.0) <= 1e-10
+            assert np.abs(direct_sum(x, blocks) - dephase(x, state).rho).max() <= 1e-10
 
     def test_null_marker_for_zero_probability(self):
-        # |0><0| (x) sigma: the second outcome never occurs
+        # |0><0| (x) sigma: the second outcome never occurs, and its block is zero
         state = BipartiteState(2, 2, np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
-        dec = dephased_decomposition(computational_basis(2), state)
-        assert dec.cond_states[1] is None
-        assert np.abs(dec.reconstruct() - state.rho).max() <= 1e-10
+        x = computational_basis(2)
+        blocks = dephased_blocks(x, state)
+        assert not blocks[1].any()
+        assert np.abs(direct_sum(x, blocks) - state.rho).max() <= 1e-10
 
     def test_conditionals_are_density_matrices(self):
         from qir import linalg
 
         for i in range(5):
             state, x, _ = random_triple(i, 2, 3)
-            dec = dephased_decomposition(x, state)
-            for cond in dec.cond_states:
-                assert abs(np.trace(cond).real - 1.0) <= 1e-10
-                assert linalg.herm_eig(cond).eigenvalues[0] >= -1e-10
+            _, cond = conditionals(dephased_blocks(x, state))
+            for c in cond:
+                assert abs(np.trace(c).real - 1.0) <= 1e-10
+                assert linalg.herm_eig(c).eigenvalues[0] >= -1e-10
 
 
 class TestMonitor:

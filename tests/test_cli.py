@@ -195,6 +195,60 @@ class TestMinimize:
         assert "theorem violation" in capsys.readouterr().err
 
 
+def small_run(command, tmp_path, out):
+    """argv of a quick ``command`` run that writes to ``out``, and its manifest path."""
+    if command == "verify":
+        argv = ["verify", "--config", write_cfg(tmp_path), "--out", str(out)]
+        return argv, out / "manifest.json"
+    if command == "sweep":
+        argv = ["sweep", "--state", "bell:2", "--x", "comp:2", "--y", "fourier:2",
+                "--grid", "0:1:0.5", "--out", str(out)]
+    else:
+        argv = ["minimize", "--relation", "eq5", "--dA", "2", "--dB", "1",
+                "--restarts", "1", "--seed", "3", "--out", str(out)]
+    return argv, out.with_name(out.name + ".manifest.json")
+
+
+class TestRunRecord:
+    # the work each command stamps around, and keywords that keep it short
+    WORK = {
+        "verify": ("run_campaign_records", {}),
+        "sweep": ("monitoring_sweep", {}),
+        "minimize": ("minimize_slack", {"max_evals": 50}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_started_and_finished_bracket_the_work(self, command, tmp_path, monkeypatch):
+        from qir import cli
+
+        name, short = self.WORK[command]
+        work = getattr(cli, name)
+        events = []
+
+        def now():
+            events.append("now")
+            return str(len(events) - 1)
+
+        def traced(*args, **kwargs):
+            events.append("work")
+            return work(*args, **kwargs, **short)
+
+        monkeypatch.setattr(cli, "_now", now)
+        monkeypatch.setattr(cli, name, traced)
+        argv, manifest_path = small_run(command, tmp_path, tmp_path / "out")
+        assert main(argv) == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert int(manifest["started"]) < events.index("work") < int(manifest["finished"])
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        argv, _ = small_run(command, tmp_path, out)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write '{out}")
+
+
 class TestTolerance:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("QIR_TOL", "1e-6")

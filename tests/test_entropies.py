@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import backend, linalg, profile
+from qir import backend, entropy_bundle, linalg
 from qir.channels import _blocks, _monitor_grid, dephase, dephased_blocks
 from qir.entropies import (
     EIG_CLIP,
@@ -431,19 +431,19 @@ class TestIrreality:
 
 class TestProfile:
     def test_max_entangled_profile(self):
-        p = profile(computational_basis(2), max_entangled(2))
+        p = entropy_bundle(computational_basis(2), max_entangled(2))
         expected = (0.0, LN2, -LN2, 0.0, LN2)
         got = (p.h_ab, p.h_b, p.h_a_given_b, p.h_x_given_b, p.irreality_x)
         assert np.abs(np.array(got) - expected).max() <= 1e-9
 
     def test_max_mixed_profile(self):
-        p = profile(fourier_basis(2), max_mixed(2, 2))
+        p = entropy_bundle(fourier_basis(2), max_mixed(2, 2))
         expected = (2 * LN2, LN2, LN2, LN2, 0.0)
         got = (p.h_ab, p.h_b, p.h_a_given_b, p.h_x_given_b, p.irreality_x)
         assert np.abs(np.array(got) - expected).max() <= 1e-9
 
     def test_werner_profile(self):
-        p = profile(computational_basis(2), werner(0.5))
+        p = entropy_bundle(computational_basis(2), werner(0.5))
         expected = (1.073543, 0.693147, 0.380396, 0.562335, 0.181939)
         got = (p.h_ab, p.h_b, p.h_a_given_b, p.h_x_given_b, p.irreality_x)
         assert np.abs(np.array(got) - expected).max() <= 1e-6
@@ -452,7 +452,7 @@ class TestProfile:
         for i in range(10):
             state = random_mixed(3, 2, 6, (90, i))
             x = random_basis(3, (91, i))
-            p = profile(x, state)
+            p = entropy_bundle(x, state)
             assert abs(p.irreality_x - (p.h_x_given_b - p.h_a_given_b)) <= 1e-9
 
     def test_invariant_validation(self):

@@ -11,16 +11,6 @@ from conftest import random_hermitian
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def naive_matmul(a, b):
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
 def naive_partial_trace_a(m, da, db):
     out = np.zeros((db, db), dtype=complex)
     for j in range(db):
@@ -39,64 +29,15 @@ def naive_partial_trace_b(m, da, db):
     return out
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        m = random_hermitian(rng, 4)
-        assert np.array_equal(linalg.matmul(np.eye(4), m), m)
-
-    def test_pauli_involution(self):
-        assert np.allclose(linalg.matmul(PAULI_X, PAULI_X), np.eye(2))
-
-    def test_matches_triple_loop(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.abs(linalg.matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.matmul(np.eye(2), np.eye(3))
-
+class TestAsOperator:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
+            linalg.as_operator(np.ones((2, 3)))
 
     def test_rejects_nan(self):
         bad = np.full((2, 2), np.nan)
         with pytest.raises(InvariantViolation):
-            linalg.matmul(bad, np.eye(2))
-
-
-class TestDagger:
-    def test_hermitian_fixed_point(self, rng):
-        m = random_hermitian(rng, 3)
-        assert np.abs(linalg.dagger(m) - m).max() <= 1e-15
-
-    def test_conjugates_diagonal(self):
-        assert np.array_equal(linalg.dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]))
-
-    def test_product_rule(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = linalg.dagger(linalg.matmul(a, b))
-        rhs = linalg.matmul(linalg.dagger(b), linalg.dagger(a))
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_a_is_slow_factor(self, rng):
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        out = linalg.kron(np.diag([1.0, 0.0]), m)
-        assert np.array_equal(out[:2, :2], m)
-        assert np.all(out[2:, :] == 0) and np.all(out[:, 2:] == 0)
-
-    def test_mixed_product(self, rng):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = linalg.matmul(linalg.kron(a, b), linalg.kron(c, d))
-        rhs = linalg.kron(linalg.matmul(a, c), linalg.matmul(b, d))
-        assert np.abs(lhs - rhs).max() <= 1e-12
+            linalg.as_operator(bad)
 
 
 class TestPartialTrace:
@@ -105,7 +46,7 @@ class TestPartialTrace:
 
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        joint = linalg.kron(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         assert np.abs(linalg.partial_trace_a(joint, 2, 3) - rho_b).max() <= 1e-12
         assert np.abs(linalg.partial_trace_b(joint, 2, 3) - rho_a).max() <= 1e-12
 

@@ -24,7 +24,6 @@ from qir.relations import (
     evaluate_relations,
     mu_bound,
     mu_overlap,
-    reality_change,
     report_slack,
 )
 from qir.states import (
@@ -206,28 +205,26 @@ class TestRandomCampaignProperties:
 
 
 class TestRealityChange:
-    def test_no_change(self):
-        state = werner(0.5)
-        assert reality_change(computational_basis(2), state, state) == 0.0
+    """The drop in irreality of X from a state to its monitored image."""
 
     def test_full_realization_in_own_basis(self):
         x = computational_basis(2)
         bell = max_entangled(2)
         realized = monitor(x, 1.0, bell)
-        assert abs(reality_change(x, bell, realized) - LN2) <= 1e-9
+        assert abs(irreality(x, bell) - irreality(x, realized) - LN2) <= 1e-9
 
     def test_complementary_monitoring_keeps_reality(self):
         x, y = computational_basis(2), fourier_basis(2)
         bell = max_entangled(2)
         for eps in (0.2, 0.6, 1.0):
-            assert abs(reality_change(x, bell, monitor(y, eps, bell))) <= 1e-9
+            assert abs(irreality(x, bell) - irreality(x, monitor(y, eps, bell))) <= 1e-9
 
     def test_upper_bound_under_monitoring(self):
         rng = np.random.default_rng(7)
         for i in range(50):
             state, x, y = random_config(i)
             eps = float(rng.uniform())
-            delta = reality_change(x, state, monitor(y, eps, state))
+            delta = irreality(x, state) - irreality(x, monitor(y, eps, state))
             upper = irreality(x, state) + uncertainty(y, state) - mu_bound(x, y)
             assert delta <= upper + 1e-9
 
@@ -238,7 +235,7 @@ class TestRealityChange:
         for i in range(50):
             state, x, _ = random_config(i)
             eps = float(rng.uniform())
-            assert reality_change(x, state, monitor(x, eps, state)) >= -1e-9
+            assert irreality(x, state) - irreality(x, monitor(x, eps, state)) >= -1e-9
 
     def test_cross_monitoring_can_destroy_reality(self):
         from qir.states import BipartiteState, ObservableBasis
@@ -247,12 +244,8 @@ class TestRealityChange:
         x = computational_basis(2)
         a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
         y = ObservableBasis(2, np.array([[a, -b], [b, a]]))
-        delta = reality_change(x, state, monitor(y, 1.0, state))
+        delta = irreality(x, state) - irreality(x, monitor(y, 1.0, state))
         assert delta < -0.14  # reality strictly drops; -0.145840 nats
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            reality_change(computational_basis(2), max_mixed(2, 2), max_mixed(2, 3))
 
 
 class TestEntropyBundle:

@@ -7,8 +7,7 @@ import pytest
 
 from qir import serialize
 from qir.errors import ConfigError
-from qir.relations import check_combined_ur, check_constraint1
-from qir.states import computational_basis, fourier_basis, haar_random_pure, max_entangled, werner
+from qir.states import fourier_basis, haar_random_pure, werner
 
 
 class TestMatrixFormat:
@@ -52,27 +51,6 @@ class TestStateAndBasis:
 
         with pytest.raises(InvariantViolation):
             serialize.state_from_dict(d)
-
-
-class TestReports:
-    def test_inequality_report_fields(self):
-        r = check_combined_ur(computational_basis(2), fourier_basis(2), max_entangled(2))
-        d = serialize.report_to_dict(r)
-        assert set(d) == {"name", "lhs", "rhs", "slack", "satisfied", "tol"}
-        assert d["slack"] == d["lhs"] - d["rhs"]
-
-    def test_identity_report_fields(self):
-        r = check_constraint1(computational_basis(2), werner(0.5))
-        d = serialize.report_to_dict(r)
-        assert set(d) == {"name", "residual", "holds", "tol"}
-
-    def test_profile_flat_json(self):
-        from qir import profile
-
-        p = profile(computational_basis(2), werner(0.5))
-        d = serialize.profile_to_dict(p)
-        assert set(d) == {"h_ab", "h_b", "h_a_given_b", "h_x_given_b", "irreality_x"}
-        assert abs(d["irreality_x"] - 0.181939) <= 1e-6
 
 
 class TestFormatting:
