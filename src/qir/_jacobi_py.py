@@ -17,6 +17,19 @@ rotation budget runs out.
 *Matrix Computations*, 8.5). Each slice ends bit for bit as
 ``jacobi_eigh`` leaves it: the stacked arithmetic is the scalar
 arithmetic, operation by operation, applied to the slices that rotate.
+
+Both kernels work on one buffer holding ``a`` stacked over ``v``, of shape
+``(2n, n)`` (``(k, 2n, n)`` for a stack), so that one update of columns p
+and q rotates ``a`` and ``v`` together; every exit copies the buffer back
+into ``a`` and ``v``. The loop twin takes each column as a strided view
+times a scalar, and rows p and q as one ``(2, 1) * (1, n)`` broadcast.
+
+The bits rest on numpy's complex multiply loop, which may round by operand
+layout. On x86-64 with AVX-512 and numpy 2.4, a strided view times a
+scalar and that row broadcast give the bits of a contiguous copy times a
+scalar, which is what a copy of each column and row gives; a column
+broadcast ``(n, 1) * (2,)`` does not. ``tests/test_backends.py`` keeps the
+copy-per-column loop as its reference and compares bytes.
 """
 
 import math
@@ -40,13 +53,24 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
     n = a.shape[0]
     if a.shape != (n, n) or v.shape != (n, n):
         raise ValueError("kernel buffers must be square and of equal size")
+    w = np.concatenate((a, v))
+    rotations, converged = _rotate(w, n, OFF_NORM_FACTOR * float(np.linalg.norm(a)), max_rotations)
+    a[...] = w[:n]
+    v[...] = w[n:]
+    return rotations, converged
 
-    thr = OFF_NORM_FACTOR * float(np.linalg.norm(a))
+
+def _rotate(w: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
+    """``jacobi_eigh``'s sweeps on the ``(2n, n)`` buffer ``[a; v]``."""
+    top = w[:n]
     skip = thr / n if n > 0 else 0.0
     rotations = 0
+    # the rows' coefficient matrix [[c, conj(s)], [-s, c]] and its two columns
+    m = np.empty((2, 2), dtype=np.complex128)
+    m_p, m_q = m[:, :1], m[:, 1:]
 
     while True:
-        if _offdiag_norm(a) <= thr:
+        if _offdiag_norm(top) <= thr:
             return rotations, True
         if rotations >= max_rotations:
             return rotations, False
@@ -56,36 +80,38 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
             for q in range(p + 1, n):
                 if rotations >= max_rotations:
                     break
-                apq = a[p, q]
-                beta = abs(apq)
+                apq = top[p, q]
+                # Python floats: the same IEEE arithmetic as numpy scalars, at
+                # a fraction of the cost; s stays a numpy complex division
+                beta = float(abs(apq))
                 if beta <= skip:
                     continue
-                app = a[p, p].real
-                aqq = a[q, q].real
+                app = top.item(p, p).real
+                aqq = top.item(q, q).real
                 theta = (aqq - app) / (2.0 * beta)
                 sgn = 1.0 if theta >= 0.0 else -1.0
                 t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c * (apq.conjugate() / beta)
+                s_conj = np.conj(s)
+                cz = complex(c)  # the value numpy casts c to, without the weak-scalar lookup
 
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + s * colq
-                a[:, q] = -np.conj(s) * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + np.conj(s) * rowq
-                a[q, :] = -s * rowp + c * rowq
+                # columns p and q of a and v at once; both right sides are
+                # evaluated before either column is written
+                colp = w[:, p]
+                colq = w[:, q]
+                w[:, p], w[:, q] = cz * colp + s * colq, -s_conj * colp + cz * colq
+                # rows p and q of a as one (2, 1) * (1, n) broadcast
+                m[0, 0] = m[1, 1] = c
+                m[0, 1] = s_conj
+                m[1, 0] = -s
+                rows = top[p : q + 1 : q - p]
+                rows[...] = m_p * rows[:1] + m_q * rows[1:]
                 # pin the entries the rotation fixes exactly
-                a[p, p] = app + t * beta
-                a[q, q] = aqq - t * beta
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp + s * colq
-                v[:, q] = -np.conj(s) * colp + c * colq
+                top[p, p] = app + t * beta
+                top[q, q] = aqq - t * beta
+                top[p, q] = 0.0
+                top[q, p] = 0.0
                 rotations += 1
 
 
@@ -117,15 +143,26 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
         raise ValueError("kernel buffers must be stacks of square matrices of equal size")
-    k, n = a.shape[0], a.shape[1]
+    n = a.shape[1]
+    w = np.concatenate((a, v), axis=1)
+    thr = np.array([OFF_NORM_FACTOR * float(np.linalg.norm(m)) for m in a])
+    rotations, converged = _rotate_stack(w, n, thr, max_rotations)
+    a[...] = w[:, :n]
+    v[...] = w[:, n:]
+    return rotations, converged
+
+
+def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_eigh_stack``'s sweeps on the ``(k, 2n, n)`` buffer ``[a; v]``."""
+    k = w.shape[0]
+    top = w[:, :n]
     rotations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    thr = np.array([OFF_NORM_FACTOR * float(np.linalg.norm(m)) for m in a])
     skip = thr / n if n > 0 else thr
     live = np.arange(k)
 
     while live.size:
-        done = _converged(a[live], thr[live])
+        done = _converged(top[live], thr[live])
         converged[live[done]] = True
         live = live[~done]
         live = live[rotations[live] < max_rotations]
@@ -136,15 +173,15 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
         for p in range(n - 1):
             for q in range(p + 1, n):
                 rows = live[rotations[live] < max_rotations] if budgeted else live
-                apq = a[rows, p, q]
+                apq = top[rows, p, q]
                 beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
                 turn = beta > skip[rows]
                 if not turn.all():
                     rows, apq, beta = rows[turn], apq[turn], beta[turn]
                 if not rows.size:
                     continue
-                app = a[rows, p, p].real
-                aqq = a[rows, q, q].real
+                app = top[rows, p, p].real
+                aqq = top[rows, q, q].real
                 theta = (aqq - app) / (2.0 * beta)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
@@ -154,23 +191,19 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
                 c, s = c[:, None], s[:, None]
                 s_conj = np.conj(s)
 
-                colp = a[rows, :, p]
-                colq = a[rows, :, q]
-                a[rows, :, p] = c * colp + s * colq
-                a[rows, :, q] = -s_conj * colp + c * colq
-                rowp = a[rows, p, :]
-                rowq = a[rows, q, :]
-                a[rows, p, :] = c * rowp + s_conj * rowq
-                a[rows, q, :] = -s * rowp + c * rowq
-                a[rows, p, p] = app + t * beta
-                a[rows, q, q] = aqq - t * beta
-                a[rows, p, q] = 0.0
-                a[rows, q, p] = 0.0
-
-                colp = v[rows, :, p]
-                colq = v[rows, :, q]
-                v[rows, :, p] = c * colp + s * colq
-                v[rows, :, q] = -s_conj * colp + c * colq
+                # columns p and q of a and v at once
+                colp = w[rows, :, p]
+                colq = w[rows, :, q]
+                w[rows, :, p] = c * colp + s * colq
+                w[rows, :, q] = -s_conj * colp + c * colq
+                rowp = top[rows, p, :]
+                rowq = top[rows, q, :]
+                top[rows, p, :] = c * rowp + s_conj * rowq
+                top[rows, q, :] = -s * rowp + c * rowq
+                top[rows, p, p] = app + t * beta
+                top[rows, q, q] = aqq - t * beta
+                top[rows, p, q] = 0.0
+                top[rows, q, p] = 0.0
                 rotations[rows] += 1
 
     return rotations, converged

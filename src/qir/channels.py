@@ -24,8 +24,13 @@ def _check_pair(x: ObservableBasis, rho: BipartiteState) -> None:
 
 
 def _frame(x: ObservableBasis, d_b: int) -> np.ndarray:
-    """Unitary with columns x_i (x) e_j; ``w^dag rho w`` is rho in the measured frame."""
-    return np.kron(x.vectors, np.eye(d_b))
+    """Unitary with columns x_i (x) e_j; ``w^dag rho w`` is rho in the measured frame.
+
+    ``np.kron(x.vectors, np.eye(d_b))``, as the one broadcast multiply that
+    ``np.kron`` performs inside (the same bytes), without its shape handling.
+    """
+    n = x.d * d_b
+    return (x.vectors[:, None, :, None] * np.eye(d_b)[None, :, None, :]).reshape(n, n)
 
 
 def _blocks(x: ObservableBasis, ms: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

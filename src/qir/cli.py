@@ -109,6 +109,14 @@ def _record(
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _output_dir(directory: str, target: str) -> None:
+    """Create ``directory`` before any work, so that an unwritable ``target`` fails fast."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- saturate
 
 
@@ -261,6 +269,7 @@ def cmd_verify(args) -> int:
     if not args.config:
         raise ConfigError("verify needs --config <file> or --replay <argmin.json>")
     cfg = parse_campaign_config(args.config, args.tol)
+    _output_dir(args.out, args.out)
     started = _now()
     result, records = run_campaign_records(cfg, workers=args.workers)
     result_path = os.path.join(args.out, "campaign_result.json")
@@ -329,6 +338,7 @@ def cmd_sweep(args) -> int:
     x = _basis_arg(args.x)
     y = _basis_arg(args.y)
     grid = parse_grid(args.grid)
+    _output_dir(os.path.dirname(os.path.abspath(args.out)), args.out)
     started = _now()
     trace = monitoring_sweep(x, y, state, grid)
     _record(
@@ -358,6 +368,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_minimize(args) -> int:
     tol = resolve_tol(args.tol)
+    _output_dir(os.path.dirname(os.path.abspath(args.out)), args.out)
     started = _now()
     result = minimize_slack(
         args.relation,

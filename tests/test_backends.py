@@ -1,7 +1,9 @@
 """The compiled and pure-Python Jacobi kernels must be interchangeable."""
 
+import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,21 +61,6 @@ def test_python_backend_full_stack(rng, restore_backend):
     assert abs(qir.irreality(x, bell) - np.log(2)) <= 1e-9
 
 
-@needs_compiled
-def test_kernel_rotation_counts_match(rng, restore_backend):
-    """Same rotation schedule implies identical rotation counts."""
-    from qir import _jacobi, _jacobi_py
-
-    m = random_hermitian(rng, 9)
-    a1, v1 = m.copy(), np.eye(9, dtype=complex)
-    a2, v2 = m.copy(), np.eye(9, dtype=complex)
-    rot1, conv1 = _jacobi.jacobi_eigh(a1, v1, 8100)
-    rot2, conv2 = _jacobi_py.jacobi_eigh(a2, v2, 8100)
-    assert conv1 and conv2
-    assert rot1 == rot2
-    assert np.abs(a1 - a2).max() <= 1e-12
-
-
 STACK_SIZES = (1, 2, 3, 4, 5, 6, 9, 15)
 
 
@@ -106,6 +93,63 @@ def kernel_stack(rng, n):
     return np.array(slices)
 
 
+def reference_jacobi_eigh(a, v, max_rotations):
+    """The loop twin with a contiguous copy of each column and row it rotates.
+
+    ``qir._jacobi_py.jacobi_eigh`` must give these bytes: it works on a
+    fused ``[a; v]`` buffer and strided views, and numpy's multiply loop may
+    round by operand layout.
+    """
+    n = a.shape[0]
+    thr = 1e-14 * float(np.linalg.norm(a))
+    skip = thr / n if n > 0 else 0.0
+    rotations = 0
+    while True:
+        if float(np.linalg.norm(a - np.diag(np.diag(a)))) <= thr:
+            return rotations, True
+        if rotations >= max_rotations:
+            return rotations, False
+        for p in range(n - 1):
+            if rotations >= max_rotations:
+                break
+            for q in range(p + 1, n):
+                if rotations >= max_rotations:
+                    break
+                apq = a[p, q]
+                beta = abs(apq)
+                if beta <= skip:
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                theta = (aqq - app) / (2.0 * beta)
+                sgn = 1.0 if theta >= 0.0 else -1.0
+                t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c * (apq.conjugate() / beta)
+
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp + s * colq
+                a[:, q] = -np.conj(s) * colp + c * colq
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp + np.conj(s) * rowq
+                a[q, :] = -s * rowp + c * rowq
+                a[p, p] = app + t * beta
+                a[q, q] = aqq - t * beta
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+
+                colp = v[:, p].copy()
+                colq = v[:, q].copy()
+                v[:, p] = c * colp + s * colq
+                v[:, q] = -np.conj(s) * colp + c * colq
+                rotations += 1
+
+
+REFERENCE = SimpleNamespace(jacobi_eigh=reference_jacobi_eigh)
+
+
 def loop_twin(kernel, m, budget):
     a, v = m.copy(), np.eye(m.shape[0], dtype=complex)
     rotations, converged = kernel.jacobi_eigh(a, v, budget)
@@ -128,6 +172,45 @@ def assert_slices_equal_twin(kernel, ms, stacked, budget):
         # bytes, so that the sign of a zero counts too
         assert a[i].tobytes() == a1.tobytes(), (i, m.shape, budget)
         assert v[i].tobytes() == v1.tobytes(), (i, m.shape, budget)
+
+
+@needs_compiled
+def test_kernel_rotation_counts_match(rng, restore_backend):
+    """Same rotation schedule implies identical rotation counts.
+
+    Checked on a random 9 x 9 Hermitian matrix and on every slice of
+    ``kernel_stack`` at every n of ``STACK_SIZES``, where exact zeros and
+    skipped pivots occur. The twins round differently in the last bits, so
+    on a density with a null space an entry that is zero up to rounding can
+    sit on either side of the skip level in the last sweep; there the counts
+    may differ, by less than one sweep.
+    """
+    from qir import _jacobi, _jacobi_py
+
+    matrices = [random_hermitian(rng, 9)] + [m for n in STACK_SIZES for m in kernel_stack(rng, n)]
+    for m in matrices:
+        n = m.shape[0]
+        a1, _, rot1, conv1 = loop_twin(_jacobi, m, 100 * n * n)
+        a2, _, rot2, conv2 = loop_twin(_jacobi_py, m, 100 * n * n)
+        assert conv1 and conv2
+        if 0 < np.linalg.matrix_rank(m) < n:
+            assert abs(rot1 - rot2) < n * (n - 1) // 2, (n, rot1, rot2)
+        else:
+            assert rot1 == rot2, (n, rot1, rot2)
+        assert np.abs(a1 - a2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_loop_twin_is_bitwise_the_reference(rng, n):
+    from qir import _jacobi_py
+
+    for m in kernel_stack(rng, n):
+        for budget in (0, 1, 3, 7, 100 * n * n):
+            a, v, rotations, converged = loop_twin(_jacobi_py, m, budget)
+            a0, v0, rotations0, converged0 = loop_twin(REFERENCE, m, budget)
+            assert (rotations, converged) == (rotations0, converged0), (n, budget)
+            assert a.tobytes() == a0.tobytes(), (n, budget)
+            assert v.tobytes() == v0.tobytes(), (n, budget)
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)

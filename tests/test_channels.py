@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qir.channels import dephase, dephased_blocks, monitor, monitor_n
+from qir.channels import _frame, dephase, dephased_blocks, monitor, monitor_n
 from qir.entropies import irreality, uncertainty
 from qir.errors import DimensionMismatch, OutOfRange
 from qir.relations import mu_bound
@@ -94,6 +94,13 @@ class TestDephase:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             dephase(computational_basis(3), max_mixed(2, 2))
+
+    def test_frame_is_bytewise_kron(self):
+        for d_a in (2, 3, 4, 5):
+            for d_b in (1, 2, 3):
+                for i in range(20):
+                    x = random_basis(d_a, (303, d_a, d_b, i))
+                    assert _frame(x, d_b).tobytes() == np.kron(x.vectors, np.eye(d_b)).tobytes()
 
 
 class TestDephasedDecomposition:

@@ -240,8 +240,14 @@ class TestRunRecord:
         manifest = json.loads(manifest_path.read_text())
         assert int(manifest["started"]) < events.index("work") < int(manifest["finished"])
 
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_unwritable_out_is_a_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        from qir import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} ran its work before checking --out")
+
+        monkeypatch.setattr(cli, self.WORK[command][0], never)
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
         argv, _ = small_run(command, tmp_path, out)

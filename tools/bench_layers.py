@@ -22,6 +22,9 @@ Cases:
 - ``bundle_2x2``: one bundle with X and Y at (2, 2), the size the
   ``minimize`` workload evaluates, so that a slowdown of a lone small
   bundle is not lost in the 12-pair sum;
+- ``full_size``: ``herm_eig`` of the induced-mixed state of each of the 12
+  pairs, n = d_A * d_B from 2 to 15 (one operation is all 12): the
+  full-size eigendecompositions that dominate a campaign trial;
 - ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2).
 """
 
@@ -121,6 +124,7 @@ def cases(qir):
         "kernel.loop.blocks_2x2_k147": lambda: [linalg.herm_eig(m) for m in small],
         "entropy_bundle.12_pairs": lambda: [entropy_bundle(bx, rho, by) for bx, rho, by in bundles],
         "bundle_2x2": lambda: entropy_bundle(*bundles[1]),
+        "full_size.12_pairs": lambda: [linalg.herm_eig(rho.rho) for _, rho, _ in bundles],
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
     }
     if hasattr(linalg, "herm_eig_stack"):
