@@ -17,6 +17,14 @@ rotation budget runs out.
 *Matrix Computations*, 8.5). Each slice ends bit for bit as
 ``jacobi_eigh`` leaves it: the stacked arithmetic is the scalar
 arithmetic, operation by operation, applied to the slices that rotate.
+At a pivot where every slice rotates, it rotates views of the stack;
+elsewhere, gathered copies of the slices that rotate.
+
+Both norms, of the input and of the off-diagonal part, come from
+``_norms``, in one call for a whole stack (``jacobi_eigh`` passes a stack
+of one). They are ``np.linalg.norm``'s bits: that is ``sqrt(re.dot(re) +
+im.dot(im))`` over the raveled entries, and ``np.vecdot`` of float64 rows
+calls the same BLAS dot per row as ``ndarray.dot``.
 
 Both kernels work on one buffer holding ``a`` stacked over ``v``, of shape
 ``(2n, n)`` (``(k, 2n, n)`` for a stack), so that one update of columns p
@@ -25,11 +33,12 @@ into ``a`` and ``v``. The loop twin takes each column as a strided view
 times a scalar, and rows p and q as one ``(2, 1) * (1, n)`` broadcast.
 
 The bits rest on numpy's complex multiply loop, which may round by operand
-layout. On x86-64 with AVX-512 and numpy 2.4, a strided view times a
-scalar and that row broadcast give the bits of a contiguous copy times a
-scalar, which is what a copy of each column and row gives; a column
-broadcast ``(n, 1) * (2,)`` does not. ``tests/test_backends.py`` keeps the
-copy-per-column loop as its reference and compares bytes.
+layout, and on that BLAS dot. On x86-64 with AVX-512 and numpy 2.4, a
+strided view times a scalar and that row broadcast give the bits of a
+contiguous copy times a scalar, which is what a copy of each column and
+row gives; a column broadcast ``(n, 1) * (2,)`` does not.
+``tests/test_backends.py`` keeps the copy-per-column loop as its reference
+and compares bytes, and compares ``_norms`` with ``np.linalg.norm``.
 """
 
 import math
@@ -39,9 +48,26 @@ import numpy as np
 OFF_NORM_FACTOR = 1e-14
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each slice of a ``(k, n, n)`` stack, bit for bit.
+
+    ``np.linalg.norm`` of a complex matrix is ``sqrt(x.real.dot(x.real) +
+    x.imag.dot(x.imag))`` over its raveled entries; ``np.vecdot`` of float64
+    rows calls the same BLAS dot per row.
+    """
+    flat = a.reshape(a.shape[0], a.shape[1] * a.shape[2])
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _converged(off: np.ndarray, thr) -> np.ndarray:
+    """Per slice of the C-contiguous stack ``off``, whether its off-diagonal norm is at most ``thr``.
+
+    The diagonals of ``off`` are zeroed in place.
+    """
+    k, n = off.shape[0], off.shape[1]
+    off.reshape(k, n * n)[:, :: n + 1] = 0.0
+    return _norms(off) <= thr
 
 
 def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, bool]:
@@ -54,7 +80,8 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
     if a.shape != (n, n) or v.shape != (n, n):
         raise ValueError("kernel buffers must be square and of equal size")
     w = np.concatenate((a, v))
-    rotations, converged = _rotate(w, n, OFF_NORM_FACTOR * float(np.linalg.norm(a)), max_rotations)
+    thr = OFF_NORM_FACTOR * float(_norms(a[None])[0])
+    rotations, converged = _rotate(w, n, thr, max_rotations)
     a[...] = w[:n]
     v[...] = w[n:]
     return rotations, converged
@@ -70,7 +97,7 @@ def _rotate(w: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
     m_p, m_q = m[:, :1], m[:, 1:]
 
     while True:
-        if _offdiag_norm(top) <= thr:
+        if _converged(top[None].copy(), thr)[0]:
             return rotations, True
         if rotations >= max_rotations:
             return rotations, False
@@ -115,23 +142,6 @@ def _rotate(w: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
                 rotations += 1
 
 
-# A vectorized off-diagonal norm may differ from np.linalg.norm in its last
-# bits; within this relative distance of the threshold the exact one decides.
-_NEAR_THRESHOLD = 1e-8
-
-
-def _converged(a: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """Per slice of ``a``, whether ``_offdiag_norm`` is at most ``thr``."""
-    off = a.copy()
-    idx = np.arange(a.shape[1])
-    off[:, idx, idx] = 0.0
-    norms = np.sqrt((off.real**2 + off.imag**2).sum(axis=(1, 2)))
-    done = norms <= thr
-    for i in np.flatnonzero(np.abs(norms - thr) <= _NEAR_THRESHOLD * thr):
-        done[i] = _offdiag_norm(a[i]) <= thr[i]
-    return done
-
-
 def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
 
@@ -145,7 +155,7 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
         raise ValueError("kernel buffers must be stacks of square matrices of equal size")
     n = a.shape[1]
     w = np.concatenate((a, v), axis=1)
-    thr = np.array([OFF_NORM_FACTOR * float(np.linalg.norm(m)) for m in a])
+    thr = OFF_NORM_FACTOR * _norms(a)
     rotations, converged = _rotate_stack(w, n, thr, max_rotations)
     a[...] = w[:, :n]
     v[...] = w[:, n:]
@@ -162,7 +172,7 @@ def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
     live = np.arange(k)
 
     while live.size:
-        done = _converged(top[live], thr[live])
+        done = _converged(top[live], thr[live])  # a gathered copy, free to overwrite
         converged[live[done]] = True
         live = live[~done]
         live = live[rotations[live] < max_rotations]
@@ -180,8 +190,10 @@ def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
                     rows, apq, beta = rows[turn], apq[turn], beta[turn]
                 if not rows.size:
                     continue
-                app = top[rows, p, p].real
-                aqq = top[rows, q, q].real
+                # every slice rotates: basic slices give views, not gathers and scatters
+                at = slice(None) if rows.size == k else rows
+                app = top[at, p, p].real
+                aqq = top[at, q, q].real
                 theta = (aqq - app) / (2.0 * beta)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
@@ -190,20 +202,21 @@ def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
                 s = (t * c) * (np.conj(apq) / beta)
                 c, s = c[:, None], s[:, None]
                 s_conj = np.conj(s)
+                # the diagonal the rotation pins, before app and aqq (views, maybe) move
+                pinned_p, pinned_q = app + t * beta, aqq - t * beta
 
-                # columns p and q of a and v at once
-                colp = w[rows, :, p]
-                colq = w[rows, :, q]
-                w[rows, :, p] = c * colp + s * colq
-                w[rows, :, q] = -s_conj * colp + c * colq
-                rowp = top[rows, p, :]
-                rowq = top[rows, q, :]
-                top[rows, p, :] = c * rowp + s_conj * rowq
-                top[rows, q, :] = -s * rowp + c * rowq
-                top[rows, p, p] = app + t * beta
-                top[rows, q, q] = aqq - t * beta
-                top[rows, p, q] = 0.0
-                top[rows, q, p] = 0.0
-                rotations[rows] += 1
+                # columns p and q of a and v at once; as with views in the loop twin,
+                # both right sides are evaluated before either column is written
+                colp = w[at, :, p]
+                colq = w[at, :, q]
+                w[at, :, p], w[at, :, q] = c * colp + s * colq, -s_conj * colp + c * colq
+                rowp = top[at, p]
+                rowq = top[at, q]
+                top[at, p], top[at, q] = c * rowp + s_conj * rowq, -s * rowp + c * rowq
+                top[at, p, p] = pinned_p
+                top[at, q, q] = pinned_q
+                top[at, p, q] = 0.0
+                top[at, q, p] = 0.0
+                rotations[at] += 1
 
     return rotations, converged

@@ -95,10 +95,28 @@ def _settle(state: BipartiteState, rho: np.ndarray, spectrum: np.ndarray) -> Non
     object.__setattr__(state, "spectrum", spectrum)
 
 
+def _checked_stack(d_a: int, d_b: int, matrices) -> np.ndarray:
+    """``_checked_matrix`` for each matrix of a stack, in one broadcast.
+
+    Only if a check fails does each matrix go through ``_checked_matrix``,
+    so that the error is the constructor's for the first bad one.
+    """
+    n = d_a * d_b
+    ms = np.asarray(matrices, dtype=np.complex128)
+    if d_a >= 2 and d_b >= 1 and ms.ndim == 3 and ms.shape[1:] == (n, n) and np.isfinite(ms).all():
+        adjoint = ms.conj().transpose(0, 2, 1)
+        rhos = (ms + adjoint) / 2.0
+        traces = np.trace(rhos, axis1=1, axis2=2)
+        if (np.abs(ms - adjoint).max(initial=0.0) <= HERMITICITY_TOL
+                and (np.abs(traces - 1.0) <= TRACE_TOL).all()):
+            return rhos
+    return np.array([_checked_matrix(d_a, d_b, m) for m in matrices])
+
+
 def _states_from_stack(d_a: int, d_b: int, matrices) -> list[BipartiteState]:
     """States of the given dims, validated as the constructor does, spectra in one stacked call."""
-    rhos = [_checked_matrix(d_a, d_b, m) for m in matrices]
-    spectra = linalg.herm_eig_stack(np.array(rhos)) if rhos else ()
+    rhos = _checked_stack(d_a, d_b, matrices)
+    spectra = linalg.herm_eig_stack(rhos) if len(rhos) else ()
     states = []
     for rho, spectrum in zip(rhos, spectra):
         state = object.__new__(BipartiteState)

@@ -217,11 +217,38 @@ def test_loop_twin_is_bitwise_the_reference(rng, n):
 def test_stack_is_bitwise_the_loop_twin(rng, n):
     from qir import _jacobi_py
 
+    stacks = [kernel_stack(rng, n)]
+    # full-rank densities alone: every slice rotates at every pivot of the first
+    # sweep, where the stacked kernel rotates views instead of gathered copies
+    stacks.append(np.array([random_density(rng, n) for _ in range(4)]))
+    for ms in stacks:
+        for budget in (0, 1, 3, 7, 100 * n * n):
+            stacked = run_stack(_jacobi_py.jacobi_eigh_stack, ms, budget)
+            assert_slices_equal_twin(_jacobi_py, ms, stacked, budget)
+        assert stacked[3].all()
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_norms_are_bitwise_np_linalg_norm(rng, n):
+    """The kernels' thresholds and convergence tests are ``np.linalg.norm``'s bytes.
+
+    ``_jacobi_py._norms`` takes them for a whole stack from ``np.vecdot``,
+    which must call the BLAS dot that ``np.linalg.norm`` reaches through
+    ``ndarray.dot``. Checked on every ``kernel_stack`` slice and on its
+    off-diagonal part, at three scales.
+    """
+    from qir import _jacobi_py
+
     ms = kernel_stack(rng, n)
-    for budget in (0, 1, 3, 7, 100 * n * n):
-        stacked = run_stack(_jacobi_py.jacobi_eigh_stack, ms, budget)
-        assert_slices_equal_twin(_jacobi_py, ms, stacked, budget)
-    assert stacked[3].all()
+    off = ms.copy()
+    off[:, np.arange(n), np.arange(n)] = 0.0
+    for scale in (1.0, 1e-12, 1e3):
+        for stack in (ms * scale, off * scale):
+            norms = _jacobi_py._norms(stack)
+            assert norms.shape == (len(stack),)
+            for i, m in enumerate(stack):
+                assert norms[i].tobytes() == np.float64(np.linalg.norm(m)).tobytes(), (n, scale, i)
+    assert _jacobi_py._norms(np.zeros((0, n, n), dtype=complex)).shape == (0,)
 
 
 def test_stack_slice_alone_and_inside_a_stack(rng):

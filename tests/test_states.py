@@ -88,12 +88,17 @@ class TestStackedValidation:
 
     def test_same_checks_as_the_constructor(self):
         fine = np.eye(2) / 2
-        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5])):
+        non_finite = np.diag([np.nan, 0.5])
+        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5]), non_finite):
             with pytest.raises(InvariantViolation) as direct:
                 BipartiteState(2, 1, bad)
-            with pytest.raises(InvariantViolation) as stacked:
-                _states_from_stack(2, 1, [fine, bad])
-            assert str(stacked.value) == str(direct.value)
+            for stack in ([fine, bad], [bad, fine, fine], [fine, fine, bad]):
+                with pytest.raises(InvariantViolation) as stacked:
+                    _states_from_stack(2, 1, stack)
+                assert str(stacked.value) == str(direct.value)
+        # the first bad matrix names the error
+        with pytest.raises(InvariantViolation, match="trace"):
+            _states_from_stack(2, 1, [np.eye(2), fine, non_finite])
         with pytest.raises(DimensionMismatch):
             _states_from_stack(2, 2, [fine])
         with pytest.raises(BadDimension):
