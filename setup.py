@@ -1,7 +1,8 @@
-"""Build script: compiles the optional eigensolver core from the shipped C.
+"""Build script: compiles the optional eigensolver core from its C source.
 
-``src/qir/_jacobi.c`` is generated by Cython from ``_jacobi.pyx`` and
-shipped with the package, so the build needs a C compiler but no Cython.
+``src/qir/_jacobi.c`` is written by hand against Python's buffer protocol
+(``Python.h``, ``complex.h`` and ``math.h`` only), so the build needs a C
+compiler and the Python headers, and neither Cython nor numpy's headers.
 The package works without the extension (a pure-Python kernel is selected
 at import time), so a failed build must not break the install: any
 failure while building the extension downgrades to a warning.

@@ -60,13 +60,9 @@ def jacobi_eigh(a, v, max_rotations):
 def jacobi_eigh_stack(a, v, max_rotations):
     """Per-slice ``jacobi_eigh`` of ``(k, n, n)`` stacks; ``(rotations, converged)`` arrays.
 
-    The Python kernel runs the slices together; the compiled one loops its
-    per-matrix kernel. Each slice gets the bits ``jacobi_eigh`` gives it.
+    Each kernel has its own stack entry: the Python kernel runs the slices
+    together, the compiled one loops over them in C. Each slice gets the
+    bits ``jacobi_eigh`` gives it.
     """
-    kernel = _KERNELS[_active]
-    if kernel is _jacobi_py:
-        return _jacobi_py.jacobi_eigh_stack(a, v, max_rotations)
-    results = [kernel.jacobi_eigh(a[i], v[i], max_rotations) for i in range(a.shape[0])]
-    rotations = np.array([r for r, _ in results], dtype=np.int64)
-    converged = np.array([c for _, c in results], dtype=bool)
-    return rotations, converged
+    rotations, converged = _KERNELS[_active].jacobi_eigh_stack(a, v, max_rotations)
+    return np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)

@@ -19,6 +19,7 @@ from . import backend
 from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian
 
 HERMITICITY_TOL = 1e-10
+ROTATION_BUDGET = 100  # default Jacobi rotations per matrix entry
 
 
 def as_operator(m) -> np.ndarray:
@@ -58,8 +59,8 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _symmetrized(a: np.ndarray, label: str) -> tuple[np.ndarray, int]:
-    """Check a ``(k, n, n)`` stack for Hermiticity; its symmetrized copy and default budget.
+def _symmetrized(a: np.ndarray, label: str) -> np.ndarray:
+    """Check a ``(k, n, n)`` stack for Hermiticity; its symmetrized, C-contiguous copy.
 
     A slice whose largest entry of ``a - a^dag`` exceeds 1e-10 raises
     ``NotHermitian``; ``label.format(i=slice, n=n)`` names it.
@@ -74,7 +75,7 @@ def _symmetrized(a: np.ndarray, label: str) -> tuple[np.ndarray, int]:
                 f"{label.format(i=i, n=n)}: Hermiticity defect {defects[i]:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e}"
             )
-    return np.ascontiguousarray((a + adjoint) / 2.0), 100 * n * n
+    return np.ascontiguousarray((a + adjoint) / 2.0)
 
 
 def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
@@ -87,11 +88,10 @@ def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
     """
     a = as_operator(m)
     n = a.shape[0]
-    work, budget = _symmetrized(a[None], "{n}x{n} matrix")
-    work = work[0]
+    work = _symmetrized(a[None], "{n}x{n} matrix")[0]
     vecs = np.eye(n, dtype=np.complex128)
     if max_rotations is None:
-        max_rotations = budget
+        max_rotations = ROTATION_BUDGET * n * n
     rotations, converged = backend.jacobi_eigh(work, vecs, max_rotations)
     if not converged:
         raise NoConvergence(
@@ -118,9 +118,18 @@ def herm_eig_stack(ms) -> np.ndarray:
     if not finite.all():
         i = int(np.argmin(finite))
         raise InvariantViolation(f"slice {i} ({n}x{n}) contains non-finite entries")
-    work, budget = _symmetrized(a, "slice {i} ({n}x{n})")
-    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
-    rotations, converged = backend.jacobi_eigh_stack(work, vecs, budget)
+    return _stack_eigenvalues(_symmetrized(a, "slice {i} ({n}x{n})"))
+
+
+def _stack_eigenvalues(work: np.ndarray) -> np.ndarray:
+    """``herm_eig_stack`` past its checks, on a finite, exactly Hermitian, C-contiguous stack.
+
+    The kernel overwrites ``work``. A slice that does not converge raises
+    ``NoConvergence`` naming it.
+    """
+    n = work.shape[1]
+    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
+    rotations, converged = backend.jacobi_eigh_stack(work, vecs, ROTATION_BUDGET * n * n)
     if not converged.all():
         i = int(np.argmin(converged))
         raise NoConvergence(

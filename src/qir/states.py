@@ -116,7 +116,8 @@ def _checked_stack(d_a: int, d_b: int, matrices) -> np.ndarray:
 def _states_from_stack(d_a: int, d_b: int, matrices) -> list[BipartiteState]:
     """States of the given dims, validated as the constructor does, spectra in one stacked call."""
     rhos = _checked_stack(d_a, d_b, matrices)
-    spectra = linalg.herm_eig_stack(rhos) if len(rhos) else ()
+    # the checks above are herm_eig_stack's, and symmetrizing rhos again gives its bits back
+    spectra = linalg._stack_eigenvalues(rhos.copy()) if len(rhos) else ()
     states = []
     for rho, spectrum in zip(rhos, spectra):
         state = object.__new__(BipartiteState)

@@ -49,7 +49,7 @@ def compiled_kernel(tmp_path_factory):
     source = Path(qir.__file__).with_name("_jacobi.c")
     target = tmp_path_factory.mktemp("kernel") / ("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        [gcc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
         check=True,
         capture_output=True,
     )

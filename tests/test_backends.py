@@ -1,14 +1,12 @@
 """The compiled and pure-Python Jacobi kernels must be interchangeable."""
 
+import hashlib
 import math
-import re
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import qir
 from qir import backend, linalg
 from qir.errors import ConfigError
 from qir.states import werner
@@ -294,29 +292,112 @@ def test_compiled_stack_loops_its_kernel(rng, restore_backend):
         ).tobytes()
 
 
-def test_shipped_c_matches_pyx():
-    """Each ``_jacobi.pyx`` line that Cython quoted in ``_jacobi.c`` is unchanged.
+def looped(kernel):
+    """A stack entry made of one ``kernel.jacobi_eigh`` call per slice."""
 
-    Cython opens a comment ``/* "qir/_jacobi.pyx":N`` before the C code of
-    source line N and quotes that line with an arrow suffix. A mismatch means
-    the shipped C was generated from another version of the ``.pyx``.
-    """
-    package = Path(qir.__file__).parent
-    pyx = (package / "_jacobi.pyx").read_text().splitlines()
-    c_lines = (package / "_jacobi.c").read_text().splitlines()
-    marker = re.compile(r'/\* "qir/_jacobi\.pyx":(\d+)$')
-    arrow = "             # <<<<<<<<<<<<<<"
-    mismatches = []
-    checked = 0
-    for i, line in enumerate(c_lines):
-        found = marker.search(line)
-        if found is None:
+    def run(a, v, budget):
+        results = [kernel.jacobi_eigh(a[i], v[i], budget) for i in range(len(a))]
+        return [r for r, _ in results], [c for _, c in results]
+
+    return run
+
+
+def kernel_digest(run, ms):
+    """sha256 of the bytes of ``a`` and ``v``, the rotation counts and the flags at
+    budgets 0, 1, 3, 7 and 100 n^2."""
+    n = ms.shape[1]
+    digest = hashlib.sha256()
+    for budget in (0, 1, 3, 7, 100 * n * n):
+        a, v, rotations, converged = run_stack(run, ms, budget)
+        for part in (a, v, np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)):
+            digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of kernel_stack(np.random.default_rng(20260809), n), and kernel_digest of
+# the compiled twin that Cython 3.2.8 generated from the .pyx body (gcc 12.2 -O2,
+# x86-64), which the hand-written C replaced
+KERNEL_STACK_DIGESTS = {
+    1: "ba4e228683f112e9f8105e56039f42e4aa66c1a3ee99b1184753540befcc616b",
+    2: "78aed8dcce8bd890e1b2fc13b372ea4192e6d4deefb148ee0d0d0784f1fdcad9",
+    3: "8fe2b3952a2ac4cd242554670fb114154867af5961fadc71917b03b4726953e0",
+    4: "fad797c257f6391a051d67788978625643bb8390f74356e8b8bfd9b4f727c92b",
+    5: "db818e4f81b361609d0577ce35979dc188cbf6f09aa3bcb0fefd813e5ee26446",
+    6: "be767a193d50d95ad7b4690b5788725fb33d1df246937db74f6d2543bb807e3b",
+    9: "af25d78efa803178546009316e5af2666f98d6e6ede4330fe72b62fbd1229bca",
+    15: "68951dbab96a982ce4c44b7d1f0033e3e808c6ab3b14aaf3c0025d0a7f8d4dd7",
+}
+CYTHON_DIGESTS = {
+    1: "423ca4c44795136c37a24f1ec4c490480ef7288d71ffa7a5c57e8ebd2c04bd3a",
+    2: "d087f2c476bd95c364d334b80180dbece8075e3675812aa03ed2e46e7da7971c",
+    3: "905e44d8ad283903cd46af8c313c0b840203a93a7f64ef0dc066197023b2de58",
+    4: "3484ed491abdc418ae8ee52eee39cb4dac0a8c6563ec43668239a00af55a9a04",
+    5: "0df8eae8463156aa5ba9a4bde5e1f4473e5855fd6b5aaefbf7023402ee0deb3f",
+    6: "f8681d605751042a0dd4d257efa40589efbf7523165a183e8eb0bad1ff09208b",
+    9: "5722e94a7c6afa966e87e8fa7b2f270704307ebf782b85b971f07873fe9d2c6b",
+    15: "945865069c50cb59d09e8f59f12483968158e4dd0e4e499cfb3a0fe08ad86af8",
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_compiled_twin_gives_the_cython_builds_bytes(rng, n):
+    """Both compiled entries give the Cython-generated twin's bytes, signed zeros included."""
+    from qir import _jacobi
+
+    ms = kernel_stack(rng, n)
+    assert hashlib.sha256(ms.tobytes()).hexdigest() == KERNEL_STACK_DIGESTS[n], (
+        "kernel_stack's inputs moved (numpy or BLAS), so the recorded digests do not apply"
+    )
+    assert kernel_digest(looped(_jacobi), ms) == CYTHON_DIGESTS[n]
+    assert kernel_digest(_jacobi.jacobi_eigh_stack, ms) == CYTHON_DIGESTS[n]
+
+
+@needs_compiled
+@pytest.mark.parametrize("entry", ["jacobi_eigh", "jacobi_eigh_stack"])
+def test_compiled_entries_reject_bad_buffers(entry):
+    """The C reads raw buffers, so every shape, type and layout it cannot use is a ``ValueError``."""
+    from qir import _jacobi
+
+    run = getattr(_jacobi, entry)
+    lead = () if entry == "jacobi_eigh" else (2,)
+
+    def eye(n, k=lead):
+        return np.broadcast_to(np.eye(n, dtype=complex), k + (n, n)).copy()
+
+    read_only = eye(3)
+    read_only.setflags(write=False)
+    bad = {
+        "float64": (eye(3).real.copy(), eye(3)),
+        "non-contiguous row": (np.zeros(lead + (3, 6), dtype=complex)[..., ::2], eye(3)),
+        "non-square": (np.zeros(lead + (3, 4), dtype=complex), np.zeros(lead + (3, 4), dtype=complex)),
+        "shapes differ": (eye(3), eye(4)),
+        "read-only a": (read_only, eye(3)),
+        "read-only v": (eye(3), read_only),
+        "one axis too many": (eye(3, (1,) + lead), eye(3, (1,) + lead)),
+    }
+    if lead:
+        bad["stack lengths differ"] = (eye(3), eye(3, (3,)))
+        bad["a matrix, not a stack"] = (np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+    accepted = []
+    for what, (a, v) in bad.items():
+        try:
+            run(a, v, 10)
+        except ValueError:
             continue
-        n = int(found.group(1))
-        block = c_lines[i + 1 : c_lines.index("*/", i + 1)]
-        (quoted,) = [q[len(" * ") : -len(arrow)] for q in block if q.endswith(arrow)]
-        checked += 1
-        if quoted != pyx[n - 1].rstrip():
-            mismatches.append((i + 1, n, quoted, pyx[n - 1]))
-    assert checked > 0
-    assert not mismatches, f"_jacobi.c is stale against _jacobi.pyx: {mismatches[:3]}"
+        accepted.append(what)
+    assert not accepted
+
+
+@needs_compiled
+def test_compiled_stack_of_none(restore_backend):
+    from qir import _jacobi
+
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert _jacobi.jacobi_eigh_stack(empty, empty.copy(), 1600) == ([], [])
+    backend.set_backend("compiled")
+    rotations, converged = backend.jacobi_eigh_stack(empty, empty.copy(), 1600)
+    assert (rotations.dtype, converged.dtype, rotations.shape, converged.shape) == (
+        np.int64, np.bool_, (0,), (0,)
+    )
+    assert linalg.herm_eig_stack(empty).shape == (0, 4)

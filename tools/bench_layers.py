@@ -7,10 +7,13 @@ Usage, from the root of the repository:
 
 ``--src`` is the qir source tree to import, so that two checkouts can be
 measured by the same harness. ``--compiled`` registers a compiled Jacobi
-kernel built from the shipped ``_jacobi.c`` and measures on it instead of
-the Python kernel. Each case reports the best of ``--repeats`` wall times
-per operation, and the eigendecompositions and rotations one operation
-runs, counted at the backend (a stacked call counts each slice).
+kernel, a shared object built from a tree's ``src/qir/_jacobi.c`` (for
+example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
+_jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel;
+the ``stack`` cases then run its stack entry, which loops over the slices in C.
+Each case reports the best of ``--repeats`` wall times per operation, and
+the eigendecompositions and rotations one operation runs, counted at the
+backend (a stacked call counts each slice).
 
 Cases:
 - ``kernel``: the eigendecompositions of one 21-point monitoring sweep at
