@@ -11,11 +11,15 @@
  * Two entries, as in qir._jacobi_py:
  *   jacobi_eigh(a, v, max_rotations) -> (rotations, converged)
  *   jacobi_eigh_stack(a, v, max_rotations) -> ([rotations], [converged])
- * take C-contiguous complex128 buffers, (n, n) or (k, n, n), ``a`` Hermitian
- * and ``v`` the identity on entry. On exit the eigenvalues sit on the
- * diagonal of ``a`` (unordered) and the columns of ``v`` are the matching
- * eigenvectors. The stack entry loops over the slices in C; each slice gets
- * the bits the per-matrix entry gives it.
+ * take C-contiguous complex128 buffers, (n, n) or (k, n, n), ``a`` exactly
+ * Hermitian (its bytes those of its conjugate transpose up to the sign of a
+ * zero) and ``v`` the identity on entry. A rotation updates columns p and q
+ * of ``a`` and ``v`` and copies rows p and q of ``a`` from the conjugated
+ * columns, as the Python twins do; rows never get a rotation of their own.
+ * On exit the eigenvalues sit on the diagonal of ``a`` (unordered) and the
+ * columns of ``v`` are the matching eigenvectors. The stack entry loops
+ * over the slices in C; each slice gets the bits the per-matrix entry gives
+ * it.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -26,19 +26,32 @@ of one). They are ``np.linalg.norm``'s bits: that is ``sqrt(re.dot(re) +
 im.dot(im))`` over the raveled entries, and ``np.vecdot`` of float64 rows
 calls the same BLAS dot per row as ``ndarray.dot``.
 
-Both kernels work on one buffer holding ``a`` stacked over ``v``, of shape
-``(2n, n)`` (``(k, 2n, n)`` for a stack), so that one update of columns p
-and q rotates ``a`` and ``v`` together; every exit copies the buffer back
-into ``a`` and ``v``. The loop twin takes each column as a strided view
-times a scalar, and rows p and q as one ``(2, 1) * (1, n)`` broadcast.
+Both kernels work on one column-major buffer ``b = [a^T | v^T]`` of shape
+``(n, 2n)`` (``(k, n, 2n)`` for a stack): ``b[j]`` holds column j of ``a``
+and then column j of ``v``. A rotation updates columns p and q of ``a`` and
+``v`` together, as rows p and q of ``b`` in one ``(2, 1) * (1, 2n)``
+broadcast with the coefficients ``[[c, s], [-conj(s), c]]``; it then copies
+rows p and q of ``a`` from the conjugated columns, as the compiled twin
+does, and pins the four pivot entries. Every exit copies the buffer back
+into ``a`` and ``v``.
+
+So ``a`` must be exactly Hermitian on entry: its bytes those of
+``a.conj().T`` up to the sign of a zero. Then the copied rows are what
+rotating the rows would give, ``conj(c a[j,p] + s a[j,q]) = c a[p,j] +
+conj(s) a[q,j]`` in IEEE arithmetic, up to the sign of a zero: the
+rotation counts, the diagonal and ``v`` get the bytes a row update gives,
+and ``a`` its values. Every matrix qir hands a kernel is built as
+``(m + m^dag) / 2``, which is exactly Hermitian.
 
 The bits rest on numpy's complex multiply loop, which may round by operand
-layout, and on that BLAS dot. On x86-64 with AVX-512 and numpy 2.4, a
-strided view times a scalar and that row broadcast give the bits of a
-contiguous copy times a scalar, which is what a copy of each column and
-row gives; a column broadcast ``(n, 1) * (2,)`` does not.
-``tests/test_backends.py`` keeps the copy-per-column loop as its reference
-and compares bytes, and compares ``_norms`` with ``np.linalg.norm``.
+layout, and on that BLAS dot. On x86-64 with AVX-512 and numpy 2.4, the
+row broadcast gives the bits of a contiguous copy of each column times a
+scalar; a column broadcast ``(n, 1) * (2,)`` does not. The norms are
+taken on a row-major copy of ``a``, whose raveled order sets the dot's
+summation order. ``tests/test_backends.py`` keeps the copy-per-column
+loop as its reference and compares bytes, compares the copied rows with
+rotated rows on symmetrized input, and compares ``_norms`` with
+``np.linalg.norm``.
 """
 
 import math
@@ -73,31 +86,35 @@ def _converged(off: np.ndarray, thr) -> np.ndarray:
 def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, bool]:
     """Diagonalize Hermitian ``a`` in place, accumulating the unitary in ``v``.
 
-    Same contract as the compiled kernel: ``a`` Hermitian, ``v`` the
-    identity on entry; returns ``(rotations, converged)``.
+    Same contract as the compiled kernel: ``a`` exactly Hermitian (its bytes
+    those of ``a.conj().T`` up to the sign of a zero) and ``v`` the identity
+    on entry; returns ``(rotations, converged)``. Each rotation updates
+    columns p and q and copies rows p and q of ``a`` from the conjugated
+    columns, as the compiled twin does.
     """
     n = a.shape[0]
     if a.shape != (n, n) or v.shape != (n, n):
         raise ValueError("kernel buffers must be square and of equal size")
-    w = np.concatenate((a, v))
+    b = np.concatenate((a.T, v.T), axis=1)
     thr = OFF_NORM_FACTOR * float(_norms(a[None])[0])
-    rotations, converged = _rotate(w, n, thr, max_rotations)
-    a[...] = w[:n]
-    v[...] = w[n:]
+    rotations, converged = _rotate(b, n, thr, max_rotations)
+    a[...] = b[:, :n].T
+    v[...] = b[:, n:].T
     return rotations, converged
 
 
-def _rotate(w: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
-    """``jacobi_eigh``'s sweeps on the ``(2n, n)`` buffer ``[a; v]``."""
-    top = w[:n]
+def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
+    """``jacobi_eigh``'s sweeps on the ``(n, 2n)`` buffer ``[a^T | v^T]``."""
+    at = b[:, :n]  # a transposed: at[j, i] is a[i, j]
     skip = thr / n if n > 0 else 0.0
     rotations = 0
-    # the rows' coefficient matrix [[c, conj(s)], [-s, c]] and its two columns
+    # the columns' coefficient matrix [[c, s], [-conj(s), c]] and its two columns
     m = np.empty((2, 2), dtype=np.complex128)
     m_p, m_q = m[:, :1], m[:, 1:]
 
     while True:
-        if _converged(top[None].copy(), thr)[0]:
+        # the norms read a row-major copy of a
+        if _converged(at.T[None].copy(), thr)[0]:
             return rotations, True
         if rotations >= max_rotations:
             return rotations, False
@@ -107,72 +124,72 @@ def _rotate(w: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
             for q in range(p + 1, n):
                 if rotations >= max_rotations:
                     break
-                apq = top[p, q]
+                apq = at[q, p]
                 # Python floats: the same IEEE arithmetic as numpy scalars, at
                 # a fraction of the cost; s stays a numpy complex division
                 beta = float(abs(apq))
                 if beta <= skip:
                     continue
-                app = top.item(p, p).real
-                aqq = top.item(q, q).real
+                app = at.item(p, p).real
+                aqq = at.item(q, q).real
                 theta = (aqq - app) / (2.0 * beta)
                 sgn = 1.0 if theta >= 0.0 else -1.0
                 t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c * (apq.conjugate() / beta)
-                s_conj = np.conj(s)
-                cz = complex(c)  # the value numpy casts c to, without the weak-scalar lookup
 
-                # columns p and q of a and v at once; both right sides are
-                # evaluated before either column is written
-                colp = w[:, p]
-                colq = w[:, q]
-                w[:, p], w[:, q] = cz * colp + s * colq, -s_conj * colp + cz * colq
-                # rows p and q of a as one (2, 1) * (1, n) broadcast
+                # columns p and q of a and v, rows p and q of b, as one
+                # (2, 1) * (1, 2n) broadcast
                 m[0, 0] = m[1, 1] = c
-                m[0, 1] = s_conj
-                m[1, 0] = -s
-                rows = top[p : q + 1 : q - p]
-                rows[...] = m_p * rows[:1] + m_q * rows[1:]
+                m[0, 1] = s
+                m[1, 0] = -np.conj(s)
+                pair = b[p : q + 1 : q - p]
+                cols = m_p * pair[:1] + m_q * pair[1:]
+                pair[...] = cols
+                # rows p and q of a are the conjugated columns
+                np.conjugate(cols[:, :n].T, out=at[:, p : q + 1 : q - p])
                 # pin the entries the rotation fixes exactly
-                top[p, p] = app + t * beta
-                top[q, q] = aqq - t * beta
-                top[p, q] = 0.0
-                top[q, p] = 0.0
+                at[p, p] = app + t * beta
+                at[q, q] = aqq - t * beta
+                at[q, p] = 0.0
+                at[p, q] = 0.0
                 rotations += 1
 
 
 def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
 
-    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, ``v`` identities
-    on entry. Every slice follows ``jacobi_eigh``'s schedule, its own
-    threshold, skip test and rotation budget; a rotation at pivot (p, q)
-    acts on the slices whose entry there is above their skip level. Returns
-    per-slice ``(rotations, converged)`` arrays.
+    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, each slice of ``a``
+    exactly Hermitian, ``v`` identities on entry. Every slice follows
+    ``jacobi_eigh``'s schedule, its own threshold, skip test and rotation
+    budget; a rotation at pivot (p, q) acts on the slices whose entry there
+    is above their skip level, updates their columns p and q and copies rows
+    p and q of ``a`` from the conjugated columns. Returns per-slice
+    ``(rotations, converged)`` arrays.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
         raise ValueError("kernel buffers must be stacks of square matrices of equal size")
     n = a.shape[1]
-    w = np.concatenate((a, v), axis=1)
+    b = np.concatenate((a.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
     thr = OFF_NORM_FACTOR * _norms(a)
-    rotations, converged = _rotate_stack(w, n, thr, max_rotations)
-    a[...] = w[:, :n]
-    v[...] = w[:, n:]
+    rotations, converged = _rotate_stack(b, n, thr, max_rotations)
+    a[...] = b[:, :, :n].transpose(0, 2, 1)
+    v[...] = b[:, :, n:].transpose(0, 2, 1)
     return rotations, converged
 
 
-def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_eigh_stack``'s sweeps on the ``(k, 2n, n)`` buffer ``[a; v]``."""
-    k = w.shape[0]
-    top = w[:, :n]
+def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_eigh_stack``'s sweeps on the ``(k, n, 2n)`` buffer ``[a^T | v^T]``."""
+    k = b.shape[0]
+    at = b[:, :, :n]  # each slice of a transposed
     rotations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     skip = thr / n if n > 0 else thr
     live = np.arange(k)
 
     while live.size:
-        done = _converged(top[live], thr[live])  # a gathered copy, free to overwrite
+        # the norms read a row-major copy of each live slice of a, free to overwrite
+        done = _converged(np.ascontiguousarray(at.transpose(0, 2, 1)[live]), thr[live])
         converged[live[done]] = True
         live = live[~done]
         live = live[rotations[live] < max_rotations]
@@ -183,7 +200,7 @@ def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
         for p in range(n - 1):
             for q in range(p + 1, n):
                 rows = live[rotations[live] < max_rotations] if budgeted else live
-                apq = top[rows, p, q]
+                apq = at[rows, q, p]
                 beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
                 turn = beta > skip[rows]
                 if not turn.all():
@@ -191,32 +208,34 @@ def _rotate_stack(w: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
                 if not rows.size:
                     continue
                 # every slice rotates: basic slices give views, not gathers and scatters
-                at = slice(None) if rows.size == k else rows
-                app = top[at, p, p].real
-                aqq = top[at, q, q].real
+                sel = slice(None) if rows.size == k else rows
+                app = at[sel, p, p].real
+                aqq = at[sel, q, q].real
                 theta = (aqq - app) / (2.0 * beta)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 # the scalar expression as complex ufuncs: the same bits, signed zeros too
                 s = (t * c) * (np.conj(apq) / beta)
-                c, s = c[:, None], s[:, None]
-                s_conj = np.conj(s)
                 # the diagonal the rotation pins, before app and aqq (views, maybe) move
                 pinned_p, pinned_q = app + t * beta, aqq - t * beta
+                # per slice, the loop twin's coefficient columns [c, -conj(s)] and [s, c]
+                m = np.empty((len(s), 2, 2), dtype=np.complex128)
+                m[:, 0, 0] = m[:, 1, 1] = c
+                m[:, 0, 1] = s
+                m[:, 1, 0] = -np.conj(s)
 
-                # columns p and q of a and v at once; as with views in the loop twin,
-                # both right sides are evaluated before either column is written
-                colp = w[at, :, p]
-                colq = w[at, :, q]
-                w[at, :, p], w[at, :, q] = c * colp + s * colq, -s_conj * colp + c * colq
-                rowp = top[at, p]
-                rowq = top[at, q]
-                top[at, p], top[at, q] = c * rowp + s_conj * rowq, -s * rowp + c * rowq
-                top[at, p, p] = pinned_p
-                top[at, q, q] = pinned_q
-                top[at, p, q] = 0.0
-                top[at, q, p] = 0.0
-                rotations[at] += 1
+                # columns p and q of a and v as the loop twin's (2, 1) * (1, 2n)
+                # broadcast per slice; computed before any write, as views may alias
+                pair = b[sel, p : q + 1 : q - p]
+                cols = m[:, :, :1] * pair[:, :1] + m[:, :, 1:] * pair[:, 1:]
+                b[sel, p : q + 1 : q - p] = cols
+                # rows p and q of a are the conjugated columns
+                at[sel, :, p : q + 1 : q - p] = np.conjugate(cols[:, :, :n]).transpose(0, 2, 1)
+                at[sel, p, p] = pinned_p
+                at[sel, q, q] = pinned_q
+                at[sel, q, p] = 0.0
+                at[sel, p, q] = 0.0
+                rotations[sel] += 1
 
     return rotations, converged

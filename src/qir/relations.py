@@ -115,7 +115,12 @@ def entropy_bundle(
     x: ObservableBasis, rho: BipartiteState, y: ObservableBasis | None = None
 ) -> EntropyBundle:
     """Evaluate the shared entropies once; the Y side only when ``y`` is given."""
-    h_b, h_ab, h_xb, *y_side = _configuration_entropies([x] if y is None else [x, y], [rho])[0].tolist()
+    return _bundle(x, y, _configuration_entropies([x] if y is None else [x, y], [rho])[0].tolist())
+
+
+def _bundle(x: ObservableBasis, y: ObservableBasis | None, row: list[float]) -> EntropyBundle:
+    """The bundle of one ``_configuration_entropies`` row: S(rho_B), S(rho), S of rho dephased in x[, y]."""
+    h_b, h_ab, h_xb, *y_side = row
     h_yb = y_side[0] if y_side else None
     return EntropyBundle(
         h_ab=h_ab,
@@ -258,20 +263,29 @@ def evaluate_relations(
 
     ``eps`` is required iff one of the names needs a monitoring strength.
     A caller that already holds ``entropy_bundle(x, rho, y)`` may pass it
-    as ``bundle`` to skip evaluating it again.
+    as ``bundle`` to skip evaluating it again. Otherwise, when a relation
+    needs eps, the bundle and irr(X) of the monitored state come from one
+    ``_configuration_entropies`` call on both states.
     """
     rows = [lookup_relation(name) for name in names]
     for row in rows:
         if row.needs_eps and eps is None:
             raise ConfigError(f"relation {row.name} needs a monitoring strength eps")
+    irreality_x_monitored = None
+    if any(row.needs_eps for row in rows):
+        if bundle is None:
+            state_row, monitored_row = _configuration_entropies(
+                [x, y], [rho, monitor(y, eps, rho)]
+            ).tolist()
+            bundle = _bundle(x, y, state_row)
+            irreality_x_monitored = monitored_row[2] - monitored_row[1]
+        else:
+            irreality_x_monitored = irreality(x, monitor(y, eps, rho))
     if bundle is None:
         bundle = entropy_bundle(x, rho, y)
     reports: dict[str, Report] = {}
     for row in rows:
-        if row.needs_eps:
-            value = row.fn(bundle, irreality(x, monitor(y, eps, rho)))
-        else:
-            value = row.fn(bundle)
+        value = row.fn(bundle, irreality_x_monitored) if row.needs_eps else row.fn(bundle)
         if row.kind == "identity":
             reports[row.name] = IdentityReport(row.name, value, tol)
         else:

@@ -91,12 +91,29 @@ def kernel_stack(rng, n):
     return np.array(slices)
 
 
-def reference_jacobi_eigh(a, v, max_rotations):
-    """The loop twin with a contiguous copy of each column and row it rotates.
+def mirror_rows(a, p, q, c, s):
+    """Rows p and q of ``a`` copied from the rotated columns, conjugated."""
+    a[p, :] = np.conj(a[:, p])
+    a[q, :] = np.conj(a[:, q])
+
+
+def rotate_rows(a, p, q, c, s):
+    """Rows p and q of ``a`` rotated on their own by ``[[c, conj(s)], [-s, c]]``: the
+    row update that copying the columns replaces, kept to show that the two agree on
+    exactly Hermitian input."""
+    rowp = a[p, :].copy()
+    rowq = a[q, :].copy()
+    a[p, :] = c * rowp + np.conj(s) * rowq
+    a[q, :] = -s * rowp + c * rowq
+
+
+def reference_jacobi_eigh(a, v, max_rotations, row_step=mirror_rows):
+    """The loop twin with a contiguous copy of each column it rotates.
 
     ``qir._jacobi_py.jacobi_eigh`` must give these bytes: it works on a
-    fused ``[a; v]`` buffer and strided views, and numpy's multiply loop may
-    round by operand layout.
+    fused ``[a^T | v^T]`` buffer and a broadcast over rows of it, and numpy's
+    multiply loop may round by operand layout. ``row_step`` sets rows p and q
+    of ``a`` after the columns have turned.
     """
     n = a.shape[0]
     thr = 1e-14 * float(np.linalg.norm(a))
@@ -129,10 +146,7 @@ def reference_jacobi_eigh(a, v, max_rotations):
                 colq = a[:, q].copy()
                 a[:, p] = c * colp + s * colq
                 a[:, q] = -np.conj(s) * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + np.conj(s) * rowq
-                a[q, :] = -s * rowp + c * rowq
+                row_step(a, p, q, c, s)
                 a[p, p] = app + t * beta
                 a[q, q] = aqq - t * beta
                 a[p, q] = 0.0
@@ -146,6 +160,9 @@ def reference_jacobi_eigh(a, v, max_rotations):
 
 
 REFERENCE = SimpleNamespace(jacobi_eigh=reference_jacobi_eigh)
+ROW_UPDATE_REFERENCE = SimpleNamespace(
+    jacobi_eigh=lambda a, v, budget: reference_jacobi_eigh(a, v, budget, row_step=rotate_rows)
+)
 
 
 def loop_twin(kernel, m, budget):
@@ -178,10 +195,13 @@ def test_kernel_rotation_counts_match(rng, restore_backend):
 
     Checked on a random 9 x 9 Hermitian matrix and on every slice of
     ``kernel_stack`` at every n of ``STACK_SIZES``, where exact zeros and
-    skipped pivots occur. The twins round differently in the last bits, so
-    on a density with a null space an entry that is zero up to rounding can
-    sit on either side of the skip level in the last sweep; there the counts
-    may differ, by less than one sweep.
+    skipped pivots occur. Both twins copy rows from the conjugated columns,
+    but they still round differently in the last bits (beta is ``hypot`` in
+    Python, ``sqrt(|a_pq|^2)`` in C), so on a density with a null space an
+    entry that is zero up to rounding can sit on either side of the skip
+    level in the last sweep; there the counts may differ, by less than one
+    sweep. Over 12 seeds that happens in 20 of 144 rank-2 slices at n >= 3,
+    by 1-2 rotations, and in no other slice.
     """
     from qir import _jacobi, _jacobi_py
 
@@ -209,6 +229,59 @@ def test_loop_twin_is_bitwise_the_reference(rng, n):
             assert (rotations, converged) == (rotations0, converged0), (n, budget)
             assert a.tobytes() == a0.tobytes(), (n, budget)
             assert v.tobytes() == v0.tobytes(), (n, budget)
+
+
+def skewed_with_signed_zeros(rng, n):
+    """Densities 1e-12 off Hermitian, with -0.0 in entries the kernel reads."""
+    ms = []
+    for _ in range(3):
+        m = random_density(rng, n) + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m[0, n - 1], m[n - 1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        m[1, 2] = m[2, 1] = complex(-0.0, -0.0)
+        m.imag[np.arange(n), np.arange(n)] = -0.0
+        ms.append(m)
+    return np.array(ms)
+
+
+def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng):
+    """``_symmetrized``, ``_checked_matrix`` and ``_checked_stack`` build (m + m^dag) / 2,
+    whose bytes are those of its conjugate transpose up to the sign of a zero (adding
+    0.0 maps -0.0 to 0.0): the premise of copying rows from the conjugated columns."""
+    from qir import states
+
+    for d_a, d_b in ((2, 2), (3, 2), (5, 3)):
+        ms = skewed_with_signed_zeros(rng, d_a * d_b)
+        assert not np.array_equal(ms[0], ms[0].conj().T)
+        outputs = [linalg._symmetrized(ms, "slice {i}"), states._checked_stack(d_a, d_b, ms)]
+        outputs.append(np.array([states._checked_matrix(d_a, d_b, m) for m in ms]))
+        for out in outputs:
+            adjoint = out.conj().transpose(0, 2, 1)
+            assert np.array_equal(out, adjoint), (d_a, d_b)
+            assert (out + 0.0).tobytes() == (adjoint + 0.0).tobytes(), (d_a, d_b)
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_mirrored_rows_are_the_rotated_rows_on_hermitian_input(rng, n):
+    """On an exactly Hermitian matrix, copying rows p and q from the conjugated
+    columns gives what rotating the rows gives.
+
+    For j outside {p, q} the row update computes ``c a[p,j] + conj(s) a[q,j]`` and
+    the mirror ``conj(c a[j,p] + s a[j,q])``, equal in IEEE arithmetic up to the
+    sign of a zero. So the rotation counts, flags, diagonal and ``v`` keep their
+    bytes, and ``a`` its values. Every matrix qir hands the kernel is symmetrized
+    this way.
+    """
+    from qir import _jacobi_py
+
+    ms = linalg._symmetrized(kernel_stack(rng, n), "slice {i}")
+    for m in ms:
+        for budget in (0, 1, 3, 7, 100 * n * n):
+            a, v, rotations, converged = loop_twin(_jacobi_py, m, budget)
+            a0, v0, rotations0, converged0 = loop_twin(ROW_UPDATE_REFERENCE, m, budget)
+            assert (rotations, converged) == (rotations0, converged0), (n, budget)
+            assert np.diagonal(a).tobytes() == np.diagonal(a0).tobytes(), (n, budget)
+            assert v.tobytes() == v0.tobytes(), (n, budget)
+            assert np.array_equal(a, a0), (n, budget)
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)

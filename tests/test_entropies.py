@@ -277,6 +277,27 @@ class TestDephasedEntropy:
             assert sizes.count(d_a * d_b) == 2 * cfg.trials, (d_a, d_b)
             assert max(sizes) == d_a * d_b
 
+    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
+    def test_campaign_trial_runs_one_stacked_eigendecomposition(self, monkeypatch, ensemble):
+        # the marginals and blocks of the state and of the monitored state, in one call
+        calls = []
+        kernel = backend.jacobi_eigh_stack
+
+        def counting(a, v, max_rotations):
+            calls.append(a.shape)
+            return kernel(a, v, max_rotations)
+
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", counting)
+        relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
+        for d_a, d_b in ACCEPTANCE_DIMS:
+            cfg = CampaignConfig(
+                dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
+            )
+            calls.clear()
+            run_campaign_records(cfg)
+            assert len(calls) == cfg.trials, (d_a, d_b, calls)
+            assert all(shape == (2 * (1 + 2 * d_a), d_b, d_b) for shape in calls), (d_a, d_b, calls)
+
 
 class TestBatchedEntropies:
     """The vectorized entropy pass and the batched configuration entropies, bit for bit."""

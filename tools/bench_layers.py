@@ -11,9 +11,16 @@ kernel, a shared object built from a tree's ``src/qir/_jacobi.c`` (for
 example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
 _jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel;
 the ``stack`` cases then run its stack entry, which loops over the slices in C.
-Each case reports the best of ``--repeats`` wall times per operation, and
-the eigendecompositions and rotations one operation runs, counted at the
-backend (a stacked call counts each slice).
+Each case reports the best of ``--repeats`` wall times per operation, the
+eigendecompositions and rotations one operation runs, counted at the
+backend (a stacked call counts each slice), and that best time divided by
+the rotations, in us (``us_per_rotation``; it includes the checks and
+entropy work around the kernel, so it is a kernel figure only for the
+``kernel`` and ``full_size`` cases).
+
+One invocation is not a stable measurement on a shared machine: compare
+two trees by the best of each case over five or more invocations per
+tree, alternating between the trees.
 
 Cases:
 - ``kernel``: the eigendecompositions of one 21-point monitoring sweep at
@@ -27,7 +34,8 @@ Cases:
   bundle is not lost in the 12-pair sum;
 - ``full_size``: ``herm_eig`` of the induced-mixed state of each of the 12
   pairs, n = d_A * d_B from 2 to 15 (one operation is all 12): the
-  full-size eigendecompositions that dominate a campaign trial;
+  full-size eigendecompositions that dominate a campaign trial; and
+  ``kernel.loop.n<n>``, those at n = 3, 6, 9 and 15 alone;
 - ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2).
 """
 
@@ -98,7 +106,13 @@ def measure(counter: Counter, fn, repeats: int) -> dict:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return {"best_s": min(times), "eigendecompositions": eigs, "rotations": rotations}
+    best = min(times)
+    return {
+        "best_s": best,
+        "eigendecompositions": eigs,
+        "rotations": rotations,
+        "us_per_rotation": 1e6 * best / rotations if rotations else None,
+    }
 
 
 def sweep_inputs(qir):
@@ -128,6 +142,8 @@ def cases(qir):
         "entropy_bundle.12_pairs": lambda: [entropy_bundle(bx, rho, by) for bx, rho, by in bundles],
         "bundle_2x2": lambda: entropy_bundle(*bundles[1]),
         "full_size.12_pairs": lambda: [linalg.herm_eig(rho.rho) for _, rho, _ in bundles],
+        **{f"kernel.loop.n{rho.dim}": (lambda m=rho.rho: linalg.herm_eig(m))
+           for _, rho, _ in bundles if (rho.d_a, rho.d_b) in ((3, 1), (3, 2), (3, 3), (5, 3))},
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
     }
     if hasattr(linalg, "herm_eig_stack"):
