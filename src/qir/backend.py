@@ -1,11 +1,7 @@
 """Kernel selection: compiled Jacobi core when available, pure Python otherwise.
 
-The environment variable ``QIR_BACKEND`` forces a choice: ``compiled``
-raises if the extension is missing, ``python`` ignores it, anything else
-(or unset) selects the compiled core when it imports.
+The choice is made at import; ``set_backend`` switches it at runtime.
 """
-
-import os
 
 import numpy as np
 
@@ -21,19 +17,7 @@ _KERNELS = {"python": _jacobi_py}
 if _jacobi is not None:
     _KERNELS["compiled"] = _jacobi
 
-
-def _initial_choice() -> str:
-    forced = os.environ.get("QIR_BACKEND", "auto")
-    if forced == "auto":
-        return "compiled" if _jacobi is not None else "python"
-    if forced not in _KERNELS:
-        raise ConfigError(
-            f"QIR_BACKEND={forced!r} unavailable; choices: {sorted(_KERNELS)} or 'auto'"
-        )
-    return forced
-
-
-_active = _initial_choice()
+_active = "compiled" if _jacobi is not None else "python"
 
 
 def backend_name() -> str:

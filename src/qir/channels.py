@@ -95,22 +95,17 @@ def _check_strength(eps: float) -> float:
 
 def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
     """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho)."""
-    eps = _check_strength(eps)
-    _check_pair(y, rho)
-    if eps == 0.0:
-        return rho
-    dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
-    return BipartiteState(rho.d_a, rho.d_b, _monitored_matrix(rho.rho, dephased, eps))
+    return _monitor_grid(y, [eps], rho)[0]
 
 
 def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> list[BipartiteState]:
-    """``monitor(y, eps, rho)`` for each strength in [0, 1], bit for bit.
+    """``monitor(y, eps, rho)`` for each strength in [0, 1]; ``rho`` itself at 0.
 
     The dephased image is taken once, and the spectra of the monitored
     states in one stacked call.
     """
-    _check_pair(y, rho)
     strengths = [_check_strength(eps) for eps in strengths]
+    _check_pair(y, rho)
     dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
     eps = np.array([eps for eps in strengths if eps != 0.0])[:, None, None]
     mixed = _monitored_matrix(rho.rho, dephased, eps)

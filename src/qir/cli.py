@@ -32,14 +32,7 @@ from .explore import (
     monitoring_sweep,
     run_campaign_records,
 )
-from .relations import (
-    DEFAULT_TOL,
-    RELATIONS,
-    entropy_bundle,
-    evaluate_point,
-    evaluate_relations,
-    report_slack,
-)
+from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_point, report_slack
 from .serialize import fmt_nats
 from .states import (
     basis_from_token,
@@ -126,12 +119,12 @@ def _print_case(label, state, x, y, tol, eps, bits):
     def fmt(v):
         return fmt_nats(v / unit)
 
-    b = entropy_bundle(x, state, y)
+    b = _bundle(x, y, state, eps)
     print(f"case {label}: q = {fmt(b.q)}")
     print(f"  H(AB) = {fmt(b.h_ab)}  H(B) = {fmt(b.h_b)}  H(A|B) = {fmt(b.h_a_given_b)}")
     print(f"  H(X|B) = {fmt(b.h_x_given_b)}  H(Y|B) = {fmt(b.h_y_given_b)}")
     print(f"  irr(X) = {fmt(b.irreality_x)}  irr(Y) = {fmt(b.irreality_y)}")
-    reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=eps, tol=tol, bundle=b)
+    reports = _reports(RELATIONS.values(), b, tol)
     ok = True
     for name, report in reports.items():
         if RELATIONS[name].kind == "identity":

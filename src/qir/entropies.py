@@ -11,7 +11,8 @@ Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
 ``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
 entropies of a stack of states with one frame per basis, one stacked
-eigendecomposition and two entropy passes.
+eigendecomposition and two entropy passes; ``cond_entropy``,
+``uncertainty`` and ``irreality`` read their row of it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def vn_entropy(rho) -> float:
 def cond_entropy(rho: BipartiteState) -> float:
     """Conditional entropy H(A|B) = S(rho_AB) - S(rho_B); negative values
     certify entanglement."""
-    return vn_entropy(rho) - vn_entropy(rho.reduced_b())
+    h_b, h_ab = _configuration_entropies([], [rho])[0].tolist()
+    return h_ab - h_b
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -181,4 +183,5 @@ def irreality(x: ObservableBasis, rho: BipartiteState) -> float:
     Vanishes exactly when the state is already invariant under that
     dephasing, i.e. when the observable is fully real for the state.
     """
-    return dephased_entropy(x, rho) - vn_entropy(rho)
+    _, h_ab, h_x = _configuration_entropies([x], [rho])[0].tolist()
+    return h_x - h_ab

@@ -20,7 +20,14 @@ import numpy as np
 
 from .channels import _monitor_grid
 from .entropies import _configuration_entropies
-from .errors import BadDimension, ConfigError, InvariantViolation, OutOfRange, TheoremViolation
+from .errors import (
+    BadDimension,
+    ConfigError,
+    InvariantViolation,
+    OutOfRange,
+    QirError,
+    TheoremViolation,
+)
 from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
@@ -174,7 +181,13 @@ def _trial_inputs(cfg: CampaignConfig, index: int):
 
 def _trial_record(cfg: CampaignConfig, index: int) -> TrialRecord:
     state, x, y, eps = _trial_inputs(cfg, index)
-    reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
+    try:
+        reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
+    except QirError as err:
+        at_eps = "" if eps is None else f", eps = {eps!r}"
+        raise type(err)(
+            f"trial {index} at (d_A, d_B) = ({state.d_a}, {state.d_b}){at_eps}: {err}"
+        ) from None
     slacks = {name: report_slack(report) for name, report in reports.items()}
     return TrialRecord(index, state.d_a, state.d_b, eps, slacks)
 

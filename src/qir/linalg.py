@@ -86,18 +86,9 @@ def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
     raises ``NotHermitian``. The rotation budget defaults to 100 * dim**2;
     exceeding it raises ``NoConvergence``.
     """
-    a = as_operator(m)
-    n = a.shape[0]
-    work = _symmetrized(a[None], "{n}x{n} matrix")[0]
-    vecs = np.eye(n, dtype=np.complex128)
-    if max_rotations is None:
-        max_rotations = ROTATION_BUDGET * n * n
-    rotations, converged = backend.jacobi_eigh(work, vecs, max_rotations)
-    if not converged:
-        raise NoConvergence(
-            f"{n}x{n} matrix: off-diagonal norm still above threshold after {rotations} rotations"
-        )
-    w = np.diag(work).real.copy()
+    work = _symmetrized(as_operator(m)[None], "{n}x{n} matrix")
+    vecs = _jacobi(work, "{n}x{n} matrix", max_rotations)[0]
+    w = np.diag(work[0]).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
 
@@ -107,8 +98,8 @@ def herm_eig_stack(ms) -> np.ndarray:
 
     Slice i gets exactly the bits of ``herm_eig(ms[i]).eigenvalues``: the
     same checks (finite, Hermitian to 1e-10, then symmetrized), the same
-    budget of 100 * n**2 rotations and the same rotation schedule, run by
-    the kernel on all slices at once. Errors name the slice.
+    budget of 100 * n**2 rotations and the same rotation schedule. Errors
+    name the slice.
     """
     a = np.asarray(ms, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -121,19 +112,40 @@ def herm_eig_stack(ms) -> np.ndarray:
     return _stack_eigenvalues(_symmetrized(a, "slice {i} ({n}x{n})"))
 
 
-def _stack_eigenvalues(work: np.ndarray) -> np.ndarray:
+def _stack_eigenvalues(work: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np.ndarray:
     """``herm_eig_stack`` past its checks, on a finite, exactly Hermitian, C-contiguous stack.
 
-    The kernel overwrites ``work``. A slice that does not converge raises
-    ``NoConvergence`` naming it.
+    The kernel overwrites ``work``; ``label`` names a slice that does not
+    converge, as in ``_jacobi``.
     """
-    n = work.shape[1]
+    _jacobi(work, label)
+    return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
+
+
+def _jacobi(work: np.ndarray, label: str, max_rotations: int | None = None) -> np.ndarray:
+    """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
+
+    The one caller of the kernel. A stack of one runs ``jacobi_eigh``, which
+    is the faster entry for a single matrix; any other stack runs
+    ``jacobi_eigh_stack``. Both give a slice the same bits. Returns the
+    eigenvector stack, columns in the order of the diagonals of ``work``.
+    The budget defaults to 100 * n**2 rotations per slice. A slice that
+    exceeds it raises ``NoConvergence``; ``label.format(i=slice, n=n)``
+    names it.
+    """
+    k, n = work.shape[0], work.shape[1]
     vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
-    rotations, converged = backend.jacobi_eigh_stack(work, vecs, ROTATION_BUDGET * n * n)
-    if not converged.all():
+    if max_rotations is None:
+        max_rotations = ROTATION_BUDGET * n * n
+    if k == 1:
+        rotations, converged = backend.jacobi_eigh(work[0], vecs[0], max_rotations)
+        rotations, converged = [rotations], [converged]
+    else:
+        rotations, converged = backend.jacobi_eigh_stack(work, vecs, max_rotations)
+    if not all(converged):
         i = int(np.argmin(converged))
         raise NoConvergence(
-            f"slice {i} ({n}x{n}): off-diagonal norm still above threshold "
+            f"{label.format(i=i, n=n)}: off-diagonal norm still above threshold "
             f"after {rotations[i]} rotations"
         )
-    return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
+    return vecs

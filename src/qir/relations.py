@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import monitor
-from .entropies import _configuration_entropies, irreality
+from .entropies import _configuration_entropies
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
 
@@ -81,11 +81,12 @@ Report = InequalityReport | IdentityReport
 
 @dataclass(frozen=True)
 class EntropyBundle:
-    """Entropies of one (state, X[, Y]) configuration, in nats.
+    """Entropies of one (state, X[, Y][, eps]) configuration, in nats.
 
-    The Y side and ``q`` are None when no second basis is given. H(X|B)
-    and irr(X), and H(Y|B) and irr(Y) when present, are checked to be at
-    least -1e-9.
+    The Y side and ``q`` are None when no second basis is given;
+    ``irreality_x_monitored``, irr(X) of the state monitored by Y at
+    strength eps, is None when no eps is given. H(X|B) and irr(X), and
+    each of the others when present, are checked to be at least -1e-9.
     """
 
     h_ab: float
@@ -95,6 +96,7 @@ class EntropyBundle:
     h_y_given_b: float | None = None
     irreality_y: float | None = None
     q: float | None = None
+    irreality_x_monitored: float | None = None
 
     def __post_init__(self):
         for label, value in (
@@ -102,6 +104,7 @@ class EntropyBundle:
             ("irreality of X", self.irreality_x),
             ("H(Y|B)", self.h_y_given_b),
             ("irreality of Y", self.irreality_y),
+            ("irreality of monitored X", self.irreality_x_monitored),
         ):
             if value is not None and value < -1e-9:
                 raise InvariantViolation(f"{label} {value:.3e} below -1e-9")
@@ -115,12 +118,19 @@ def entropy_bundle(
     x: ObservableBasis, rho: BipartiteState, y: ObservableBasis | None = None
 ) -> EntropyBundle:
     """Evaluate the shared entropies once; the Y side only when ``y`` is given."""
-    return _bundle(x, y, _configuration_entropies([x] if y is None else [x, y], [rho])[0].tolist())
+    return _bundle(x, y, rho)
 
 
-def _bundle(x: ObservableBasis, y: ObservableBasis | None, row: list[float]) -> EntropyBundle:
-    """The bundle of one ``_configuration_entropies`` row: S(rho_B), S(rho), S of rho dephased in x[, y]."""
-    h_b, h_ab, h_xb, *y_side = row
+def _bundle(
+    x: ObservableBasis, y: ObservableBasis | None, rho: BipartiteState, eps: float | None = None
+) -> EntropyBundle:
+    """Every entropy of the configuration, from one ``_configuration_entropies`` call.
+
+    The call covers ``rho`` and, when ``eps`` is given, ``monitor(y, eps, rho)``.
+    """
+    states = [rho] if eps is None else [rho, monitor(y, eps, rho)]
+    rows = _configuration_entropies([x] if y is None else [x, y], states).tolist()
+    h_b, h_ab, h_xb, *y_side = rows[0]
     h_yb = y_side[0] if y_side else None
     return EntropyBundle(
         h_ab=h_ab,
@@ -130,22 +140,22 @@ def _bundle(x: ObservableBasis, y: ObservableBasis | None, row: list[float]) -> 
         h_y_given_b=None if h_yb is None else h_yb - h_b,
         irreality_y=None if h_yb is None else h_yb - h_ab,
         q=None if y is None else mu_bound(x, y),
+        irreality_x_monitored=None if eps is None else rows[1][2] - rows[1][1],
     )
 
 
 class Relation(NamedTuple):
     """One row of the relation table.
 
-    ``fn`` takes the configuration's ``EntropyBundle`` and, when
-    ``needs_eps``, irr(X) of the state monitored by Y at strength eps. It
-    returns the residual of an identity or the (lhs, rhs) of an inequality
-    lhs >= rhs.
+    ``fn`` takes the configuration's ``EntropyBundle`` and returns the
+    residual of an identity or the (lhs, rhs) of an inequality lhs >= rhs.
+    A row that ``needs_eps`` reads the bundle's ``irreality_x_monitored``.
     """
 
     name: str
     kind: str  # "identity" | "inequality"
     needs_eps: bool
-    fn: Callable[..., float | tuple[float, float]]
+    fn: Callable[[EntropyBundle], float | tuple[float, float]]
 
 
 def _max_gap(*values: float) -> float:
@@ -171,7 +181,7 @@ RELATIONS: dict[str, Relation] = {
                  lambda b: (b.h_x_given_b + b.irreality_x + b.h_y_given_b + b.irreality_y,
                             2.0 * b.q)),
         Relation("eq16", "inequality", True,
-                 lambda b, irreality_x_monitored: (irreality_x_monitored + b.h_y_given_b, b.q)),
+                 lambda b: (b.irreality_x_monitored + b.h_y_given_b, b.q)),
     )
 }
 
@@ -201,8 +211,8 @@ def check_mixed_ur(
     x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
 ) -> tuple[InequalityReport, InequalityReport]:
     """eq9, the mixed uncertainty/irreality bound, and ``eq9_swapped``, H(X|B) + irr(Y) >= q."""
-    b = entropy_bundle(x, rho, y)
-    eq9 = evaluate_relations(["eq9"], x, y, rho, tol=tol, bundle=b)["eq9"]
+    b = _bundle(x, y, rho)
+    eq9 = _reports([RELATIONS["eq9"]], b, tol)["eq9"]
     return eq9, InequalityReport("eq9_swapped", b.h_x_given_b + b.irreality_y, b.q, tol)
 
 
@@ -257,40 +267,27 @@ def evaluate_relations(
     rho: BipartiteState,
     eps: float | None = None,
     tol: float = DEFAULT_TOL,
-    bundle: EntropyBundle | None = None,
 ) -> dict[str, Report]:
     """Evaluate the named relations on one configuration, sharing entropies.
 
-    ``eps`` is required iff one of the names needs a monitoring strength.
-    A caller that already holds ``entropy_bundle(x, rho, y)`` may pass it
-    as ``bundle`` to skip evaluating it again. Otherwise, when a relation
-    needs eps, the bundle and irr(X) of the monitored state come from one
-    ``_configuration_entropies`` call on both states.
+    ``eps`` is required iff one of the names needs a monitoring strength,
+    and is used only then. Every entropy comes from one bundle, taken on
+    ``rho`` and, for such a name, on ``rho`` monitored by Y at ``eps``.
     """
     rows = [lookup_relation(name) for name in names]
-    for row in rows:
-        if row.needs_eps and eps is None:
-            raise ConfigError(f"relation {row.name} needs a monitoring strength eps")
-    irreality_x_monitored = None
-    if any(row.needs_eps for row in rows):
-        if bundle is None:
-            state_row, monitored_row = _configuration_entropies(
-                [x, y], [rho, monitor(y, eps, rho)]
-            ).tolist()
-            bundle = _bundle(x, y, state_row)
-            irreality_x_monitored = monitored_row[2] - monitored_row[1]
-        else:
-            irreality_x_monitored = irreality(x, monitor(y, eps, rho))
-    if bundle is None:
-        bundle = entropy_bundle(x, rho, y)
-    reports: dict[str, Report] = {}
-    for row in rows:
-        value = row.fn(bundle, irreality_x_monitored) if row.needs_eps else row.fn(bundle)
-        if row.kind == "identity":
-            reports[row.name] = IdentityReport(row.name, value, tol)
-        else:
-            reports[row.name] = InequalityReport(row.name, *value, tol)
-    return reports
+    monitored = [row.name for row in rows if row.needs_eps]
+    if monitored and eps is None:
+        raise ConfigError(f"relation {monitored[0]} needs a monitoring strength eps")
+    return _reports(rows, _bundle(x, y, rho, eps if monitored else None), tol)
+
+
+def _reports(rows, bundle: EntropyBundle, tol: float) -> dict[str, Report]:
+    """The report of each relation row on one bundle, by name."""
+    return {
+        row.name: IdentityReport(row.name, row.fn(bundle), tol) if row.kind == "identity"
+        else InequalityReport(row.name, *row.fn(bundle), tol)
+        for row in rows
+    }
 
 
 def evaluate_point(

@@ -36,8 +36,10 @@ class BipartiteState:
 
     Construction validates Hermiticity (defect <= 1e-10, then symmetrizes),
     unit trace (<= 1e-10), and positivity (smallest eigenvalue >= -1e-10).
-    The eigenvalues found during validation are kept in ``spectrum``
-    (ascending); every entropy downstream needs only those.
+    Each check runs once: the symmetrized matrix goes straight to the
+    Jacobi kernel. The eigenvalues found during validation are kept in
+    ``spectrum`` (ascending), with the bits of ``herm_eig(rho)``; every
+    entropy downstream needs only those.
     """
 
     d_a: int
@@ -47,7 +49,7 @@ class BipartiteState:
 
     def __post_init__(self):
         rho = _checked_matrix(self.d_a, self.d_b, self.rho)
-        _settle(self, rho, linalg.herm_eig(rho).eigenvalues)
+        _settle(self, rho, linalg._stack_eigenvalues(rho[None].copy(), "{n}x{n} matrix")[0])
 
     @property
     def dim(self) -> int:

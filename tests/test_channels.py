@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qir.channels import _frame, dephase, dephased_blocks, monitor, monitor_n
+from qir.channels import (
+    _dephased_matrix,
+    _frame,
+    _monitored_matrix,
+    dephase,
+    dephased_blocks,
+    monitor,
+    monitor_n,
+)
 from qir.entropies import irreality, uncertainty
 from qir.errors import DimensionMismatch, OutOfRange
 from qir.relations import mu_bound
@@ -194,6 +202,20 @@ class TestMonitor:
                 assert iterated.rho.tobytes() == chained.rho.tobytes(), (i, n)
                 assert iterated.spectrum.tobytes() == chained.spectrum.tobytes(), (i, n)
         assert monitor_n(y, 0.0, 3, state) is state
+
+    def test_monitor_is_bitwise_the_constructed_state(self):
+        # monitor is the strength grid of one; the state it returns is the
+        # one the constructor builds from the dense monitored matrix
+        dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
+        for k, (d_a, d_b) in enumerate(dims):
+            for state in (random_mixed(d_a, d_b, d_a * d_b, (310, k)), haar_random_pure(d_a, d_b, (311, k))):
+                y = random_basis(d_a, (312, k))
+                for eps in (0.4, 1.0):
+                    dephased = _dephased_matrix(y, state.rho, d_a, d_b)
+                    built = BipartiteState(d_a, d_b, _monitored_matrix(state.rho, dephased, eps))
+                    got = monitor(y, eps, state)
+                    assert got.rho.tobytes() == built.rho.tobytes(), (d_a, d_b, eps)
+                    assert got.spectrum.tobytes() == built.spectrum.tobytes(), (d_a, d_b, eps)
 
     def test_monitor_n_edge_counts(self):
         state, _, y = random_triple(7)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ class TestCampaign:
         cfg = small_config(trials=10)
         _, records = run_campaign_records(cfg)
         assert [(r.d_a, r.d_b) for r in records[:4]] == [(2, 2), (3, 2), (2, 2), (3, 2)]
+
+    def test_trial_errors_name_the_trial(self, monkeypatch):
+        import qir.explore as explore
+
+        def fails_at_3x2(names, x, y, rho, eps=None, tol=None):
+            if rho.d_a == 3:
+                raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
+            return {name: evaluate_point(name, x, y, rho, eps=eps, tol=tol) for name in names}
+
+        monkeypatch.setattr(explore, "evaluate_relations", fails_at_3x2)
+        cfg = small_config(trials=3)
+        eps = _trial_inputs(cfg, 1)[3]
+        expected = f"trial 1 at (d_A, d_B) = (3, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
+            run_campaign_records(cfg, workers=1)
+        expected = "trial 1 at (d_A, d_B) = (3, 2): H(X|B) -1.000e-06 below -1e-9"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
+            run_campaign_records(small_config(trials=3, relations=("eq5",)), workers=1)
 
 
 class TestSweep:

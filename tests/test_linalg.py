@@ -196,3 +196,26 @@ class TestHermEigStack:
             linalg.herm_eig_stack(ms)
         with pytest.raises(DimensionMismatch):
             linalg.herm_eig_stack(ms[0])
+
+    def test_kernel_entry_follows_the_stack_size(self, rng, monkeypatch):
+        # a stack of one runs the loop kernel, any larger stack the stacked one
+        calls = []
+        single, stacked = linalg.backend.jacobi_eigh, linalg.backend.jacobi_eigh_stack
+
+        def counting_single(a, v, max_rotations):
+            calls.append(("jacobi_eigh", a.shape))
+            return single(a, v, max_rotations)
+
+        def counting_stacked(a, v, max_rotations):
+            calls.append(("jacobi_eigh_stack", a.shape))
+            return stacked(a, v, max_rotations)
+
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh", counting_single)
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", counting_stacked)
+        ms = np.array([random_hermitian(rng, 3) for _ in range(2)])
+        one = linalg.herm_eig_stack(ms[:1])
+        assert calls == [("jacobi_eigh", (3, 3))]
+        calls.clear()
+        two = linalg.herm_eig_stack(ms)
+        assert calls == [("jacobi_eigh_stack", (2, 3, 3))]
+        assert one[0].tobytes() == two[0].tobytes()

@@ -38,6 +38,7 @@ from qir.states import (
 )
 
 LN2 = math.log(2.0)
+ACCEPTANCE_DIMS = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
 
 
 def random_config(i, d_a=2, d_b=2):
@@ -294,15 +295,26 @@ class TestRegistry:
                 assert evaluate_relations((name,), x, y, state)[name] == report
 
     def test_evaluate_matches_individual_checks(self):
-        state, x, y = random_config(11)
-        reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=0.4)
-        assert reports["eq5"].slack == check_memory_ur(x, y, state).slack
-        assert reports["eq7"].residual == check_constraint1(x, state).residual
-        assert reports["eq8"].residual == check_constraint2(x, y, state).residual
-        assert reports["eq9"].slack == check_mixed_ur(x, y, state)[0].slack
-        assert reports["eq10"].slack == check_irreality_ur(x, y, state).slack
-        assert reports["eq11"].slack == check_combined_ur(x, y, state).slack
-        assert abs(reports["eq16"].slack - check_monitor_bound(x, y, 0.4, state).slack) <= 1e-12
+        tol = 1e-9
+        for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
+            for state in (random_mixed(d_a, d_b, d_a * d_b, (80, k)), haar_random_pure(d_a, d_b, (81, k))):
+                x, y = random_basis(d_a, (82, k)), random_basis(d_a, (83, k))
+                for eps in (0.0, 0.4, 1.0):
+                    reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=eps, tol=tol)
+                    assert reports["eq5"].slack == check_memory_ur(x, y, state).slack
+                    assert reports["eq7"].residual == check_constraint1(x, state).residual
+                    assert reports["eq8"].residual == check_constraint2(x, y, state).residual
+                    assert reports["eq9"].slack == check_mixed_ur(x, y, state)[0].slack
+                    assert reports["eq10"].slack == check_irreality_ur(x, y, state).slack
+                    assert reports["eq11"].slack == check_combined_ur(x, y, state).slack
+                    # the retired per-state route to eq16, compared by repr: every float to the bit
+                    retired = InequalityReport(
+                        "eq16",
+                        irreality(x, monitor(y, eps, state)) + entropy_bundle(x, state, y).h_y_given_b,
+                        mu_bound(x, y),
+                        tol,
+                    )
+                    assert repr(reports["eq16"]) == repr(retired), (d_a, d_b, eps)
 
     def test_report_slack_sign_convention(self):
         state, x, y = random_config(12)
