@@ -47,13 +47,6 @@ from .relations import (
     IdentityReport,
     InequalityReport,
     RELATIONS,
-    check_combined_ur,
-    check_constraint1,
-    check_constraint2,
-    check_irreality_ur,
-    check_memory_ur,
-    check_mixed_ur,
-    check_monitor_bound,
     entropy_bundle,
     evaluate_relations,
     mu_bound,
@@ -117,13 +110,6 @@ __all__ = [
     "IdentityReport",
     "InequalityReport",
     "RELATIONS",
-    "check_combined_ur",
-    "check_constraint1",
-    "check_constraint2",
-    "check_irreality_ur",
-    "check_memory_ur",
-    "check_mixed_ur",
-    "check_monitor_bound",
     "entropy_bundle",
     "evaluate_relations",
     "mu_bound",

@@ -124,11 +124,9 @@ def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> Bi
     """
     if n < 0:
         raise OutOfRange(f"repetition count must be >= 0, got {n}")
-    if n == 0:
-        return rho
     eps = _check_strength(eps)
     _check_pair(y, rho)
-    if eps == 0.0:
+    if n == 0 or eps == 0.0:
         return rho
     m = rho.rho
     for _ in range(n):

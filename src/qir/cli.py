@@ -32,7 +32,7 @@ from .explore import (
     monitoring_sweep,
     run_campaign_records,
 )
-from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_point, report_slack
+from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_relations, report_slack
 from .serialize import fmt_nats
 from .states import (
     basis_from_token,
@@ -242,10 +242,11 @@ def _load_json(path: str) -> dict:
 def _replay(path: str, tol_override: float | None) -> int:
     tol = resolve_tol(tol_override)
     point = serialize.argmin_from_dict(_load_json(path))
-    report = evaluate_point(
-        point["relation"], point["x"], point["y"], point["state"], eps=point["eps"], tol=tol
+    name = point["relation"]
+    reports = evaluate_relations(
+        (name,), point["x"], point["y"], point["state"], eps=point["eps"], tol=tol
     )
-    slack = report_slack(report)
+    slack = report_slack(reports[name])
     drift = abs(slack - point["best_slack"])
     print(f"relation {point['relation']}: stored slack {fmt_nats(point['best_slack'])}")
     print(f"replayed slack {fmt_nats(slack)} (drift {drift:.3e})")

@@ -32,7 +32,6 @@ from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
-    evaluate_point,
     evaluate_relations,
     lookup_relation,
     mu_bound,
@@ -392,7 +391,7 @@ def minimize_slack(
         if decoded is None:
             return 1e3
         state, x, y, eps = decoded
-        value = evaluate_point(relation, x, y, state, eps=eps, tol=tol).slack
+        value = evaluate_relations((relation,), x, y, state, eps=eps, tol=tol)[relation].slack
         if value < best_value:
             best_value = value
             best_theta = theta.copy()
@@ -421,7 +420,8 @@ def minimize_slack(
     if decoded is None:
         raise ConfigError("search never produced a decodable point")
     state, x, y, eps = decoded
-    best_slack = float(evaluate_point(relation, x, y, state, eps=eps, tol=tol).slack)
+    best = evaluate_relations((relation,), x, y, state, eps=eps, tol=tol)[relation]
+    best_slack = float(best.slack)
     if best_slack < -tol:
         raise TheoremViolation(
             f"{relation} slack {best_slack:.3e} below -{tol:.1e}; "

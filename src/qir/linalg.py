@@ -19,7 +19,7 @@ from . import backend
 from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian
 
 HERMITICITY_TOL = 1e-10
-ROTATION_BUDGET = 100  # default Jacobi rotations per matrix entry
+ROTATION_BUDGET = 100  # Jacobi rotations per matrix entry
 
 
 def as_operator(m) -> np.ndarray:
@@ -78,16 +78,16 @@ def _symmetrized(a: np.ndarray, label: str) -> np.ndarray:
     return np.ascontiguousarray((a + adjoint) / 2.0)
 
 
-def herm_eig(m, max_rotations: int | None = None) -> EigenDecomposition:
+def herm_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
 
     The input may deviate from exact Hermiticity by at most 1e-10 in any
     entry (it is symmetrized before diagonalization); a larger defect
-    raises ``NotHermitian``. The rotation budget defaults to 100 * dim**2;
+    raises ``NotHermitian``. The rotation budget is 100 * dim**2;
     exceeding it raises ``NoConvergence``.
     """
     work = _symmetrized(as_operator(m)[None], "{n}x{n} matrix")
-    vecs = _jacobi(work, "{n}x{n} matrix", max_rotations)[0]
+    vecs = _jacobi(work, "{n}x{n} matrix")[0]
     w = np.diag(work[0]).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
@@ -122,21 +122,20 @@ def _stack_eigenvalues(work: np.ndarray, label: str = "slice {i} ({n}x{n})") -> 
     return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
 
 
-def _jacobi(work: np.ndarray, label: str, max_rotations: int | None = None) -> np.ndarray:
+def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
     """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
 
     The one caller of the kernel. A stack of one runs ``jacobi_eigh``, which
     is the faster entry for a single matrix; any other stack runs
     ``jacobi_eigh_stack``. Both give a slice the same bits. Returns the
     eigenvector stack, columns in the order of the diagonals of ``work``.
-    The budget defaults to 100 * n**2 rotations per slice. A slice that
+    The budget is 100 * n**2 rotations per slice. A slice that
     exceeds it raises ``NoConvergence``; ``label.format(i=slice, n=n)``
     names it.
     """
     k, n = work.shape[0], work.shape[1]
     vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
-    if max_rotations is None:
-        max_rotations = ROTATION_BUDGET * n * n
+    max_rotations = ROTATION_BUDGET * n * n
     if k == 1:
         rotations, converged = backend.jacobi_eigh(work[0], vecs[0], max_rotations)
         rotations, converged = [rotations], [converged]

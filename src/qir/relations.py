@@ -12,7 +12,12 @@ configs accept:
     eq11  sum of all four terms >= 2q        combined four-term bound
     eq16  irr(X | monitored by Y) + H(Y|B) >= q
 
-with q = -2 ln c the maximum-overlap bound for the basis pair.
+with q = -2 ln c the maximum-overlap bound for the basis pair. eq9 with X
+and Y exchanged is the swapped ordering, H(X|B) + irr(Y) >= q.
+
+``evaluate_relations`` is the one way to evaluate them: it takes the
+names, one configuration (state, X, Y and, for eq16, a strength eps) and
+returns a report per name, all from one ``EntropyBundle``.
 """
 
 from __future__ import annotations
@@ -149,11 +154,13 @@ class Relation(NamedTuple):
 
     ``fn`` takes the configuration's ``EntropyBundle`` and returns the
     residual of an identity or the (lhs, rhs) of an inequality lhs >= rhs.
-    A row that ``needs_eps`` reads the bundle's ``irreality_x_monitored``.
+    A row that ``needs_y`` reads the Y side of the bundle, and one that
+    ``needs_eps`` its ``irreality_x_monitored``.
     """
 
     name: str
     kind: str  # "identity" | "inequality"
+    needs_y: bool
     needs_eps: bool
     fn: Callable[[EntropyBundle], float | tuple[float, float]]
 
@@ -166,83 +173,24 @@ def _max_gap(*values: float) -> float:
 RELATIONS: dict[str, Relation] = {
     row.name: row
     for row in (
-        Relation("eq5", "inequality", False,
+        Relation("eq5", "inequality", True, False,
                  lambda b: (b.h_x_given_b + b.h_y_given_b, b.q + b.h_a_given_b)),
-        Relation("eq7", "identity", False,
+        Relation("eq7", "identity", False, False,
                  lambda b: abs(b.irreality_x - (b.h_x_given_b - b.h_a_given_b))),
-        Relation("eq8", "identity", False,
+        Relation("eq8", "identity", True, False,
                  lambda b: _max_gap(b.h_x_given_b - b.irreality_x,
                                     b.h_y_given_b - b.irreality_y, b.h_a_given_b)),
-        Relation("eq9", "inequality", False,
+        Relation("eq9", "inequality", True, False,
                  lambda b: (b.irreality_x + b.h_y_given_b, b.q)),
-        Relation("eq10", "inequality", False,
+        Relation("eq10", "inequality", True, False,
                  lambda b: (b.irreality_x + b.irreality_y, b.q - b.h_a_given_b)),
-        Relation("eq11", "inequality", False,
+        Relation("eq11", "inequality", True, False,
                  lambda b: (b.h_x_given_b + b.irreality_x + b.h_y_given_b + b.irreality_y,
                             2.0 * b.q)),
-        Relation("eq16", "inequality", True,
+        Relation("eq16", "inequality", True, True,
                  lambda b: (b.irreality_x_monitored + b.h_y_given_b, b.q)),
     )
 }
-
-
-def check_memory_ur(
-    x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """eq5, the memory-assisted uncertainty relation."""
-    return evaluate_point("eq5", x, y, rho, tol=tol)
-
-
-def check_constraint1(
-    x: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> IdentityReport:
-    """eq7, the linear constraint (an identity)."""
-    return evaluate_point("eq7", x, None, rho, tol=tol)
-
-
-def check_constraint2(
-    x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> IdentityReport:
-    """eq8, the cross constraint (an identity)."""
-    return evaluate_point("eq8", x, y, rho, tol=tol)
-
-
-def check_mixed_ur(
-    x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> tuple[InequalityReport, InequalityReport]:
-    """eq9, the mixed uncertainty/irreality bound, and ``eq9_swapped``, H(X|B) + irr(Y) >= q."""
-    b = _bundle(x, y, rho)
-    eq9 = _reports([RELATIONS["eq9"]], b, tol)["eq9"]
-    return eq9, InequalityReport("eq9_swapped", b.h_x_given_b + b.irreality_y, b.q, tol)
-
-
-def check_irreality_ur(
-    x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """eq10, the two-observable irreality bound."""
-    return evaluate_point("eq10", x, y, rho, tol=tol)
-
-
-def check_combined_ur(
-    x: ObservableBasis, y: ObservableBasis, rho: BipartiteState, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """eq11, the combined four-term bound."""
-    return evaluate_point("eq11", x, y, rho, tol=tol)
-
-
-def check_monitor_bound(
-    x: ObservableBasis,
-    y: ObservableBasis,
-    eps: float,
-    rho: BipartiteState,
-    tol: float = DEFAULT_TOL,
-) -> InequalityReport:
-    """eq16, the monitored irreality bound, at monitoring strength ``eps``.
-
-    H(Y|B) is evaluated on the original state; monitoring by Y leaves it
-    unchanged, so this matches evaluating everything on the monitored state.
-    """
-    return evaluate_point("eq16", x, y, rho, eps=eps, tol=tol)
 
 
 def lookup_relation(name: str) -> Relation:
@@ -270,14 +218,19 @@ def evaluate_relations(
 ) -> dict[str, Report]:
     """Evaluate the named relations on one configuration, sharing entropies.
 
-    ``eps`` is required iff one of the names needs a monitoring strength,
-    and is used only then. Every entropy comes from one bundle, taken on
-    ``rho`` and, for such a name, on ``rho`` monitored by Y at ``eps``.
+    ``y`` is required iff one of the names reads Y (all but eq7), and
+    ``eps`` iff one needs a monitoring strength; ``eps`` is used only then.
+    A missing one raises ``ConfigError`` naming the first such relation,
+    before any entropy is taken. Every entropy comes from one bundle, taken
+    on ``rho`` and, for a monitoring name, on ``rho`` monitored by Y at ``eps``.
     """
     rows = [lookup_relation(name) for name in names]
-    monitored = [row.name for row in rows if row.needs_eps]
-    if monitored and eps is None:
-        raise ConfigError(f"relation {monitored[0]} needs a monitoring strength eps")
+    for row in rows:
+        if row.needs_y and y is None:
+            raise ConfigError(f"relation {row.name} needs a second basis y")
+        if row.needs_eps and eps is None:
+            raise ConfigError(f"relation {row.name} needs a monitoring strength eps")
+    monitored = any(row.needs_eps for row in rows)
     return _reports(rows, _bundle(x, y, rho, eps if monitored else None), tol)
 
 
@@ -288,15 +241,3 @@ def _reports(rows, bundle: EntropyBundle, tol: float) -> dict[str, Report]:
         else InequalityReport(row.name, *row.fn(bundle), tol)
         for row in rows
     }
-
-
-def evaluate_point(
-    relation: str,
-    x: ObservableBasis,
-    y: ObservableBasis | None,
-    rho: BipartiteState,
-    eps: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Evaluate a single relation on a fully specified configuration."""
-    return evaluate_relations([relation], x, y, rho, eps=eps, tol=tol)[relation]

@@ -44,6 +44,8 @@ def matrix_from_dict(d: dict) -> np.ndarray:
         im = np.asarray(d["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad matrix object: {exc}") from exc
+    if dim < 1:
+        raise ConfigError(f"bad matrix object: dim must be >= 1, got {dim}")
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise ConfigError(f"matrix entry counts do not match dim {dim}")
     return (re + 1j * im).reshape(dim, dim)

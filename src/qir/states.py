@@ -48,8 +48,8 @@ class BipartiteState:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = _checked_matrix(self.d_a, self.d_b, self.rho)
-        _settle(self, rho, linalg._stack_eigenvalues(rho[None].copy(), "{n}x{n} matrix")[0])
+        rhos = _checked_stack(self.d_a, self.d_b, np.asarray(self.rho, dtype=np.complex128)[None])
+        _settle(self, rhos[0], linalg._stack_eigenvalues(rhos.copy(), "{n}x{n} matrix")[0])
 
     @property
     def dim(self) -> int:
@@ -63,25 +63,6 @@ class BipartiteState:
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
-
-
-def _checked_matrix(d_a: int, d_b: int, m) -> np.ndarray:
-    """The constructor's checks that come before the spectrum; returns the symmetrized matrix."""
-    if d_a < 2:
-        raise BadDimension(f"d_a must be >= 2, got {d_a}")
-    if d_b < 1:
-        raise BadDimension(f"d_b must be >= 1, got {d_b}")
-    rho = linalg.as_operator(m)
-    if rho.shape[0] != d_a * d_b:
-        raise DimensionMismatch(f"matrix dim {rho.shape[0]} != d_a*d_b = {d_a * d_b}")
-    defect = float(np.abs(rho - rho.conj().T).max())
-    if defect > HERMITICITY_TOL:
-        raise InvariantViolation(f"({d_a}, {d_b}) state not Hermitian (defect {defect:.3e})")
-    rho = (rho + rho.conj().T) / 2.0
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvariantViolation(f"({d_a}, {d_b}) state trace {tr!r} != 1")
-    return rho
 
 
 def _settle(state: BipartiteState, rho: np.ndarray, spectrum: np.ndarray) -> None:
@@ -98,28 +79,47 @@ def _settle(state: BipartiteState, rho: np.ndarray, spectrum: np.ndarray) -> Non
 
 
 def _checked_stack(d_a: int, d_b: int, matrices) -> np.ndarray:
-    """``_checked_matrix`` for each matrix of a stack, in one broadcast.
+    """The constructor's checks that come before the spectrum, on a ``(k, n, n)`` stack.
 
-    Only if a check fails does each matrix go through ``_checked_matrix``,
-    so that the error is the constructor's for the first bad one.
+    Returns the symmetrized stack. The checks run in one broadcast; a
+    failure raises the error of the first bad matrix, for the first check
+    it fails: dims, shape, finiteness, Hermiticity (defect <= 1e-10), trace.
     """
-    n = d_a * d_b
+    if d_a < 2:
+        raise BadDimension(f"d_a must be >= 2, got {d_a}")
+    if d_b < 1:
+        raise BadDimension(f"d_b must be >= 1, got {d_b}")
     ms = np.asarray(matrices, dtype=np.complex128)
-    if d_a >= 2 and d_b >= 1 and ms.ndim == 3 and ms.shape[1:] == (n, n) and np.isfinite(ms).all():
-        adjoint = ms.conj().transpose(0, 2, 1)
-        rhos = (ms + adjoint) / 2.0
-        traces = np.trace(rhos, axis1=1, axis2=2)
-        if (np.abs(ms - adjoint).max(initial=0.0) <= HERMITICITY_TOL
-                and (np.abs(traces - 1.0) <= TRACE_TOL).all()):
-            return rhos
-    return np.array([_checked_matrix(d_a, d_b, m) for m in matrices])
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {ms.shape[1:]}")
+    adjoint = ms.conj().transpose(0, 2, 1)
+    # a non-finite entry makes its matrix's defect nan or inf, so that matrix fails here
+    defects = np.abs(ms - adjoint).max(axis=(1, 2), initial=0.0)
+    rhos = (ms + adjoint) / 2.0
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    fine = ((ms.shape[1] == d_a * d_b) & (defects <= HERMITICITY_TOL)
+            & (np.abs(traces - 1.0) <= TRACE_TOL))
+    if not fine.all():
+        i = int(fine.argmin())
+        if not np.isfinite(ms[i]).all():
+            raise InvariantViolation("matrix contains non-finite entries")
+        if ms.shape[1] != d_a * d_b:
+            raise DimensionMismatch(f"matrix dim {ms.shape[1]} != d_a*d_b = {d_a * d_b}")
+        if defects[i] > HERMITICITY_TOL:
+            raise InvariantViolation(
+                f"({d_a}, {d_b}) state not Hermitian (defect {defects[i]:.3e})"
+            )
+        raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(traces[i])!r} != 1")
+    return rhos
 
 
 def _states_from_stack(d_a: int, d_b: int, matrices) -> list[BipartiteState]:
     """States of the given dims, validated as the constructor does, spectra in one stacked call."""
+    if not len(matrices):
+        return []
     rhos = _checked_stack(d_a, d_b, matrices)
     # the checks above are herm_eig_stack's, and symmetrizing rhos again gives its bits back
-    spectra = linalg._stack_eigenvalues(rhos.copy()) if len(rhos) else ()
+    spectra = linalg._stack_eigenvalues(rhos.copy())
     states = []
     for rho, spectrum in zip(rhos, spectra):
         state = object.__new__(BipartiteState)

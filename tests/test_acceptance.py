@@ -15,7 +15,7 @@ from qir.channels import dephase, monitor, monitor_n
 from qir.entropies import irreality, relative_entropy, uncertainty
 from qir.explore import CampaignConfig, minimize_slack, run_campaign_records
 from qir.linalg import herm_eig
-from qir.relations import check_combined_ur, evaluate_point, mu_bound
+from qir.relations import evaluate_relations, mu_bound
 from qir.states import (
     computational_basis,
     fourier_basis,
@@ -47,7 +47,7 @@ def test_criterion_1_saturation_maximally_entangled():
     irr_y = irreality(y, bell)
     assert abs(h_x) <= 1e-9 and abs(h_y) <= 1e-9
     assert abs(irr_x - LN2) <= 1e-9 and abs(irr_y - LN2) <= 1e-9
-    report = check_combined_ur(x, y, bell)
+    report = evaluate_relations(["eq11"], x, y, bell)["eq11"]
     assert abs(report.lhs - 2.0 * mu_bound(x, y)) <= 1e-9
     elapsed = _elapsed(t0)
     assert elapsed < 1.0
@@ -64,7 +64,7 @@ def test_criterion_2_saturation_maximally_mixed():
     assert abs(irreality(x, mixed)) <= 1e-9 and abs(irreality(y, mixed)) <= 1e-9
     assert abs(uncertainty(x, mixed) - LN2) <= 1e-9
     assert abs(uncertainty(y, mixed) - LN2) <= 1e-9
-    report = check_combined_ur(x, y, mixed)
+    report = evaluate_relations(["eq11"], x, y, mixed)["eq11"]
     assert abs(report.slack) <= 1e-9
     elapsed = _elapsed(t0)
     assert elapsed < 1.0
@@ -230,9 +230,9 @@ def test_criterion_8_optimizer_reaches_saturation():
 
     payload = serialize.argmin_to_dict(result)
     point = serialize.argmin_from_dict(payload)
-    report = evaluate_point(
-        point["relation"], point["x"], point["y"], point["state"], eps=point["eps"]
-    )
+    report = evaluate_relations(
+        [point["relation"]], point["x"], point["y"], point["state"], eps=point["eps"]
+    )[point["relation"]]
     drift = abs(report.slack - result.best_slack)
     assert drift <= 1e-9
 

@@ -224,6 +224,11 @@ class TestMonitor:
         assert np.abs(one.rho - monitor(y, 0.3, state).rho).max() <= 1e-15
         with pytest.raises(OutOfRange):
             monitor_n(y, 0.3, -1, state)
+        # n = 0 returns the state unchanged, but only for inputs monitor accepts
+        with pytest.raises(OutOfRange, match="monitoring strength must lie in"):
+            monitor_n(y, 5.0, 0, state)
+        with pytest.raises(DimensionMismatch, match="basis dim 3 != state d_a 2"):
+            monitor_n(random_basis(3, 9), 0.3, 0, state)
 
 
 class TestChannelInvariants:

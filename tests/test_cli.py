@@ -148,6 +148,16 @@ class TestSweep:
         values = [float(r[1]) for r in rows]
         assert values[0] > values[-1] >= 0.0
 
+    def test_bad_state_file_exit_2(self, tmp_path, capsys):
+        state_path = tmp_path / "bad.json"
+        state_path.write_text(json.dumps({"dA": 2, "dB": 1, "dim": -1, "re": [1.0], "im": [0.0]}))
+        code = main(
+            ["sweep", "--state", str(state_path), "--x", "comp:2", "--y", "comp:2",
+             "--grid", "0:1:0.5", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad matrix object: dim must be >= 1, got -1\n"
+
     def test_bad_grid_and_token(self, tmp_path):
         out = str(tmp_path / "t.csv")
         args = ["sweep", "--x", "comp:2", "--y", "comp:2", "--out", out]

@@ -19,7 +19,7 @@ from qir.explore import (
     run_campaign_records,
     _trial_inputs,
 )
-from qir.relations import evaluate_point
+from qir.relations import evaluate_relations
 from qir.states import (
     computational_basis,
     fourier_basis,
@@ -127,7 +127,7 @@ class TestCampaign:
         result, records = run_campaign_records(cfg)
         summary = result.relations["eq11"]
         state, x, y, eps = _trial_inputs(cfg, summary.argmin.trial)
-        report = evaluate_point("eq11", x, y, state, eps=eps, tol=cfg.tol)
+        report = evaluate_relations(["eq11"], x, y, state, eps=eps, tol=cfg.tol)["eq11"]
         assert abs(report.slack - summary.min_slack) <= 1e-12
 
     def test_trial_dims_cycle(self):
@@ -141,7 +141,7 @@ class TestCampaign:
         def fails_at_3x2(names, x, y, rho, eps=None, tol=None):
             if rho.d_a == 3:
                 raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
-            return {name: evaluate_point(name, x, y, rho, eps=eps, tol=tol) for name in names}
+            return evaluate_relations(names, x, y, rho, eps=eps, tol=tol)
 
         monkeypatch.setattr(explore, "evaluate_relations", fails_at_3x2)
         cfg = small_config(trials=3)
@@ -319,9 +319,9 @@ class TestMinimize:
     def test_memoryless_mu_saturation(self):
         result = minimize_slack("eq5", 2, 1, restarts=10, seed=3, target=1e-7)
         assert result.best_slack <= 1e-6
-        report = evaluate_point(
-            result.relation, result.x, result.y, result.state, eps=result.eps
-        )
+        report = evaluate_relations(
+            [result.relation], result.x, result.y, result.state, eps=result.eps
+        )[result.relation]
         assert abs(report.slack - result.best_slack) <= 1e-9
 
     def test_monitored_relation_carries_eps(self):
@@ -349,9 +349,9 @@ class TestMinimize:
 
         result = minimize_slack("eq9", 3, 3, restarts=1, seed=5, max_evals=400)
         point = serialize.argmin_from_dict(serialize.argmin_to_dict(result))
-        replayed = evaluate_point(
-            point["relation"], point["x"], point["y"], point["state"], eps=point["eps"]
-        )
+        replayed = evaluate_relations(
+            [point["relation"]], point["x"], point["y"], point["state"], eps=point["eps"]
+        )[point["relation"]]
         assert abs(replayed.slack - result.best_slack) <= 1e-9
         assert result.best_slack >= -1e-9
 

@@ -152,10 +152,18 @@ class TestHermEig:
         eig = linalg.herm_eig(perturbed)
         assert np.abs(eig.eigenvalues - linalg.herm_eig(m).eigenvalues).max() <= 1e-10
 
-    def test_no_convergence_on_tiny_budget(self, rng):
+    def test_no_convergence_on_tiny_budget(self, rng, monkeypatch):
         m = random_hermitian(rng, 4)
+        budgets = []
+
+        def stalls_after_one_rotation(a, v, max_rotations):
+            budgets.append(max_rotations)
+            return 1, False
+
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh", stalls_after_one_rotation)
         with pytest.raises(NoConvergence, match=r"4x4 matrix: .* after 1 rotations"):
-            linalg.herm_eig(m, max_rotations=1)
+            linalg.herm_eig(m)
+        assert budgets == [100 * 4 * 4]
 
 
 class TestHermEigStack:

@@ -13,13 +13,6 @@ from qir.relations import (
     RELATIONS,
     IdentityReport,
     InequalityReport,
-    check_combined_ur,
-    check_constraint1,
-    check_constraint2,
-    check_irreality_ur,
-    check_memory_ur,
-    check_mixed_ur,
-    check_monitor_bound,
     entropy_bundle,
     evaluate_relations,
     mu_bound,
@@ -94,56 +87,58 @@ class TestNamedCases:
         self.mixed = max_mixed(2, 2)
 
     def test_memory_ur_saturates(self):
-        r = check_memory_ur(self.x, self.y, self.bell)
+        r = evaluate_relations(["eq5"], self.x, self.y, self.bell)["eq5"]
         assert abs(r.lhs) <= 1e-9 and abs(r.rhs) <= 1e-9 and abs(r.slack) <= 1e-9
-        r = check_memory_ur(self.x, self.y, self.mixed)
+        r = evaluate_relations(["eq5"], self.x, self.y, self.mixed)["eq5"]
         assert abs(r.lhs - 2 * LN2) <= 1e-9 and abs(r.slack) <= 1e-9
 
     def test_constraint1_values(self):
-        r = check_constraint1(self.x, self.bell)
+        r = evaluate_relations(["eq7"], self.x, None, self.bell)["eq7"]
         assert r.residual <= 1e-9 and r.holds
-        r = check_constraint1(self.x, self.mixed)
+        r = evaluate_relations(["eq7"], self.x, None, self.mixed)["eq7"]
         assert r.residual <= 1e-9
 
     def test_constraint2_values(self):
-        r = check_constraint2(self.x, self.y, self.bell)
+        r = evaluate_relations(["eq8"], self.x, self.y, self.bell)["eq8"]
         assert r.residual <= 1e-9
         # both sides equal H(A|B) = -ln 2 on the maximally entangled state
         assert abs(cond_entropy(self.bell) + LN2) <= 1e-9
 
     def test_constraint2_same_observable(self):
         state, x, _ = random_config(21, 3, 2)
-        assert check_constraint2(x, x, state).residual <= 1e-12
+        assert evaluate_relations(["eq8"], x, x, state)["eq8"].residual <= 1e-12
 
     def test_mixed_ur_saturates(self):
-        r1, r2 = check_mixed_ur(self.x, self.y, self.bell)
+        # r2 is the swapped ordering, H(X|B) + irr(Y) >= q: eq9 with X and Y exchanged
+        r1 = evaluate_relations(["eq9"], self.x, self.y, self.bell)["eq9"]
+        r2 = evaluate_relations(["eq9"], self.y, self.x, self.bell)["eq9"]
         assert abs(r1.lhs - LN2) <= 1e-9 and abs(r1.slack) <= 1e-9
         assert abs(r1.lhs - r2.lhs) <= 1e-9
-        r1, _ = check_mixed_ur(self.x, self.y, self.mixed)
+        r1 = evaluate_relations(["eq9"], self.x, self.y, self.mixed)["eq9"]
         assert abs(r1.slack) <= 1e-9
 
     def test_irreality_ur_saturates(self):
-        r = check_irreality_ur(self.x, self.y, self.bell)
+        r = evaluate_relations(["eq10"], self.x, self.y, self.bell)["eq10"]
         assert abs(r.lhs - 2 * LN2) <= 1e-9 and abs(r.slack) <= 1e-9
-        r = check_irreality_ur(self.x, self.y, self.mixed)
+        r = evaluate_relations(["eq10"], self.x, self.y, self.mixed)["eq10"]
         assert abs(r.lhs) <= 1e-9 and abs(r.slack) <= 1e-9
 
     def test_combined_ur_saturates_both_cases(self):
         for state in (self.bell, self.mixed):
-            r = check_combined_ur(self.x, self.y, state)
+            r = evaluate_relations(["eq11"], self.x, self.y, state)["eq11"]
             assert abs(r.slack) <= 1e-9
             assert abs(r.rhs - 2 * LN2) <= 1e-9
 
     def test_monitor_bound_fully_complementary(self):
         for eps in (0.0, 0.3, 1.0):
-            r = check_monitor_bound(self.x, self.y, eps, self.bell)
+            r = evaluate_relations(["eq16"], self.x, self.y, self.bell, eps=eps)["eq16"]
             # irreality stays pinned at ln 2 when q is maximal and H(Y|B) = 0
             assert abs(r.lhs - LN2) <= 1e-9 and abs(r.slack) <= 1e-9
 
     def test_monitor_bound_eps_zero_reduces_to_mixed_ur(self):
         state, x, y = random_config(3)
-        r_mon = check_monitor_bound(x, y, 0.0, state)
-        r_mix, _ = check_mixed_ur(x, y, state)
+        reports = evaluate_relations(["eq16", "eq9"], x, y, state, eps=0.0)
+        r_mon, r_mix = reports["eq16"], reports["eq9"]
         assert abs(r_mon.lhs - r_mix.lhs) <= 1e-12
         assert r_mon.rhs == r_mix.rhs
 
@@ -151,12 +146,12 @@ class TestNamedCases:
 class TestWernerCase:
     def test_constraint1_werner_values(self):
         x = computational_basis(2)
-        r = check_constraint1(x, werner(0.5))
+        r = evaluate_relations(["eq7"], x, None, werner(0.5))["eq7"]
         assert r.residual <= 1e-9
         assert abs(irreality(x, werner(0.5)) - 0.181939) <= 1e-6
 
     def test_irreality_ur_nonnegative(self):
-        r = check_irreality_ur(computational_basis(2), fourier_basis(2), werner(0.5))
+        r = evaluate_relations(["eq10"], computational_basis(2), fourier_basis(2), werner(0.5))["eq10"]
         assert r.slack >= -1e-9
 
 
@@ -164,28 +159,29 @@ class TestRandomCampaignProperties:
     def test_identities_hold_on_random_triples(self):
         for i in range(100):
             state, x, y = random_config(i, 3, 2)
-            assert check_constraint1(x, state).residual <= 1e-9
-            assert check_constraint2(x, y, state).residual <= 1e-9
+            reports = evaluate_relations(["eq7", "eq8"], x, y, state)
+            assert reports["eq7"].residual <= 1e-9
+            assert reports["eq8"].residual <= 1e-9
 
     def test_inequalities_hold_on_random_triples(self):
         rng = np.random.default_rng(5)
         for i in range(100):
             state, x, y = random_config(i)
-            assert check_memory_ur(x, y, state).slack >= -1e-9
-            r1, r2 = check_mixed_ur(x, y, state)
+            reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=float(rng.uniform()))
+            assert reports["eq5"].slack >= -1e-9
+            r1, r2 = reports["eq9"], evaluate_relations(["eq9"], y, x, state)["eq9"]
             assert r1.slack >= -1e-9 and r2.slack >= -1e-9
             assert abs(r1.lhs - r2.lhs) <= 1e-9
-            assert check_irreality_ur(x, y, state).slack >= -1e-9
-            assert check_combined_ur(x, y, state).slack >= -1e-9
-            assert check_monitor_bound(x, y, float(rng.uniform()), state).slack >= -1e-9
+            assert reports["eq10"].slack >= -1e-9
+            assert reports["eq11"].slack >= -1e-9
+            assert reports["eq16"].slack >= -1e-9
 
     def test_slack_additivity(self):
         # the four-term bound is the sum of the memory and irreality bounds
         for i in range(50):
             state, x, y = random_config(i, 3, 3)
-            s5 = check_memory_ur(x, y, state).slack
-            s10 = check_irreality_ur(x, y, state).slack
-            s11 = check_combined_ur(x, y, state).slack
+            reports = evaluate_relations(["eq5", "eq10", "eq11"], x, y, state)
+            s5, s10, s11 = (reports[name].slack for name in ("eq5", "eq10", "eq11"))
             assert abs(s11 - (s5 + s10)) <= 1e-9
 
     def test_uncertainty_below_irreality_implies_entanglement(self):
@@ -202,7 +198,7 @@ class TestRandomCampaignProperties:
         for i in range(50):
             state = haar_random_pure(3, 2, (710, i))
             x, y = random_basis(3, (711, i)), random_basis(3, (712, i))
-            assert check_combined_ur(x, y, state).slack >= -1e-9
+            assert evaluate_relations(["eq11"], x, y, state)["eq11"].slack >= -1e-9
 
 
 class TestRealityChange:
@@ -295,26 +291,29 @@ class TestRegistry:
                 assert evaluate_relations((name,), x, y, state)[name] == report
 
     def test_evaluate_matches_individual_checks(self):
+        # each report against its formula written from the public per-quantity
+        # functions, compared by repr: every float to the bit
         tol = 1e-9
         for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
             for state in (random_mixed(d_a, d_b, d_a * d_b, (80, k)), haar_random_pure(d_a, d_b, (81, k))):
                 x, y = random_basis(d_a, (82, k)), random_basis(d_a, (83, k))
+                h_x, h_y = uncertainty(x, state), uncertainty(y, state)
+                irr_x, irr_y = irreality(x, state), irreality(y, state)
+                h_a, q = cond_entropy(state), mu_bound(x, y)
+                a, b, c = h_x - irr_x, h_y - irr_y, h_a  # the three sides of eq8
                 for eps in (0.0, 0.4, 1.0):
+                    expected = {
+                        "eq5": InequalityReport("eq5", h_x + h_y, q + h_a, tol),
+                        "eq7": IdentityReport("eq7", abs(irr_x - (h_x - h_a)), tol),
+                        "eq8": IdentityReport("eq8", max(abs(a - b), abs(a - c), abs(b - c)), tol),
+                        "eq9": InequalityReport("eq9", irr_x + h_y, q, tol),
+                        "eq10": InequalityReport("eq10", irr_x + irr_y, q - h_a, tol),
+                        "eq11": InequalityReport("eq11", h_x + irr_x + h_y + irr_y, 2.0 * q, tol),
+                        "eq16": InequalityReport("eq16", irreality(x, monitor(y, eps, state)) + h_y, q, tol),
+                    }
                     reports = evaluate_relations(tuple(RELATIONS), x, y, state, eps=eps, tol=tol)
-                    assert reports["eq5"].slack == check_memory_ur(x, y, state).slack
-                    assert reports["eq7"].residual == check_constraint1(x, state).residual
-                    assert reports["eq8"].residual == check_constraint2(x, y, state).residual
-                    assert reports["eq9"].slack == check_mixed_ur(x, y, state)[0].slack
-                    assert reports["eq10"].slack == check_irreality_ur(x, y, state).slack
-                    assert reports["eq11"].slack == check_combined_ur(x, y, state).slack
-                    # the retired per-state route to eq16, compared by repr: every float to the bit
-                    retired = InequalityReport(
-                        "eq16",
-                        irreality(x, monitor(y, eps, state)) + entropy_bundle(x, state, y).h_y_given_b,
-                        mu_bound(x, y),
-                        tol,
-                    )
-                    assert repr(reports["eq16"]) == repr(retired), (d_a, d_b, eps)
+                    for name, report in reports.items():
+                        assert repr(report) == repr(expected[name]), (d_a, d_b, eps, name)
 
     def test_report_slack_sign_convention(self):
         state, x, y = random_config(12)
@@ -332,10 +331,20 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             evaluate_relations(("eq16",), x, y, state)
 
+    def test_relations_that_read_y_require_it(self):
+        state, x, y = random_config(16)
+        assert [name for name, row in RELATIONS.items() if not row.needs_y] == ["eq7"]
+        with pytest.raises(ConfigError, match="^relation eq5 needs a second basis y$"):
+            evaluate_relations(("eq7", "eq5", "eq9"), x, None, state)
+        with pytest.raises(ConfigError, match="^relation eq16 needs a second basis y$"):
+            evaluate_relations(("eq16",), x, None, state, eps=0.3)
+        report = evaluate_relations(("eq7",), x, None, state)["eq7"]
+        assert report == evaluate_relations(("eq7",), x, y, state)["eq7"]
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_report_fields_consistent(self, seed):
         state, x, y = random_config(seed)
-        r = check_combined_ur(x, y, state)
+        r = evaluate_relations(["eq11"], x, y, state)["eq11"]
         assert r.slack == r.lhs - r.rhs
         assert r.satisfied == (r.slack >= -r.tol)

@@ -29,6 +29,10 @@ class TestMatrixFormat:
             serialize.matrix_from_dict({"dim": 2, "re": [1, 2], "im": [0, 0, 0, 0]})
         with pytest.raises(ConfigError):
             serialize.matrix_from_dict({"re": [1.0], "im": [0.0]})
+        # dim -1 asks for one entry, as dim 1 does; the reshape must not see it
+        for dim, entries in ((-1, [1.0]), (0, [])):
+            with pytest.raises(ConfigError, match=f"^bad matrix object: dim must be >= 1, got {dim}$"):
+                serialize.matrix_from_dict({"dim": dim, "re": entries, "im": [0.0] * len(entries)})
 
 
 class TestStateAndBasis:

@@ -99,6 +99,14 @@ class TestStackedValidation:
         # the first bad matrix names the error
         with pytest.raises(InvariantViolation, match="trace"):
             _states_from_stack(2, 1, [np.eye(2), fine, non_finite])
+        # shape errors hold for every matrix of a stack: a non-square one, one of the wrong dim
+        for bad in (np.full((2, 3), 1 / 3), np.eye(3) / 3):
+            with pytest.raises(DimensionMismatch) as direct:
+                BipartiteState(2, 1, bad)
+            for stack in ([bad], [bad, bad, bad]):
+                with pytest.raises(DimensionMismatch) as stacked:
+                    _states_from_stack(2, 1, stack)
+                assert str(stacked.value) == str(direct.value)
         with pytest.raises(DimensionMismatch):
             _states_from_stack(2, 2, [fine])
         with pytest.raises(BadDimension):
