@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatch, OutOfRange
-from .states import BipartiteState, ObservableBasis, _states_from_stack
+from .states import BipartiteState, ObservableBasis
 
 
-def _check_pair(x: ObservableBasis, rho: BipartiteState) -> None:
-    if x.d != rho.d_a:
-        raise DimensionMismatch(f"basis dim {x.d} != state d_a {rho.d_a}")
+def _check_pair(x: ObservableBasis, d_a: int) -> None:
+    if x.d != d_a:
+        raise DimensionMismatch(f"basis dim {x.d} != state d_a {d_a}")
 
 
 def _frame(x: ObservableBasis, d_b: int) -> np.ndarray:
@@ -52,7 +53,7 @@ def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
     are all that dephasing keeps: the dephased state is their direct sum
     in that frame, so its spectrum is the union of theirs.
     """
-    _check_pair(x, rho)
+    _check_pair(x, rho.d_a)
     return _blocks(x, rho.rho[None], rho.d_a, rho.d_b)[0]
 
 
@@ -82,7 +83,7 @@ def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
 
     Idempotent, trace preserving, and leaves the B marginal untouched.
     """
-    _check_pair(x, rho)
+    _check_pair(x, rho.d_a)
     return BipartiteState(rho.d_a, rho.d_b, _dephased_matrix(x, rho.rho, rho.d_a, rho.d_b))
 
 
@@ -94,23 +95,32 @@ def _check_strength(eps: float) -> float:
 
 
 def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
-    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho)."""
-    return _monitor_grid(y, [eps], rho)[0]
-
-
-def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> list[BipartiteState]:
-    """``monitor(y, eps, rho)`` for each strength in [0, 1]; ``rho`` itself at 0.
-
-    The dephased image is taken once, and the spectra of the monitored
-    states in one stacked call.
-    """
-    strengths = [_check_strength(eps) for eps in strengths]
-    _check_pair(y, rho)
+    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho); ``rho`` itself at 0."""
+    eps = _check_strength(eps)
+    _check_pair(y, rho.d_a)
+    if eps == 0.0:
+        return rho
     dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
-    eps = np.array([eps for eps in strengths if eps != 0.0])[:, None, None]
-    mixed = _monitored_matrix(rho.rho, dephased, eps)
-    monitored = iter(_states_from_stack(rho.d_a, rho.d_b, mixed))
-    return [rho if eps == 0.0 else next(monitored) for eps in strengths]
+    return BipartiteState(rho.d_a, rho.d_b, _monitored_matrix(rho.rho, dephased, eps))
+
+
+def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices ``(k, n, n)`` and spectra ``(k, n)`` of ``monitor(y, eps, rho)`` per strength.
+
+    Each row has the bytes of the state ``monitor`` builds; a strength of 0
+    gets ``rho``'s own. The mixtures, exactly Hermitian, are not checked again
+    (the entropy pass that reads a spectrum checks it); their spectra take one stacked call.
+    """
+    strengths = np.array([_check_strength(eps) for eps in strengths])
+    _check_pair(y, rho.d_a)
+    rhos = np.repeat(rho.rho[None], len(strengths), axis=0)
+    spectra = np.repeat(rho.spectrum[None], len(strengths), axis=0)
+    mixed = strengths != 0.0
+    if mixed.any():
+        dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
+        rhos[mixed] = _monitored_matrix(rho.rho, dephased, strengths[mixed, None, None])
+        spectra[mixed] = linalg._stack_eigenvalues(rhos[mixed])
+    return rhos, spectra
 
 
 def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> BipartiteState:
@@ -125,7 +135,7 @@ def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> Bi
     if n < 0:
         raise OutOfRange(f"repetition count must be >= 0, got {n}")
     eps = _check_strength(eps)
-    _check_pair(y, rho)
+    _check_pair(y, rho.d_a)
     if n == 0 or eps == 0.0:
         return rho
     m = rho.rho

@@ -256,6 +256,8 @@ def _replay(path: str, tol_override: float | None) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.replay:
         if args.config:
             raise ConfigError("--config and --replay are mutually exclusive")
@@ -298,7 +300,7 @@ def cmd_verify(args) -> int:
 
 
 def parse_grid(spec: str):
-    """Parse start:stop:step into an ascending grid.
+    """Parse start:stop:step into an ascending grid of strengths in [0, 1].
 
     The stop value is included when it lies on the step lattice (within
     float tolerance); points never exceed it.
@@ -308,29 +310,26 @@ def parse_grid(spec: str):
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise ConfigError(f"grid {spec!r} is not of the form start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError(f"grid {spec!r} must ascend with positive step")
+    # a nan bound or step fails every comparison
+    if not (0.0 < step < math.inf and 0.0 <= start <= stop <= 1.0):
+        raise ConfigError(f"grid {spec!r} must ascend within [0, 1] with a finite positive step")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     values = [min(start + k * step, stop) for k in range(count)]
     return values
 
 
-def _state_arg(token: str):
+def _file_or_token(token: str, from_dict, from_token):
     if token.endswith(".json") or os.path.sep in token:
-        return serialize.state_from_dict(_load_json(token))
-    return state_from_token(token)
-
-
-def _basis_arg(token: str):
-    if token.endswith(".json") or os.path.sep in token:
-        return serialize.basis_from_dict(_load_json(token))
-    return basis_from_token(token)
+        return from_dict(_load_json(token))
+    return from_token(token)
 
 
 def cmd_sweep(args) -> int:
-    state = _state_arg(args.state)
-    x = _basis_arg(args.x)
-    y = _basis_arg(args.y)
+    state = _file_or_token(args.state, serialize.state_from_dict, state_from_token)
+    x, y = (_file_or_token(t, serialize.basis_from_dict, basis_from_token) for t in (args.x, args.y))
+    for flag, basis in (("--x", x), ("--y", y)):
+        if basis.d != state.d_a:
+            raise ConfigError(f"{flag} basis dim {basis.d} != state dA {state.d_a}")
     grid = parse_grid(args.grid)
     _output_dir(os.path.dirname(os.path.abspath(args.out)), args.out)
     started = _now()
@@ -362,6 +361,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_minimize(args) -> int:
     tol = resolve_tol(args.tol)
+    if args.dA < 2 or args.dB < 1:
+        raise ConfigError(f"need --dA >= 2 and --dB >= 1, got ({args.dA}, {args.dB})")
     _output_dir(os.path.dirname(os.path.abspath(args.out)), args.out)
     started = _now()
     result = minimize_slack(

@@ -10,9 +10,10 @@ frame rather than from the dense dephased matrix.
 Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
 ``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
-entropies of a stack of states with one frame per basis, one stacked
-eigendecomposition and two entropy passes; ``cond_entropy``,
-``uncertainty`` and ``irreality`` read their row of it.
+entropies of a stack of density matrices and their spectra with one
+frame per basis, one stacked eigendecomposition and two entropy passes;
+``cond_entropy``, ``uncertainty``, ``irreality`` and ``dephased_entropy``
+read their state's row of it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .channels import _blocks, _check_pair, dephased_blocks
+from .channels import _blocks, _check_pair
 from .errors import DimensionMismatch, InvariantViolation, NotDistribution
 from .states import BipartiteState, ObservableBasis
 
@@ -99,7 +100,7 @@ def vn_entropy(rho) -> float:
 def cond_entropy(rho: BipartiteState) -> float:
     """Conditional entropy H(A|B) = S(rho_AB) - S(rho_B); negative values
     certify entanglement."""
-    h_b, h_ab = _configuration_entropies([], [rho])[0].tolist()
+    h_b, h_ab = _state_entropies([], rho)
     return h_ab - h_b
 
 
@@ -133,27 +134,30 @@ def _marginals(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return np.einsum("kijil->kjl", rhos.reshape(len(rhos), d_a, d_b, d_a, d_b))
 
 
-def _configuration_entropies(bases, states) -> np.ndarray:
-    """S(rho_B), S(rho), then S(rho dephased in b) for each basis b, per state.
+def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """S(rho_B), S(rho), then S(rho dephased in b) for each basis b, per matrix.
 
-    Shape ``(k, 2 + len(bases))`` for k states sharing (d_a, d_b), with
-    the bits of the per-state route (``vn_entropy`` of the state and of
-    its marginal, ``dephased_entropy``). Each basis's frame is built once;
-    the B marginals and the blocks of every state and basis, state by
-    state in that order, go through one ``herm_eig_stack`` call. S(rho)
-    and the dephased entropies, all of length d_a*d_b, take one entropy
-    pass and the marginals a second.
+    ``rhos`` is a ``(k, n, n)`` stack of density matrices sharing (d_a, n / d_a),
+    and ``spectra`` their ascending ``(k, n)`` spectra; shape ``(k, 2 + len(bases))``.
+    Each basis's frame is built once; the B marginals and the blocks of every
+    matrix and basis, matrix by matrix, are symmetrized and go through one
+    stacked eigendecomposition. S(rho) and the dephased entropies take one
+    entropy pass and the marginals a second; the passes check every spectrum.
     """
-    d_a, d_b = states[0].d_a, states[0].d_b
     for b in bases:
-        _check_pair(b, states[0])
-    rhos = np.array([rho.rho for rho in states])
-    k, n = rhos.shape[:2]
+        _check_pair(b, d_a)
+    k, n = spectra.shape
+    d_b = n // d_a
     parts = [_marginals(rhos, d_a, d_b)[:, None]] + [_blocks(b, rhos, d_a, d_b) for b in bases]
-    spectra = linalg.herm_eig_stack(np.concatenate(parts, axis=1).reshape(-1, d_b, d_b)).reshape(k, -1)
-    full = np.array([rho.spectrum for rho in states])
-    joint = _entropies(np.concatenate([full, spectra[:, d_b:]], axis=1).reshape(-1, n))
-    return np.column_stack([_entropies(spectra[:, :d_b]), joint.reshape(k, -1)])
+    blocks = linalg._hermitian_part(np.concatenate(parts, axis=1).reshape(-1, d_b, d_b))
+    block_spectra = linalg._stack_eigenvalues(blocks).reshape(k, -1)
+    joint = _entropies(np.concatenate([spectra, block_spectra[:, d_b:]], axis=1).reshape(-1, n))
+    return np.column_stack([_entropies(block_spectra[:, :d_b]), joint.reshape(k, -1)])
+
+
+def _state_entropies(bases, rho: BipartiteState) -> list[float]:
+    """The row of ``_configuration_entropies`` for one state."""
+    return _configuration_entropies(bases, rho.d_a, rho.rho[None], rho.spectrum[None])[0].tolist()
 
 
 def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:
@@ -163,8 +167,7 @@ def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:
     diagonal in the measured frame, so its spectrum is the union of the
     spectra of the d_a blocks p_i sigma_i (the joint-entropy theorem).
     """
-    spectrum = linalg.herm_eig_stack(dephased_blocks(x, rho)).reshape(1, -1)
-    return float(_entropies(spectrum)[0])
+    return _state_entropies([x], rho)[2]
 
 
 def uncertainty(x: ObservableBasis, rho: BipartiteState) -> float:
@@ -173,7 +176,7 @@ def uncertainty(x: ObservableBasis, rho: BipartiteState) -> float:
     Nonnegative (the dephased state is separable across the A:B cut); for
     d_b = 1 it reduces to the Shannon entropy of the outcome probabilities.
     """
-    h_b, _, h_x = _configuration_entropies([x], [rho])[0].tolist()
+    h_b, _, h_x = _state_entropies([x], rho)
     return h_x - h_b
 
 
@@ -183,5 +186,5 @@ def irreality(x: ObservableBasis, rho: BipartiteState) -> float:
     Vanishes exactly when the state is already invariant under that
     dephasing, i.e. when the observable is fully real for the state.
     """
-    _, h_ab, h_x = _configuration_entropies([x], [rho])[0].tolist()
+    _, h_ab, h_x = _state_entropies([x], rho)
     return h_x - h_ab

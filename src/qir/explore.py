@@ -281,17 +281,16 @@ def monitoring_sweep(
 
     Gives bit for bit ``irreality(x, monitor(y, eps, rho))`` and
     ``uncertainty(y, monitor(y, eps, rho))`` at each eps, with two stacked
-    eigendecompositions for the whole grid: one of the monitored states,
-    one of all their B marginals and X and Y blocks.
+    eigendecompositions for the whole grid: one of the monitored matrices,
+    one of all their B marginals and X and Y blocks. A strength outside
+    [0, 1] raises ``OutOfRange`` naming it.
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
         raise OutOfRange("grid must be a nonempty vector")
-    if eps_grid.min() < 0.0 or eps_grid.max() > 1.0:
-        raise OutOfRange("grid values must lie in [0, 1]")
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
-    h_b, h_ab, h_xb, h_yb = _configuration_entropies([x, y], _monitor_grid(y, eps_grid, rho)).T
+    h_b, h_ab, h_xb, h_yb = _configuration_entropies([x, y], rho.d_a, *_monitor_grid(y, eps_grid, rho)).T
     try:
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
     except InvariantViolation as err:

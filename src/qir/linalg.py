@@ -59,23 +59,27 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dag) / 2 of each slice of a ``(k, n, n)`` stack, C-contiguous; nothing is checked."""
+    return np.ascontiguousarray((a + a.conj().transpose(0, 2, 1)) / 2.0)
+
+
 def _symmetrized(a: np.ndarray, label: str) -> np.ndarray:
-    """Check a ``(k, n, n)`` stack for Hermiticity; its symmetrized, C-contiguous copy.
+    """Check a ``(k, n, n)`` stack for Hermiticity; its ``_hermitian_part``.
 
     A slice whose largest entry of ``a - a^dag`` exceeds 1e-10 raises
     ``NotHermitian``; ``label.format(i=slice, n=n)`` names it.
     """
     k, n = a.shape[0], a.shape[1]
-    adjoint = a.conj().transpose(0, 2, 1)
     if k and n:
-        defects = np.abs(a - adjoint).max(axis=(1, 2))
+        defects = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         i = int(defects.argmax())
         if defects[i] > HERMITICITY_TOL:
             raise NotHermitian(
                 f"{label.format(i=i, n=n)}: Hermiticity defect {defects[i]:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e}"
             )
-    return np.ascontiguousarray((a + adjoint) / 2.0)
+    return _hermitian_part(a)
 
 
 def herm_eig(m) -> EigenDecomposition:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import monitor
+from .channels import _monitor_grid
 from .entropies import _configuration_entropies
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
@@ -131,10 +131,11 @@ def _bundle(
 ) -> EntropyBundle:
     """Every entropy of the configuration, from one ``_configuration_entropies`` call.
 
-    The call covers ``rho`` and, when ``eps`` is given, ``monitor(y, eps, rho)``.
+    The call covers ``rho`` and, when ``eps`` is given, ``rho`` monitored by
+    ``y`` at ``eps``: the rows of ``_monitor_grid(y, [0.0, eps], rho)``.
     """
-    states = [rho] if eps is None else [rho, monitor(y, eps, rho)]
-    rows = _configuration_entropies([x] if y is None else [x, y], states).tolist()
+    grid = (rho.rho[None], rho.spectrum[None]) if eps is None else _monitor_grid(y, [0.0, eps], rho)
+    rows = _configuration_entropies([x] if y is None else [x, y], rho.d_a, *grid).tolist()
     h_b, h_ab, h_xb, *y_side = rows[0]
     h_yb = y_side[0] if y_side else None
     return EntropyBundle(

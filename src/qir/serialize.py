@@ -60,7 +60,12 @@ def state_from_dict(d: dict) -> BipartiteState:
         d_a, d_b = int(d["dA"]), int(d["dB"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad state object: {exc}") from exc
-    return BipartiteState(d_a, d_b, matrix_from_dict(d))
+    m = matrix_from_dict(d)
+    if d_a < 2 or d_b < 1:
+        raise ConfigError(f"bad state object: need dA >= 2 and dB >= 1, got ({d_a}, {d_b})")
+    if m.shape[0] != d_a * d_b:
+        raise ConfigError(f"bad state object: dim {m.shape[0]} != dA*dB = {d_a * d_b}")
+    return BipartiteState(d_a, d_b, m)
 
 
 def basis_to_dict(basis: ObservableBasis) -> dict:
@@ -72,7 +77,10 @@ def basis_from_dict(d: dict) -> ObservableBasis:
         dim = int(d["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad basis object: {exc}") from exc
-    return ObservableBasis(dim, matrix_from_dict(d))
+    m = matrix_from_dict(d)
+    if m.shape[0] != dim:
+        raise ConfigError(f"bad basis object: dim {m.shape[0]} != d = {dim}")
+    return ObservableBasis(dim, m)
 
 
 def campaign_config_to_dict(cfg: CampaignConfig) -> dict:

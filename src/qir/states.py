@@ -48,8 +48,17 @@ class BipartiteState:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rhos = _checked_stack(self.d_a, self.d_b, np.asarray(self.rho, dtype=np.complex128)[None])
-        _settle(self, rhos[0], linalg._stack_eigenvalues(rhos.copy(), "{n}x{n} matrix")[0])
+        rho = _checked_matrix(self.d_a, self.d_b, self.rho)
+        spectrum = linalg._stack_eigenvalues(rho[None].copy(), "{n}x{n} matrix")[0]
+        if spectrum[0] < -PSD_TOL:
+            raise InvariantViolation(
+                f"({self.d_a}, {self.d_b}) state not positive semidefinite "
+                f"(min eigenvalue {spectrum[0]:.3e})"
+            )
+        rho.setflags(write=False)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -65,69 +74,31 @@ class BipartiteState:
         return float(np.trace(self.rho @ self.rho).real)
 
 
-def _settle(state: BipartiteState, rho: np.ndarray, spectrum: np.ndarray) -> None:
-    """Check positivity on the ascending ``spectrum`` of ``rho`` and freeze both into ``state``."""
-    if spectrum[0] < -PSD_TOL:
-        raise InvariantViolation(
-            f"({state.d_a}, {state.d_b}) state not positive semidefinite "
-            f"(min eigenvalue {spectrum[0]:.3e})"
-        )
-    rho.setflags(write=False)
-    spectrum.setflags(write=False)
-    object.__setattr__(state, "rho", rho)
-    object.__setattr__(state, "spectrum", spectrum)
+def _checked_matrix(d_a: int, d_b: int, matrix) -> np.ndarray:
+    """The constructor's checks that come before the spectrum; the symmetrized matrix.
 
-
-def _checked_stack(d_a: int, d_b: int, matrices) -> np.ndarray:
-    """The constructor's checks that come before the spectrum, on a ``(k, n, n)`` stack.
-
-    Returns the symmetrized stack. The checks run in one broadcast; a
-    failure raises the error of the first bad matrix, for the first check
-    it fails: dims, shape, finiteness, Hermiticity (defect <= 1e-10), trace.
+    In order: dims, shape, finiteness, dim, Hermiticity (defect <= 1e-10), trace.
     """
     if d_a < 2:
         raise BadDimension(f"d_a must be >= 2, got {d_a}")
     if d_b < 1:
         raise BadDimension(f"d_b must be >= 1, got {d_b}")
-    ms = np.asarray(matrices, dtype=np.complex128)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {ms.shape[1:]}")
-    adjoint = ms.conj().transpose(0, 2, 1)
-    # a non-finite entry makes its matrix's defect nan or inf, so that matrix fails here
-    defects = np.abs(ms - adjoint).max(axis=(1, 2), initial=0.0)
-    rhos = (ms + adjoint) / 2.0
-    traces = np.trace(rhos, axis1=1, axis2=2)
-    fine = ((ms.shape[1] == d_a * d_b) & (defects <= HERMITICITY_TOL)
-            & (np.abs(traces - 1.0) <= TRACE_TOL))
-    if not fine.all():
-        i = int(fine.argmin())
-        if not np.isfinite(ms[i]).all():
-            raise InvariantViolation("matrix contains non-finite entries")
-        if ms.shape[1] != d_a * d_b:
-            raise DimensionMismatch(f"matrix dim {ms.shape[1]} != d_a*d_b = {d_a * d_b}")
-        if defects[i] > HERMITICITY_TOL:
-            raise InvariantViolation(
-                f"({d_a}, {d_b}) state not Hermitian (defect {defects[i]:.3e})"
-            )
-        raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(traces[i])!r} != 1")
-    return rhos
-
-
-def _states_from_stack(d_a: int, d_b: int, matrices) -> list[BipartiteState]:
-    """States of the given dims, validated as the constructor does, spectra in one stacked call."""
-    if not len(matrices):
-        return []
-    rhos = _checked_stack(d_a, d_b, matrices)
-    # the checks above are herm_eig_stack's, and symmetrizing rhos again gives its bits back
-    spectra = linalg._stack_eigenvalues(rhos.copy())
-    states = []
-    for rho, spectrum in zip(rhos, spectra):
-        state = object.__new__(BipartiteState)
-        object.__setattr__(state, "d_a", d_a)
-        object.__setattr__(state, "d_b", d_b)
-        _settle(state, rho, spectrum.copy())
-        states.append(state)
-    return states
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvariantViolation("matrix contains non-finite entries")
+    if m.shape[0] != d_a * d_b:
+        raise DimensionMismatch(f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}")
+    adjoint = m.conj().T
+    defect = np.abs(m - adjoint).max()
+    if defect > HERMITICITY_TOL:
+        raise InvariantViolation(f"({d_a}, {d_b}) state not Hermitian (defect {defect:.3e})")
+    rho = (m + adjoint) / 2.0
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(trace)!r} != 1")
+    return rho
 
 
 @dataclass(frozen=True, eq=False)

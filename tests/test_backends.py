@@ -244,7 +244,7 @@ def skewed_with_signed_zeros(rng, n):
 
 
 def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng):
-    """``_symmetrized`` and ``_checked_stack`` build (m + m^dag) / 2, whose bytes are
+    """``_symmetrized``, ``_hermitian_part`` and ``_checked_matrix`` build (m + m^dag) / 2, whose bytes are
     those of its conjugate transpose up to the sign of a zero (adding 0.0 maps -0.0
     to 0.0): the premise of copying rows from the conjugated columns."""
     from qir import states
@@ -252,7 +252,11 @@ def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng):
     for d_a, d_b in ((2, 2), (3, 2), (5, 3)):
         ms = skewed_with_signed_zeros(rng, d_a * d_b)
         assert not np.array_equal(ms[0], ms[0].conj().T)
-        outputs = [linalg._symmetrized(ms, "slice {i}"), states._checked_stack(d_a, d_b, ms)]
+        outputs = [
+            linalg._symmetrized(ms, "slice {i}"),
+            linalg._hermitian_part(ms),
+            np.array([states._checked_matrix(d_a, d_b, m) for m in ms]),
+        ]
         for out in outputs:
             adjoint = out.conj().transpose(0, 2, 1)
             assert np.array_equal(out, adjoint), (d_a, d_b)

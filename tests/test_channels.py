@@ -6,6 +6,7 @@ import pytest
 from qir.channels import (
     _dephased_matrix,
     _frame,
+    _monitor_grid,
     _monitored_matrix,
     dephase,
     dephased_blocks,
@@ -204,8 +205,8 @@ class TestMonitor:
         assert monitor_n(y, 0.0, 3, state) is state
 
     def test_monitor_is_bitwise_the_constructed_state(self):
-        # monitor is the strength grid of one; the state it returns is the
-        # one the constructor builds from the dense monitored matrix
+        # the state monitor returns is the one the constructor builds from
+        # the dense monitored matrix
         dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
         for k, (d_a, d_b) in enumerate(dims):
             for state in (random_mixed(d_a, d_b, d_a * d_b, (310, k)), haar_random_pure(d_a, d_b, (311, k))):
@@ -216,6 +217,24 @@ class TestMonitor:
                     got = monitor(y, eps, state)
                     assert got.rho.tobytes() == built.rho.tobytes(), (d_a, d_b, eps)
                     assert got.spectrum.tobytes() == built.spectrum.tobytes(), (d_a, d_b, eps)
+
+    def test_grid_rows_are_bitwise_the_monitored_states(self):
+        # a row of the grid is never built into a state; it must still carry the
+        # bytes of the state monitor builds, and rho's own row at strength 0
+        dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
+        grid = [0.0, 0.15, 0.4, 0.4, 0.85, 1.0]
+        for k, (d_a, d_b) in enumerate(dims):
+            for state in (random_mixed(d_a, d_b, d_a * d_b, (313, k)), haar_random_pure(d_a, d_b, (314, k))):
+                y = random_basis(d_a, (315, k))
+                rhos, spectra = _monitor_grid(y, grid, state)
+                assert rhos.shape == (len(grid), d_a * d_b, d_a * d_b) and spectra.shape == (len(grid), d_a * d_b)
+                for i, eps in enumerate(grid):
+                    monitored = monitor(y, eps, state)
+                    assert rhos[i].tobytes() == monitored.rho.tobytes(), (d_a, d_b, eps)
+                    assert spectra[i].tobytes() == monitored.spectrum.tobytes(), (d_a, d_b, eps)
+                assert rhos[0].tobytes() == state.rho.tobytes()
+        with pytest.raises(OutOfRange, match=r"monitoring strength must lie in \[0, 1\], got 1\.5"):
+            _monitor_grid(y, [0.0, 1.5], state)
 
     def test_monitor_n_edge_counts(self):
         state, _, y = random_triple(7)

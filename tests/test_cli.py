@@ -106,6 +106,28 @@ class TestVerify:
     def test_missing_config_and_replay(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r"), "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_replay_of_a_state_with_the_wrong_dims_exit_2(self, tmp_path, capsys):
+        from qir import serialize
+        from qir.states import computational_basis, fourier_basis, werner
+
+        point = {
+            "relation": "eq9", "best_slack": 0.0, "eps": None,
+            "state": {**serialize.state_to_dict(werner(0.5)), "dA": 3},
+            "x": serialize.basis_to_dict(computational_basis(2)),
+            "y": serialize.basis_to_dict(fourier_basis(2)),
+        }
+        path = tmp_path / "argmin.json"
+        path.write_text(json.dumps(point))
+        assert main(["verify", "--replay", str(path)]) == 2
+        assert capsys.readouterr().err == "error: bad state object: dim 4 != dA*dB = 6\n"
+
 
 class TestSweep:
     def test_bell_mub_trace(self, tmp_path):
@@ -158,6 +180,63 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "error: bad matrix object: dim must be >= 1, got -1\n"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dA", 1, "bad state object: need dA >= 2 and dB >= 1, got (1, 1)"),
+            ("dB", 0, "bad state object: need dA >= 2 and dB >= 1, got (2, 0)"),
+            ("dA", 3, "bad state object: dim 2 != dA*dB = 3"),
+            ("dB", 2, "bad state object: dim 2 != dA*dB = 4"),
+        ],
+    )
+    def test_state_file_with_the_wrong_dims_exit_2(self, tmp_path, capsys, key, value, message):
+        from qir import serialize
+        from qir.states import max_mixed
+
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({**serialize.state_to_dict(max_mixed(2, 1)), key: value}))
+        code = main(
+            ["sweep", "--state", str(state_path), "--x", "comp:2", "--y", "comp:2",
+             "--grid", "0:1:0.5", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_basis_file_with_the_wrong_dim_exit_2(self, tmp_path, capsys):
+        from qir import serialize
+        from qir.states import fourier_basis
+
+        basis_path = tmp_path / "basis.json"
+        basis_path.write_text(json.dumps({**serialize.basis_to_dict(fourier_basis(2)), "d": 3}))
+        code = main(
+            ["sweep", "--state", "bell:2", "--x", str(basis_path), "--y", "comp:2",
+             "--grid", "0:1:0.5", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad basis object: dim 2 != d = 3\n"
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_basis_of_the_wrong_dimension_exit_2(self, tmp_path, capsys, flag):
+        args = {"--x": "comp:2", "--y": "fourier:2", flag: "comp:3"}
+        code = main(
+            ["sweep", "--state", "mixed:2,2", *(arg for pair in args.items() for arg in pair),
+             "--grid", "0:1:0.5", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} basis dim 3 != state dA 2\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.5", "0:1:nan", "0:1:inf", "0:2:0.5", "-0.5:1:0.5"])
+    def test_grid_it_cannot_run_exit_2(self, tmp_path, capsys, grid):
+        code = main(
+            ["sweep", "--state", "bell:2", "--x", "comp:2", "--y", "fourier:2",
+             f"--grid={grid}", "--out", str(tmp_path / "trace.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: grid {grid!r} must ascend within [0, 1] with a finite positive step\n"
+        )
+
     def test_bad_grid_and_token(self, tmp_path):
         out = str(tmp_path / "t.csv")
         args = ["sweep", "--x", "comp:2", "--y", "comp:2", "--out", out]
@@ -192,6 +271,13 @@ class TestMinimize:
 
     def test_unknown_relation_exit_2(self):
         assert main(["minimize", "--relation", "eqX", "--dA", "2", "--dB", "2"]) == 2
+
+    @pytest.mark.parametrize("d_a, d_b", [("1", "2"), ("2", "0")])
+    def test_bad_dimension_exit_2(self, tmp_path, capsys, d_a, d_b):
+        out = tmp_path / "argmin.json"
+        assert main(["minimize", "--relation", "eq11", "--dA", d_a, "--dB", d_b, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: need --dA >= 2 and --dB >= 1, got ({d_a}, {d_b})\n"
+        assert not out.exists()
 
     def test_theorem_violation_exit_3(self, monkeypatch, capsys):
         from qir import cli

@@ -271,8 +271,8 @@ class TestSweep:
 
         entropies = explore._configuration_entropies
 
-        def drifting(bases, states):
-            h = entropies(bases, states)
+        def drifting(bases, d_a, rhos, spectra):
+            h = entropies(bases, d_a, rhos, spectra)
             h[-1, 3] += 1e-6  # S(rho dephased in Y) at eps = 1
             return h
 

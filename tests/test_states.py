@@ -26,10 +26,7 @@ from qir.states import (
     random_mixed,
     state_from_token,
     werner,
-    _states_from_stack,
 )
-
-from conftest import random_density
 
 
 def assert_valid_state(state):
@@ -66,51 +63,38 @@ class TestBipartiteState:
         state = max_mixed(2, 2)
         with pytest.raises(ValueError):
             state.rho[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            state.spectrum[0] = 9.0
+
+    def test_validation_messages_and_order(self):
+        fine = np.eye(2) / 2
+        skew = np.array([[0.5, 0.5], [0.0, 0.5]])
+        cases = [
+            (np.full((2, 3), 1 / 3), DimensionMismatch, r"^expected a square matrix, got shape \(2, 3\)$"),
+            (np.eye(3) / 3, DimensionMismatch, r"^matrix dim 3 != d_a\*d_b = 2$"),
+            (np.diag([np.nan, 0.5]), InvariantViolation, r"^matrix contains non-finite entries$"),
+            (np.eye(2), InvariantViolation, r"^\(2, 1\) state trace \(2\+0j\) != 1$"),
+            (skew, InvariantViolation, r"^\(2, 1\) state not Hermitian \(defect 5\.000e-01\)$"),
+            (np.diag([1.5, -0.5]), InvariantViolation,
+             r"^\(2, 1\) state not positive semidefinite \(min eigenvalue -5\.000e-01\)$"),
+            # a matrix with several defects fails the first check in the order
+            # dims, shape, finiteness, dim, Hermiticity, trace, positivity
+            (np.diag([np.nan, 0.5, 0.5]), InvariantViolation, r"^matrix contains non-finite entries$"),
+            (np.triu(np.ones((3, 3))) / 3, DimensionMismatch, r"^matrix dim 3 != d_a\*d_b = 2$"),
+            (2 * skew, InvariantViolation, r"not Hermitian"),
+            (np.diag([3.0, -0.5]), InvariantViolation, r"trace"),
+        ]
+        for bad, error, message in cases:
+            with pytest.raises(error, match=message):
+                BipartiteState(2, 1, bad)
+        with pytest.raises(BadDimension, match=r"^d_a must be >= 2, got 1$"):
+            BipartiteState(1, 2, np.full((2, 3), 1 / 3))
+        with pytest.raises(BadDimension, match=r"^d_b must be >= 1, got 0$"):
+            BipartiteState(2, 0, fine)
 
     def test_spectrum_matches_solver(self):
         state = werner(0.3)
         assert np.abs(state.spectrum - linalg.herm_eig(state.rho).eigenvalues).max() <= 1e-14
-
-
-class TestStackedValidation:
-    """The private path that validates states from one stacked eigendecomposition."""
-
-    def test_same_state_as_the_constructor(self, rng):
-        for d_a, d_b in ((2, 1), (3, 2), (2, 3)):
-            ms = [random_density(rng, d_a * d_b, rank) for rank in (1, 2, d_a * d_b)]
-            for m, state in zip(ms, _states_from_stack(d_a, d_b, ms)):
-                direct = BipartiteState(d_a, d_b, m)
-                assert (state.d_a, state.d_b) == (d_a, d_b)
-                assert state.rho.tobytes() == direct.rho.tobytes()
-                assert state.spectrum.tobytes() == direct.spectrum.tobytes()
-                assert not state.rho.flags.writeable and not state.spectrum.flags.writeable
-        assert _states_from_stack(2, 2, []) == []
-
-    def test_same_checks_as_the_constructor(self):
-        fine = np.eye(2) / 2
-        non_finite = np.diag([np.nan, 0.5])
-        for bad in (np.eye(2), np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.5, -0.5]), non_finite):
-            with pytest.raises(InvariantViolation) as direct:
-                BipartiteState(2, 1, bad)
-            for stack in ([fine, bad], [bad, fine, fine], [fine, fine, bad]):
-                with pytest.raises(InvariantViolation) as stacked:
-                    _states_from_stack(2, 1, stack)
-                assert str(stacked.value) == str(direct.value)
-        # the first bad matrix names the error
-        with pytest.raises(InvariantViolation, match="trace"):
-            _states_from_stack(2, 1, [np.eye(2), fine, non_finite])
-        # shape errors hold for every matrix of a stack: a non-square one, one of the wrong dim
-        for bad in (np.full((2, 3), 1 / 3), np.eye(3) / 3):
-            with pytest.raises(DimensionMismatch) as direct:
-                BipartiteState(2, 1, bad)
-            for stack in ([bad], [bad, bad, bad]):
-                with pytest.raises(DimensionMismatch) as stacked:
-                    _states_from_stack(2, 1, stack)
-                assert str(stacked.value) == str(direct.value)
-        with pytest.raises(DimensionMismatch):
-            _states_from_stack(2, 2, [fine])
-        with pytest.raises(BadDimension):
-            _states_from_stack(1, 2, [fine])
 
 
 class TestNamedStates:
