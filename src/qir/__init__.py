@@ -38,10 +38,9 @@ from .explore import (
     SweepTrace,
     minimize_slack,
     monitoring_sweep,
-    run_campaign,
     run_campaign_records,
 )
-from .linalg import EigenDecomposition, herm_eig, partial_trace_a, partial_trace_b
+from .linalg import EigenDecomposition, herm_eig
 from .relations import (
     EntropyBundle,
     IdentityReport,
@@ -98,13 +97,10 @@ __all__ = [
     "SweepTrace",
     "minimize_slack",
     "monitoring_sweep",
-    "run_campaign",
     "run_campaign_records",
     # linalg
     "EigenDecomposition",
     "herm_eig",
-    "partial_trace_a",
-    "partial_trace_b",
     # relations
     "EntropyBundle",
     "IdentityReport",

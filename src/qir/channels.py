@@ -4,10 +4,11 @@
 unread projective measurement); ``monitor`` mixes the input with its
 dephased image, modelling a measurement of strength ``eps``. Outputs are
 re-symmetrized to keep round-off from accumulating across long chains.
-``dephased_blocks`` is the one place the state is rewritten in the
-measured frame; entropies of dephased states are taken from its blocks.
-Block i is p_i sigma_i: its trace is the probability of outcome i and,
-where that is nonzero, the block over it is the conditional B state.
+``_blocks`` is the one place a matrix is rewritten in the measured
+frame; entropies of dephased states are taken from its blocks. Block i
+is p_i sigma_i: its trace is the probability of outcome i and, where
+that is nonzero, the block over it is the conditional B state. The
+dephased state is their direct sum, so its spectrum is the union of theirs.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ def _blocks(x: ObservableBasis, ms: np.ndarray, d_a: int, d_b: int) -> np.ndarra
     tilted = (w.conj().T @ ms @ w).reshape(len(ms), d_a, d_b, d_a, d_b)
     idx = np.arange(d_a)
     return tilted[:, idx, :, idx, :].swapaxes(0, 1)
-
-
-def dephased_blocks(x: ObservableBasis, rho: BipartiteState) -> np.ndarray:
-    """Diagonal blocks of ``rho`` in the eigenbasis of ``x``, shape (d_a, d_b, d_b).
-
-    Block i is the unnormalized conditional state p_i sigma_i on B. They
-    are all that dephasing keeps: the dephased state is their direct sum
-    in that frame, so its spectrum is the union of theirs.
-    """
-    _check_pair(x, rho.d_a)
-    return _blocks(x, rho.rho[None], rho.d_a, rho.d_b)[0]
 
 
 def _dephased_matrix(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Shannon and von Neumann entropies, the conditional entropies H(A|B) and
 H(X|B), quantum relative entropy on the support of its second argument,
 and the irreality of an observable (the entropy gained by dephasing the
-state in that observable's eigenbasis). The entropy of a dephased state
-is taken from its d_a diagonal blocks of size d_b x d_b in the measured
-frame rather than from the dense dephased matrix.
+state in that observable's eigenbasis), all of ``BipartiteState``s, whose
+spectra their constructor checked. The entropy of a dephased state is
+taken from its d_a diagonal d_b x d_b blocks in the measured frame
+(``channels._blocks``) rather than from the dense dephased matrix.
 
 Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
@@ -74,27 +75,9 @@ def shannon(p) -> float:
     return float(_entropies(arr[None])[0])
 
 
-def _clipped_spectrum(w: np.ndarray) -> np.ndarray:
-    if w.min() < -EIG_CLIP:
-        raise InvariantViolation(f"eigenvalue {w.min():.3e} below -{EIG_CLIP:.0e}")
-    return np.clip(w, 0.0, None)
-
-
-def _density_matrix(rho) -> np.ndarray:
-    if isinstance(rho, BipartiteState):
-        return rho.rho
-    return linalg.as_operator(rho)
-
-
-def _density_spectrum(rho) -> np.ndarray:
-    if isinstance(rho, BipartiteState):
-        return rho.spectrum
-    return linalg.herm_eig(rho).eigenvalues
-
-
-def vn_entropy(rho) -> float:
-    """von Neumann entropy -Tr(rho ln rho) of a state or density matrix."""
-    return float(_entropies(_density_spectrum(rho)[None])[0])
+def vn_entropy(rho: BipartiteState) -> float:
+    """von Neumann entropy -Tr(rho ln rho) of a state, from its checked spectrum."""
+    return float(_entropies(rho.spectrum[None])[0])
 
 
 def cond_entropy(rho: BipartiteState) -> float:
@@ -104,15 +87,14 @@ def cond_entropy(rho: BipartiteState) -> float:
     return h_ab - h_b
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Quantum relative entropy Tr rho (ln rho - ln sigma) in nats.
+def relative_entropy(rho: BipartiteState, sigma: BipartiteState) -> float:
+    """Quantum relative entropy Tr rho (ln rho - ln sigma) of two states, in nats.
 
     ``ln sigma`` is taken on the support of ``sigma`` (eigenvalues above
     1e-12); if ``rho`` carries more than 1e-9 weight outside that support
     the divergence is infinite and ``math.inf`` is returned.
     """
-    r = _density_matrix(rho)
-    s = _density_matrix(sigma)
+    r, s = rho.rho, sigma.rho
     if r.shape != s.shape:
         raise DimensionMismatch(f"operands of shape {r.shape} and {s.shape}")
     eig_s = linalg.herm_eig(s)
@@ -122,7 +104,7 @@ def relative_entropy(rho, sigma) -> float:
     leak = float(np.trace(r).real - weights.sum())
     if leak > SUPPORT_LEAK_TOL:
         return math.inf
-    w_r = _clipped_spectrum(_density_spectrum(rho))
+    w_r = np.maximum(rho.spectrum, 0.0)
     pos = w_r[w_r > 0.0]
     tr_r_ln_r = float((pos * np.log(pos)).sum())
     tr_r_ln_s = float((weights * np.log(eig_s.eigenvalues[on_support])).sum())
@@ -130,7 +112,10 @@ def relative_entropy(rho, sigma) -> float:
 
 
 def _marginals(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """B marginal of each matrix of a ``(k, d_a*d_b, d_a*d_b)`` stack, with ``reduced_b``'s bits."""
+    """B marginal of each matrix ``m`` of a ``(k, d_a*d_b, d_a*d_b)`` stack.
+
+    Each has the bits of ``np.einsum("ijik->jk", m.reshape(d_a, d_b, d_a, d_b))``.
+    """
     return np.einsum("kijil->kjl", rhos.reshape(len(rhos), d_a, d_b, d_a, d_b))
 
 

@@ -12,6 +12,7 @@ follow both. Results are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -205,10 +206,15 @@ def _histogram(values: np.ndarray, hi: float) -> Histogram:
 def run_campaign_records(
     cfg: CampaignConfig, workers: int = 1
 ) -> tuple[CampaignResult, list[TrialRecord]]:
-    """Run a campaign and also return the per-trial records (for CSV dumps)."""
+    """Evaluate the campaign's relations over its ensemble: the result and the per-trial records.
+
+    ``workers`` > 1 runs a pool of at most ``os.cpu_count()`` processes (a
+    forking pool starts them all at once); the output is the same for any count.
+    """
     if workers <= 1:
         records = [_trial_record(cfg, i) for i in range(cfg.trials)]
     else:
+        workers = min(workers, os.cpu_count() or 1)
         chunk = max(1, cfg.trials // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(_trial_record, cfg), range(cfg.trials), chunksize=chunk))
@@ -230,12 +236,6 @@ def run_campaign_records(
         )
     result = CampaignResult(config=cfg, total_trials=cfg.trials, relations=summaries)
     return result, records
-
-
-def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignResult:
-    """Evaluate every configured relation over the campaign's random ensemble."""
-    result, _ = run_campaign_records(cfg, workers=workers)
-    return result
 
 
 @dataclass(frozen=True, eq=False)

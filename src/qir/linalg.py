@@ -4,9 +4,10 @@ Everything operates on square ``complex128`` arrays in row-major layout.
 Composite systems put the A factor on the slow (outer) index:
 ``np.kron(a, b)`` tiles ``b`` inside the blocks of ``a``. The Hermitian
 eigensolver is a cyclic Jacobi scheme (compiled core with a pure-Python
-fallback, see ``qir.backend``). Products, adjoints and Kronecker
-products are numpy's own (``@``, ``.conj().T``, ``np.kron``); the
-partial traces are ``np.einsum`` over that index layout.
+fallback, see ``qir.backend``): ``herm_eig`` checks one matrix, and
+``_stack_eigenvalues`` takes the spectra of a stack already known to be
+finite and exactly Hermitian. Products, adjoints and Kronecker products
+are numpy's own (``@``, ``.conj().T``, ``np.kron``).
 """
 
 from __future__ import annotations
@@ -30,25 +31,6 @@ def as_operator(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvariantViolation("matrix contains non-finite entries")
     return a
-
-
-def _bipartite(m, d_a: int, d_b: int) -> np.ndarray:
-    a = as_operator(m)
-    if d_a < 1 or d_b < 1 or a.shape[0] != d_a * d_b:
-        raise DimensionMismatch(
-            f"matrix of dim {a.shape[0]} does not factor as {d_a} x {d_b}"
-        )
-    return a.reshape(d_a, d_b, d_a, d_b)
-
-
-def partial_trace_a(m, d_a: int, d_b: int) -> np.ndarray:
-    """Trace out the first (A) factor, leaving a d_b x d_b matrix."""
-    return np.einsum("ijik->jk", _bipartite(m, d_a, d_b))
-
-
-def partial_trace_b(m, d_a: int, d_b: int) -> np.ndarray:
-    """Trace out the second (B) factor, leaving a d_a x d_a matrix."""
-    return np.einsum("ijkj->ik", _bipartite(m, d_a, d_b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,28 +79,10 @@ def herm_eig(m) -> EigenDecomposition:
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
 
 
-def herm_eig_stack(ms) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a ``(k, n, n)`` stack, shape ``(k, n)``.
-
-    Slice i gets exactly the bits of ``herm_eig(ms[i]).eigenvalues``: the
-    same checks (finite, Hermitian to 1e-10, then symmetrized), the same
-    budget of 100 * n**2 rotations and the same rotation schedule. Errors
-    name the slice.
-    """
-    a = np.asarray(ms, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
-    n = a.shape[1]
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise InvariantViolation(f"slice {i} ({n}x{n}) contains non-finite entries")
-    return _stack_eigenvalues(_symmetrized(a, "slice {i} ({n}x{n})"))
-
-
 def _stack_eigenvalues(work: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np.ndarray:
-    """``herm_eig_stack`` past its checks, on a finite, exactly Hermitian, C-contiguous stack.
+    """Ascending eigenvalues, shape ``(k, n)``, of a finite, exactly Hermitian, C-contiguous stack.
 
+    Nothing is checked. Slice i gets the bits of ``herm_eig(work[i]).eigenvalues``.
     The kernel overwrites ``work``; ``label`` names a slice that does not
     converge, as in ``_jacobi``.
     """

@@ -64,15 +64,6 @@ class BipartiteState:
     def dim(self) -> int:
         return self.d_a * self.d_b
 
-    def reduced_a(self) -> np.ndarray:
-        return linalg.partial_trace_b(self.rho, self.d_a, self.d_b)
-
-    def reduced_b(self) -> np.ndarray:
-        return linalg.partial_trace_a(self.rho, self.d_a, self.d_b)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
 
 def _checked_matrix(d_a: int, d_b: int, matrix) -> np.ndarray:
     """The constructor's checks that come before the spectrum; the symmetrized matrix.
@@ -118,9 +109,6 @@ class ObservableBasis:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-
-    def column(self, i: int) -> np.ndarray:
-        return self.vectors[:, i]
 
 
 def _pure(d_a: int, d_b: int, psi: np.ndarray) -> BipartiteState:

@@ -11,6 +11,8 @@ import pytest
 
 import qir
 from qir import backend
+from qir.channels import _blocks
+from qir.states import BipartiteState
 
 
 @pytest.fixture
@@ -29,6 +31,30 @@ def random_density(rng, n, rank=None):
     z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = z @ z.conj().T
     return m / np.trace(m).real
+
+
+def marginal_a(state):
+    """A marginal of a state, by ``np.einsum`` over the A-outer index layout."""
+    return np.einsum("ijkj->ik", state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b))
+
+
+def marginal_b(state):
+    """B marginal of a state, by ``np.einsum`` over the A-outer index layout."""
+    return np.einsum("ijik->jk", state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b))
+
+
+def blocks(x, state):
+    """The d_a diagonal blocks p_i sigma_i of a state in the frame of ``x``."""
+    return _blocks(x, state.rho[None], state.d_a, state.d_b)[0]
+
+
+def purity(state):
+    return float(np.trace(state.rho @ state.rho).real)
+
+
+def as_state(m):
+    """A density matrix of size n >= 2 as a state with d_a = n and d_b = 1."""
+    return BipartiteState(len(m), 1, m)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import qir
 
 
 def test_every_listed_name_imports():
-    assert len(qir.__all__) == len(set(qir.__all__)) == 52
+    assert len(qir.__all__) == len(set(qir.__all__)) == 49
     namespace = {}
     exec("from qir import *", namespace)
     del namespace["__builtins__"]

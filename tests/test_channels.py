@@ -9,7 +9,6 @@ from qir.channels import (
     _monitor_grid,
     _monitored_matrix,
     dephase,
-    dephased_blocks,
     monitor,
     monitor_n,
 )
@@ -28,27 +27,29 @@ from qir.states import (
     werner,
 )
 
+from conftest import blocks, marginal_b
+
 
 def projector_sum_dephase(x, rho):
     """Literal sum of (P_i x 1) rho (P_i x 1); oracle for the fast path."""
     d_a, d_b = rho.d_a, rho.d_b
     out = np.zeros_like(rho.rho)
     for i in range(d_a):
-        col = x.column(i)
+        col = x.vectors[:, i]
         p = np.kron(np.outer(col, col.conj()), np.eye(d_b))
         out += p @ rho.rho @ p
     return out
 
 
-def direct_sum(x, blocks):
+def direct_sum(x, parts):
     """sum_i |x_i><x_i| (x) block_i: the blocks placed back in the frame of x."""
-    return sum(np.kron(np.outer(x.column(i), x.column(i).conj()), b) for i, b in enumerate(blocks))
+    return sum(np.kron(np.outer(col, col.conj()), b) for col, b in zip(x.vectors.T, parts))
 
 
-def conditionals(blocks):
+def conditionals(parts):
     """Outcome probabilities p_i = tr(block_i) and conditional states block_i / p_i."""
-    probs = np.trace(blocks, axis1=1, axis2=2).real
-    return probs, [b / p for b, p in zip(blocks, probs)]
+    probs = np.trace(parts, axis1=1, axis2=2).real
+    return probs, [b / p for b, p in zip(parts, probs)]
 
 
 def random_triple(i, d_a=2, d_b=2):
@@ -77,7 +78,7 @@ class TestDephase:
             state = max_entangled(d)
             expected = np.zeros((d * d, d * d), dtype=complex)
             for i in range(d):
-                col = basis.column(i)
+                col = basis.vectors[:, i]
                 conj_col = col.conj()
                 expected += np.kron(np.outer(col, col.conj()), np.outer(conj_col, conj_col.conj())) / d
             assert np.abs(dephase(basis, state).rho - expected).max() <= 1e-12
@@ -98,7 +99,7 @@ class TestDephase:
     def test_preserves_b_marginal(self):
         for i in range(10):
             state, x, _ = random_triple(i, 2, 3)
-            assert np.abs(dephase(x, state).reduced_b() - state.reduced_b()).max() <= 1e-12
+            assert np.abs(marginal_b(dephase(x, state)) - marginal_b(state)).max() <= 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -113,10 +114,10 @@ class TestDephase:
 
 
 class TestDephasedDecomposition:
-    """Block i of ``dephased_blocks`` is p_i sigma_i: the dephased state's separable form."""
+    """Block i of ``channels._blocks`` is p_i sigma_i: the dephased state's separable form."""
 
     def test_max_entangled_computational(self):
-        probs, cond = conditionals(dephased_blocks(computational_basis(2), max_entangled(2)))
+        probs, cond = conditionals(blocks(computational_basis(2), max_entangled(2)))
         assert np.abs(probs - 0.5).max() <= 1e-12
         assert np.abs(cond[0] - np.diag([1.0, 0.0])).max() <= 1e-12
         assert np.abs(cond[1] - np.diag([0.0, 1.0])).max() <= 1e-12
@@ -124,12 +125,12 @@ class TestDephasedDecomposition:
     def test_product_state_conditionals_all_equal(self):
         sigma = np.diag([0.7, 0.3])
         state = BipartiteState(2, 2, np.kron(np.diag([0.2, 0.8]), sigma))
-        _, cond = conditionals(dephased_blocks(fourier_basis(2), state))
+        _, cond = conditionals(blocks(fourier_basis(2), state))
         for c in cond:
             assert np.abs(c - sigma).max() <= 1e-12
 
     def test_werner_block_extraction(self):
-        probs, cond = conditionals(dephased_blocks(computational_basis(2), werner(0.5)))
+        probs, cond = conditionals(blocks(computational_basis(2), werner(0.5)))
         assert np.abs(probs - 0.5).max() <= 1e-12
         assert np.abs(cond[0] - np.diag([0.75, 0.25])).max() <= 1e-12
         assert np.abs(cond[1] - np.diag([0.25, 0.75])).max() <= 1e-12
@@ -137,25 +138,25 @@ class TestDephasedDecomposition:
     def test_reconstruction(self):
         for i in range(10):
             state, x, _ = random_triple(i, 3, 2)
-            blocks = dephased_blocks(x, state)
-            probs, _ = conditionals(blocks)
+            parts = blocks(x, state)
+            probs, _ = conditionals(parts)
             assert abs(probs.sum() - 1.0) <= 1e-10
-            assert np.abs(direct_sum(x, blocks) - dephase(x, state).rho).max() <= 1e-10
+            assert np.abs(direct_sum(x, parts) - dephase(x, state).rho).max() <= 1e-10
 
     def test_null_marker_for_zero_probability(self):
         # |0><0| (x) sigma: the second outcome never occurs, and its block is zero
         state = BipartiteState(2, 2, np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
         x = computational_basis(2)
-        blocks = dephased_blocks(x, state)
-        assert not blocks[1].any()
-        assert np.abs(direct_sum(x, blocks) - state.rho).max() <= 1e-10
+        parts = blocks(x, state)
+        assert not parts[1].any()
+        assert np.abs(direct_sum(x, parts) - state.rho).max() <= 1e-10
 
     def test_conditionals_are_density_matrices(self):
         from qir import linalg
 
         for i in range(5):
             state, x, _ = random_triple(i, 2, 3)
-            _, cond = conditionals(dephased_blocks(x, state))
+            _, cond = conditionals(blocks(x, state))
             for c in cond:
                 assert abs(np.trace(c).real - 1.0) <= 1e-10
                 assert linalg.herm_eig(c).eigenvalues[0] >= -1e-10

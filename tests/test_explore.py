@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from qir import backend, linalg
-from qir.channels import dephase, dephased_blocks, monitor
+from qir import backend, explore, linalg
+from qir.channels import dephase, monitor
 from qir.entropies import irreality, shannon, vn_entropy
 from qir.errors import ConfigError, InvariantViolation, OutOfRange
 from qir.explore import (
@@ -15,7 +15,6 @@ from qir.explore import (
     SweepTrace,
     minimize_slack,
     monitoring_sweep,
-    run_campaign,
     run_campaign_records,
     _trial_inputs,
 )
@@ -31,6 +30,8 @@ from qir.states import (
     werner,
 )
 
+from conftest import blocks, marginal_b
+
 ALL_RELATIONS = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
 
 
@@ -39,8 +40,13 @@ ACCEPTANCE_DIMS = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
 
 def per_block_entropy(x, rho):
     """S(rho dephased in x) with one ``herm_eig`` call per block."""
-    blocks = dephased_blocks(x, rho)
-    return shannon(np.clip(np.concatenate([linalg.herm_eig(b).eigenvalues for b in blocks]), 0.0, None))
+    spectra = [linalg.herm_eig(b).eigenvalues for b in blocks(x, rho)]
+    return shannon(np.clip(np.concatenate(spectra), 0.0, None))
+
+
+def marginal_entropy(rho):
+    """S(rho_B) with one ``herm_eig`` call."""
+    return shannon(np.clip(linalg.herm_eig(marginal_b(rho)).eigenvalues, 0.0, None))
 
 
 def small_config(**overrides):
@@ -81,7 +87,7 @@ class TestCampaignConfig:
 
 class TestCampaign:
     def test_no_violations_and_histogram_accounting(self):
-        result = run_campaign(small_config())
+        result, _ = run_campaign_records(small_config())
         assert result.total_violations == 0
         for name in ALL_RELATIONS:
             summary = result.relations[name]
@@ -93,25 +99,56 @@ class TestCampaign:
         from qir.serialize import campaign_result_to_dict
 
         cfg = small_config(trials=24)
-        r1 = campaign_result_to_dict(run_campaign(cfg, workers=1))
-        r2 = campaign_result_to_dict(run_campaign(cfg, workers=1))
-        r3 = campaign_result_to_dict(run_campaign(cfg, workers=4))
+        r1 = campaign_result_to_dict(run_campaign_records(cfg, workers=1)[0])
+        r2 = campaign_result_to_dict(run_campaign_records(cfg, workers=1)[0])
+        r3 = campaign_result_to_dict(run_campaign_records(cfg, workers=4)[0])
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
+
+    def test_pool_is_capped_at_the_core_count(self, monkeypatch):
+        # a forking pool starts every process it is sized for, so it is never
+        # sized above the core count; the fake records the size and maps serially
+        from qir.serialize import campaign_result_to_dict
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        cfg = small_config(trials=6)
+        serial = run_campaign_records(cfg)
+        monkeypatch.setattr(explore, "ProcessPoolExecutor", SerialPool)
+        for cores, workers, size in ((2, 2, 2), (2, 3, 2), (2, 100_000, 2), (8, 3, 3), (None, 3, 1)):
+            monkeypatch.setattr(explore.os, "cpu_count", lambda: cores)
+            sizes.clear()
+            result, records = run_campaign_records(cfg, workers=workers)
+            assert sizes == [size], (cores, workers)
+            assert records == serial[1]
+            assert campaign_result_to_dict(result) == campaign_result_to_dict(serial[0])
 
     def test_named_saturating_case(self):
         cfg = small_config(
             ensemble="named:bell:2", dims=((2, 2),), trials=1, relations=("eq11",)
         )
-        result = run_campaign(cfg)
+        result, _ = run_campaign_records(cfg)
         assert abs(result.relations["eq11"].min_slack) <= 1e-9
         assert result.relations["eq11"].violations == 0
 
     def test_induced_mixed_ensemble(self):
         cfg = small_config(ensemble="induced-mixed", trials=20)
-        assert run_campaign(cfg).total_violations == 0
+        assert run_campaign_records(cfg)[0].total_violations == 0
         cfg = small_config(ensemble="induced-mixed:1", trials=10)
-        assert run_campaign(cfg).total_violations == 0
+        assert run_campaign_records(cfg)[0].total_violations == 0
 
     def test_memoryless_campaign(self):
         # d_B = 1 reduces to the plain two-observable bound; pure inputs
@@ -193,7 +230,7 @@ class TestSweep:
                     trace = monitoring_sweep(x, y, state, grid)
                     monitored = [monitor(y, eps, state) for eps in grid]
                     irr = [per_block_entropy(x, m) - vn_entropy(m) for m in monitored]
-                    unc = [per_block_entropy(y, m) - vn_entropy(m.reduced_b()) for m in monitored]
+                    unc = [per_block_entropy(y, m) - marginal_entropy(m) for m in monitored]
                     assert trace.irreality_x.tobytes() == np.array(irr).tobytes(), (d_a, d_b, grid)
                     assert trace.uncertainty_y.tobytes() == np.array(unc).tobytes(), (d_a, d_b, grid)
                     assert [irreality(x, m) for m in monitored] == irr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qir import linalg
-from qir.channels import dephased_blocks, monitor
+from qir.channels import monitor
 from qir.entropies import cond_entropy, irreality, shannon, uncertainty, vn_entropy
 from qir.errors import ConfigError, DimensionMismatch
 from qir.relations import (
@@ -29,6 +29,8 @@ from qir.states import (
     random_mixed,
     werner,
 )
+
+from conftest import blocks, marginal_b
 
 LN2 = math.log(2.0)
 ACCEPTANCE_DIMS = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
@@ -56,7 +58,7 @@ class TestMuBound:
     def test_matches_exhaustive_scan(self):
         x, y = random_basis(2, 1), random_basis(2, 2)
         best = max(
-            abs(np.vdot(x.column(i), y.column(j))) for i in range(2) for j in range(2)
+            abs(np.vdot(x.vectors[:, i], y.vectors[:, j])) for i in range(2) for j in range(2)
         )
         assert abs(mu_overlap(x, y) - best) <= 1e-15
 
@@ -249,7 +251,7 @@ class TestEntropyBundle:
     def test_fields_are_bitwise_the_per_point_route(self):
         # the per-point route: one herm_eig call per block and for rho_B
         def per_block(x, rho):
-            spectra = [linalg.herm_eig(b).eigenvalues for b in dephased_blocks(x, rho)]
+            spectra = [linalg.herm_eig(b).eigenvalues for b in blocks(x, rho)]
             return shannon(np.clip(np.concatenate(spectra), 0.0, None))
 
         dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
@@ -258,7 +260,7 @@ class TestEntropyBundle:
                 x, y = random_basis(d_a, (72, k)), random_basis(d_a, (73, k))
                 b = entropy_bundle(x, rho, y)
                 h_ab = vn_entropy(rho)
-                h_b = shannon(np.clip(linalg.herm_eig(rho.reduced_b()).eigenvalues, 0.0, None))
+                h_b = shannon(np.clip(linalg.herm_eig(marginal_b(rho)).eigenvalues, 0.0, None))
                 h_xb, h_yb = per_block(x, rho), per_block(y, rho)
                 expected = (h_ab, h_b, h_xb - h_b, h_xb - h_ab, h_yb - h_b, h_yb - h_ab, mu_bound(x, y))
                 got = (b.h_ab, b.h_b, b.h_x_given_b, b.irreality_x, b.h_y_given_b, b.irreality_y, b.q)
