@@ -40,8 +40,11 @@ So ``a`` must be exactly Hermitian on entry: its bytes those of
 rotating the rows would give, ``conj(c a[j,p] + s a[j,q]) = c a[p,j] +
 conj(s) a[q,j]`` in IEEE arithmetic, up to the sign of a zero: the
 rotation counts, the diagonal and ``v`` get the bytes a row update gives,
-and ``a`` its values. Every matrix qir hands a kernel is built as
-``(m + m^dag) / 2``, which is exactly Hermitian.
+and ``a`` its values. qir hands a kernel only what one builder makes,
+``linalg._hermitian_part``, ``(m + m^dag) / 2``, which is exactly
+Hermitian: ``linalg.herm_eig`` and ``linalg._stack_eigenvalues`` build it
+from their input as a new array, so the kernel, which overwrites ``a``,
+never overwrites a caller's array.
 
 The bits rest on numpy's complex multiply loop, which may round by operand
 layout, and on that BLAS dot. On x86-64 with AVX-512 and numpy 2.4, the

@@ -2,8 +2,9 @@
 
 ``dephase`` projects the A factor onto an observable's eigenbasis (an
 unread projective measurement); ``monitor`` mixes the input with its
-dephased image, modelling a measurement of strength ``eps``. Outputs are
-re-symmetrized to keep round-off from accumulating across long chains.
+dephased image, modelling a measurement of strength ``eps``. Every output
+matrix is its ``linalg._hermitian_part``, which keeps round-off from
+accumulating across long chains.
 ``_blocks`` is the one place a matrix is rewritten in the measured
 frame; entropies of dephased states are taken from its blocks. Block i
 is p_i sigma_i: its trace is the probability of outcome i and, where
@@ -54,8 +55,7 @@ def _dephased_matrix(x: ObservableBasis, m: np.ndarray, d_a: int, d_b: int) -> n
     idx = np.arange(d_a)
     kept[idx, :, idx, :] = _blocks(x, m[None], d_a, d_b)[0]
     w = _frame(x, d_b)
-    out = w @ kept.reshape(dim, dim) @ w.conj().T
-    return (out + out.conj().T) / 2.0
+    return linalg._hermitian_part(w @ kept.reshape(dim, dim) @ w.conj().T)
 
 
 def _monitored_matrix(m: np.ndarray, dephased: np.ndarray, eps) -> np.ndarray:
@@ -64,8 +64,7 @@ def _monitored_matrix(m: np.ndarray, dephased: np.ndarray, eps) -> np.ndarray:
     An ``eps`` of shape ``(k, 1, 1)`` gives the ``(k, n, n)`` stack of one
     matrix per strength, each with the bits of its scalar ``eps``.
     """
-    mixed = (1.0 - eps) * m + eps * dephased
-    return (mixed + np.swapaxes(mixed.conj(), -1, -2)) / 2.0
+    return linalg._hermitian_part((1.0 - eps) * m + eps * dephased)
 
 
 def dephase(x: ObservableBasis, rho: BipartiteState) -> BipartiteState:
@@ -85,13 +84,11 @@ def _check_strength(eps: float) -> float:
 
 
 def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteState:
-    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho); ``rho`` itself at 0."""
-    eps = _check_strength(eps)
-    _check_pair(y, rho.d_a)
-    if eps == 0.0:
-        return rho
-    dephased = _dephased_matrix(y, rho.rho, rho.d_a, rho.d_b)
-    return BipartiteState(rho.d_a, rho.d_b, _monitored_matrix(rho.rho, dephased, eps))
+    """Weak unread measurement: (1-eps) * rho + eps * dephase(y, rho); ``rho`` itself at 0.
+
+    ``monitor_n`` with one step: the same checks, in the same order.
+    """
+    return monitor_n(y, eps, 1, rho)
 
 
 def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
@@ -114,13 +111,12 @@ def _monitor_grid(y: ObservableBasis, strengths, rho: BipartiteState) -> tuple[n
 
 
 def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> BipartiteState:
-    """n-fold application of ``monitor``, computed iteratively.
+    """n-fold weak unread measurement of ``y`` at strength ``eps``, computed iteratively.
 
     Equals a single application at strength 1 - (1-eps)**n; keeping the
     iteration genuine lets tests treat the composition law as a check
-    rather than a definition. Only the final state is validated: each
-    step's output is exactly Hermitian, so it is what ``monitor`` would
-    have stored.
+    rather than a definition. Only the final state is validated; each
+    step's output is exactly Hermitian.
     """
     if n < 0:
         raise OutOfRange(f"repetition count must be >= 0, got {n}")

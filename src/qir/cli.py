@@ -9,7 +9,8 @@ Subcommands:
     qir minimize --relation eq11 --dA 2 --dB 2 --restarts 50 --seed 7
 
 Exit codes: 0 success, 1 tolerance violation, 2 usage/config error,
-3 theorem-violation flag. QIR_TOL overrides the default tolerance.
+3 theorem-violation flag. The tolerance is ``--tol``, else the config
+file's ``tol``, else QIR_TOL, else 1e-9.
 Printed numbers are nats with 9 decimals; --bits converts the display
 (never stored files) to bits.
 """
@@ -46,12 +47,13 @@ from .states import (
 SATURATE_EPS = 0.5  # monitoring strength used for the eq16 row of `saturate`
 
 
-def resolve_tol(explicit: float | None) -> float:
-    """Tolerance precedence: command line, then QIR_TOL, then the default."""
-    if explicit is not None:
-        if not explicit > 0:
-            raise ConfigError(f"tolerance must be positive, got {explicit}")
-        return explicit
+def resolve_tol(explicit: float | None, configured: float | None = None) -> float:
+    """Tolerance precedence: ``--tol``, then the config file's ``tol``, then QIR_TOL, then the default."""
+    for given in (explicit, configured):
+        if given is not None:
+            if not given > 0:
+                raise ConfigError(f"tolerance must be positive, got {given}")
+            return given
     env = os.environ.get("QIR_TOL")
     if env is not None:
         try:
@@ -211,13 +213,13 @@ def parse_campaign_config(path: str, tol_override: float | None) -> CampaignConf
     relations_raw = section.get("relations", "").replace(",", " ").split()
     relations = tuple(relations_raw) if relations_raw else tuple(RELATIONS)
 
+    configured = None
     if "tol" in section:
         try:
-            tol = float(section["tol"])
+            configured = float(section["tol"])
         except ValueError as exc:
             raise ConfigError(f"{path}: tol is not a decimal number") from exc
-    else:
-        tol = resolve_tol(tol_override)
+    tol = resolve_tol(tol_override, configured)
 
     return CampaignConfig(
         dims=tuple(dims),

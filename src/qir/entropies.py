@@ -125,8 +125,8 @@ def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndar
     ``rhos`` is a ``(k, n, n)`` stack of density matrices sharing (d_a, n / d_a),
     and ``spectra`` their ascending ``(k, n)`` spectra; shape ``(k, 2 + len(bases))``.
     Each basis's frame is built once; the B marginals and the blocks of every
-    matrix and basis, matrix by matrix, are symmetrized and go through one
-    stacked eigendecomposition. S(rho) and the dephased entropies take one
+    matrix and basis, matrix by matrix, go through one stacked
+    eigendecomposition. S(rho) and the dephased entropies take one
     entropy pass and the marginals a second; the passes check every spectrum.
     """
     for b in bases:
@@ -134,7 +134,7 @@ def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndar
     k, n = spectra.shape
     d_b = n // d_a
     parts = [_marginals(rhos, d_a, d_b)[:, None]] + [_blocks(b, rhos, d_a, d_b) for b in bases]
-    blocks = linalg._hermitian_part(np.concatenate(parts, axis=1).reshape(-1, d_b, d_b))
+    blocks = np.concatenate(parts, axis=1).reshape(-1, d_b, d_b)
     block_spectra = linalg._stack_eigenvalues(blocks).reshape(k, -1)
     joint = _entropies(np.concatenate([spectra, block_spectra[:, d_b:]], axis=1).reshape(-1, n))
     return np.column_stack([_entropies(block_spectra[:, :d_b]), joint.reshape(k, -1)])

@@ -41,6 +41,7 @@ from .relations import (
 from .states import (
     BipartiteState,
     ObservableBasis,
+    _pure,
     computational_basis,
     fourier_basis,
     haar_random_pure,
@@ -320,8 +321,7 @@ def _decode_state(vec: np.ndarray, d_a: int, d_b: int) -> BipartiteState | None:
     nrm = np.linalg.norm(z)
     if nrm < 1e-12:
         return None
-    psi = z / nrm
-    return BipartiteState(d_a, d_b, np.outer(psi, psi.conj()))
+    return _pure(d_a, d_b, z / nrm)
 
 
 def _decode_basis(vec: np.ndarray, d: int) -> ObservableBasis | None:

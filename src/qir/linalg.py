@@ -5,9 +5,12 @@ Composite systems put the A factor on the slow (outer) index:
 ``np.kron(a, b)`` tiles ``b`` inside the blocks of ``a``. The Hermitian
 eigensolver is a cyclic Jacobi scheme (compiled core with a pure-Python
 fallback, see ``qir.backend``): ``herm_eig`` checks one matrix, and
-``_stack_eigenvalues`` takes the spectra of a stack already known to be
-finite and exactly Hermitian. Products, adjoints and Kronecker products
-are numpy's own (``@``, ``.conj().T``, ``np.kron``).
+``_stack_eigenvalues`` takes the spectra of a finite stack already known
+to be within 1e-10 of Hermitian. The kernel needs an exactly Hermitian
+input and overwrites it, so both hand it the ``_hermitian_part`` of what
+they are given, a new array; no caller copies or symmetrizes for it, and
+no caller's array is overwritten. Products, adjoints and Kronecker
+products are numpy's own (``@``, ``.conj().T``, ``np.kron``).
 """
 
 from __future__ import annotations
@@ -42,26 +45,14 @@ class EigenDecomposition:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dag) / 2 of each slice of a ``(k, n, n)`` stack, C-contiguous; nothing is checked."""
-    return np.ascontiguousarray((a + a.conj().transpose(0, 2, 1)) / 2.0)
+    """(a + a^dag) / 2 over the last two axes, as a new C-contiguous array; nothing is checked.
 
-
-def _symmetrized(a: np.ndarray, label: str) -> np.ndarray:
-    """Check a ``(k, n, n)`` stack for Hermiticity; its ``_hermitian_part``.
-
-    A slice whose largest entry of ``a - a^dag`` exceeds 1e-10 raises
-    ``NotHermitian``; ``label.format(i=slice, n=n)`` names it.
+    The one place qir symmetrizes a matrix. On a finite input within 1e-10 of
+    Hermitian it gives what the kernel must be handed: an array whose bytes
+    are those of its conjugate transpose up to the sign of a zero. On an
+    input that is already its own Hermitian part it changes at most that sign.
     """
-    k, n = a.shape[0], a.shape[1]
-    if k and n:
-        defects = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        i = int(defects.argmax())
-        if defects[i] > HERMITICITY_TOL:
-            raise NotHermitian(
-                f"{label.format(i=i, n=n)}: Hermiticity defect {defects[i]:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e}"
-            )
-    return _hermitian_part(a)
+    return np.ascontiguousarray((a + np.swapaxes(a.conj(), -1, -2)) / 2.0)
 
 
 def herm_eig(m) -> EigenDecomposition:
@@ -72,20 +63,29 @@ def herm_eig(m) -> EigenDecomposition:
     raises ``NotHermitian``. The rotation budget is 100 * dim**2;
     exceeding it raises ``NoConvergence``.
     """
-    work = _symmetrized(as_operator(m)[None], "{n}x{n} matrix")
+    a = as_operator(m)
+    n = a.shape[0]
+    defect = np.abs(a - a.conj().T).max(initial=0.0)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(
+            f"{n}x{n} matrix: Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    work = _hermitian_part(a[None])
     vecs = _jacobi(work, "{n}x{n} matrix")[0]
     w = np.diag(work[0]).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
 
 
-def _stack_eigenvalues(work: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np.ndarray:
-    """Ascending eigenvalues, shape ``(k, n)``, of a finite, exactly Hermitian, C-contiguous stack.
+def _stack_eigenvalues(ms: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np.ndarray:
+    """Ascending eigenvalues, shape ``(k, n)``, of a finite ``(k, n, n)`` stack within 1e-10 of Hermitian.
 
-    Nothing is checked. Slice i gets the bits of ``herm_eig(work[i]).eigenvalues``.
-    The kernel overwrites ``work``; ``label`` names a slice that does not
+    Nothing is checked, and ``ms`` is left as it is: the kernel diagonalizes
+    the stack's ``_hermitian_part``. Slice i gets the bits of
+    ``herm_eig(ms[i]).eigenvalues``; ``label`` names a slice that does not
     converge, as in ``_jacobi``.
     """
+    work = _hermitian_part(ms)
     _jacobi(work, label)
     return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
 

@@ -34,12 +34,12 @@ UNITARITY_TOL = 1e-10
 class BipartiteState:
     """Density matrix on system A (dim ``d_a``) and memory B (dim ``d_b``).
 
-    Construction validates Hermiticity (defect <= 1e-10, then symmetrizes),
-    unit trace (<= 1e-10), and positivity (smallest eigenvalue >= -1e-10).
-    Each check runs once: the symmetrized matrix goes straight to the
-    Jacobi kernel. The eigenvalues found during validation are kept in
-    ``spectrum`` (ascending), with the bits of ``herm_eig(rho)``; every
-    entropy downstream needs only those.
+    Construction validates Hermiticity (defect <= 1e-10, then keeps the
+    matrix's Hermitian part), unit trace (<= 1e-10), and positivity
+    (smallest eigenvalue >= -1e-10). Each check runs once, and the kept
+    matrix goes straight to ``linalg._stack_eigenvalues``. The eigenvalues
+    found during validation are kept in ``spectrum`` (ascending), with the
+    bits of ``herm_eig(rho)``; every entropy downstream needs only those.
     """
 
     d_a: int
@@ -49,7 +49,7 @@ class BipartiteState:
 
     def __post_init__(self):
         rho = _checked_matrix(self.d_a, self.d_b, self.rho)
-        spectrum = linalg._stack_eigenvalues(rho[None].copy(), "{n}x{n} matrix")[0]
+        spectrum = linalg._stack_eigenvalues(rho[None], "{n}x{n} matrix")[0]
         if spectrum[0] < -PSD_TOL:
             raise InvariantViolation(
                 f"({self.d_a}, {self.d_b}) state not positive semidefinite "
@@ -66,26 +66,22 @@ class BipartiteState:
 
 
 def _checked_matrix(d_a: int, d_b: int, matrix) -> np.ndarray:
-    """The constructor's checks that come before the spectrum; the symmetrized matrix.
+    """The constructor's checks that come before the spectrum; the matrix's Hermitian part.
 
-    In order: dims, shape, finiteness, dim, Hermiticity (defect <= 1e-10), trace.
+    In order: dims, shape and finiteness (``as_operator``), dim, Hermiticity
+    (defect <= 1e-10), trace.
     """
     if d_a < 2:
         raise BadDimension(f"d_a must be >= 2, got {d_a}")
     if d_b < 1:
         raise BadDimension(f"d_b must be >= 1, got {d_b}")
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvariantViolation("matrix contains non-finite entries")
+    m = linalg.as_operator(matrix)
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatch(f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}")
-    adjoint = m.conj().T
-    defect = np.abs(m - adjoint).max()
+    defect = np.abs(m - m.conj().T).max()
     if defect > HERMITICITY_TOL:
         raise InvariantViolation(f"({d_a}, {d_b}) state not Hermitian (defect {defect:.3e})")
-    rho = (m + adjoint) / 2.0
+    rho = linalg._hermitian_part(m)
     trace = np.trace(rho)
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(trace)!r} != 1")

@@ -232,10 +232,12 @@ def test_loop_twin_is_bitwise_the_reference(rng, n):
 
 
 def skewed_with_signed_zeros(rng, n):
-    """Densities 1e-12 off Hermitian, with -0.0 in entries the kernel reads."""
+    """Densities 1e-12 off Hermitian, with -0.0 in entries the kernel reads; positive definite
+    (eigenvalues at least 0.9 / n before the zeros), so that they make states."""
     ms = []
     for _ in range(3):
-        m = random_density(rng, n) + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = 0.1 * random_density(rng, n) + 0.9 * np.eye(n) / n
+        m += 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         m[0, n - 1], m[n - 1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
         m[1, 2] = m[2, 1] = complex(-0.0, -0.0)
         m.imag[np.arange(n), np.arange(n)] = -0.0
@@ -243,24 +245,49 @@ def skewed_with_signed_zeros(rng, n):
     return np.array(ms)
 
 
-def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng):
-    """``_symmetrized``, ``_hermitian_part`` and ``_checked_matrix`` build (m + m^dag) / 2, whose bytes are
-    those of its conjugate transpose up to the sign of a zero (adding 0.0 maps -0.0
-    to 0.0): the premise of copying rows from the conjugated columns."""
-    from qir import states
+def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng, monkeypatch):
+    """Every ``a`` that reaches either kernel entry has the bytes of its conjugate
+    transpose up to the sign of a zero (adding 0.0 maps -0.0 to 0.0): the premise
+    of copying rows from the conjugated columns.
 
-    for d_a, d_b in ((2, 2), (3, 2), (5, 3)):
-        ms = skewed_with_signed_zeros(rng, d_a * d_b)
-        assert not np.array_equal(ms[0], ms[0].conj().T)
-        outputs = [
-            linalg._symmetrized(ms, "slice {i}"),
-            linalg._hermitian_part(ms),
-            np.array([states._checked_matrix(d_a, d_b, m) for m in ms]),
-        ]
-        for out in outputs:
-            adjoint = out.conj().transpose(0, 2, 1)
-            assert np.array_equal(out, adjoint), (d_a, d_b)
-            assert (out + 0.0).tobytes() == (adjoint + 0.0).tobytes(), (d_a, d_b)
+    Both entries are wrapped at ``qir.backend`` and every route that ends in the
+    kernel runs: a state's constructor (on skewed input with signed zeros),
+    ``herm_eig``, an eq16 ``evaluate_relations``, a 21-point
+    ``monitoring_sweep``, ``monitor_n`` and a ``minimize_slack`` evaluation.
+    """
+    import qir
+    from qir.explore import minimize_slack, monitoring_sweep
+
+    handed = []
+    for entry in ("jacobi_eigh", "jacobi_eigh_stack"):
+        kernel = getattr(backend, entry)
+
+        def recording(a, v, max_rotations, kernel=kernel, entry=entry):
+            handed.append((entry, a.copy()))
+            return kernel(a, v, max_rotations)
+
+        monkeypatch.setattr(backend, entry, recording)
+
+    def routes():
+        for d_a, d_b in ((2, 2), (3, 2), (5, 3)):
+            skewed = skewed_with_signed_zeros(rng, d_a * d_b)
+            state = qir.BipartiteState(d_a, d_b, skewed[0])
+            x, y = qir.random_basis(d_a, (1, d_a)), qir.random_basis(d_a, (2, d_a))
+            yield "state", lambda: [qir.BipartiteState(d_a, d_b, m) for m in skewed]
+            yield "herm_eig", lambda: linalg.herm_eig(skewed[1])
+            yield "eq16", lambda: qir.evaluate_relations(["eq16"], x, y, state, eps=0.3)
+            yield "sweep", lambda: monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21))
+            yield "monitor_n", lambda: qir.monitor_n(y, 0.3, 3, state)
+        yield "minimize", lambda: minimize_slack("eq11", 2, 2, restarts=1, seed=7, max_evals=1)
+
+    for name, run in routes():
+        handed.clear()
+        run()
+        assert handed, name
+        for entry, a in handed:
+            adjoint = np.swapaxes(a.conj(), -1, -2)
+            assert np.array_equal(a, adjoint), (name, entry)
+            assert (a + 0.0).tobytes() == (adjoint + 0.0).tobytes(), (name, entry)
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)
@@ -276,7 +303,7 @@ def test_mirrored_rows_are_the_rotated_rows_on_hermitian_input(rng, n):
     """
     from qir import _jacobi_py
 
-    ms = linalg._symmetrized(kernel_stack(rng, n), "slice {i}")
+    ms = linalg._hermitian_part(kernel_stack(rng, n))
     for m in ms:
         for budget in (0, 1, 3, 7, 100 * n * n):
             a, v, rotations, converged = loop_twin(_jacobi_py, m, budget)
@@ -348,7 +375,7 @@ def test_stack_eigenvalues_is_bitwise_herm_eig(rng, restore_backend):
         backend.set_backend(name)
         for n in (1, 2, 4, 6):
             ms = kernel_stack(rng, n)
-            values = linalg._stack_eigenvalues(linalg._hermitian_part(ms))
+            values = linalg._stack_eigenvalues(ms)
             for i, m in enumerate(ms):
                 assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes()
 
@@ -363,7 +390,7 @@ def test_compiled_stack_loops_its_kernel(rng, restore_backend):
         for budget in (0, 3, 100 * n * n):
             stacked = run_stack(backend.jacobi_eigh_stack, ms, budget)
             assert_slices_equal_twin(_jacobi, ms, stacked, budget)
-        assert linalg._stack_eigenvalues(linalg._hermitian_part(ms)).tobytes() == np.array(
+        assert linalg._stack_eigenvalues(ms).tobytes() == np.array(
             [linalg.herm_eig(m).eigenvalues for m in ms]
         ).tobytes()
 
@@ -476,4 +503,4 @@ def test_compiled_stack_of_none(restore_backend):
     assert (rotations.dtype, converged.dtype, rotations.shape, converged.shape) == (
         np.int64, np.bool_, (0,), (0,)
     )
-    assert linalg._stack_eigenvalues(empty.copy()).shape == (0, 4)
+    assert linalg._stack_eigenvalues(empty).shape == (0, 4)

@@ -366,6 +366,33 @@ class TestTolerance:
         monkeypatch.delenv("QIR_TOL", raising=False)
         assert resolve_tol(None) == 1e-9
 
+    def test_order_flag_config_env_default(self, monkeypatch):
+        monkeypatch.setenv("QIR_TOL", "1e-6")
+        assert resolve_tol(1e-3, 1e-7) == 1e-3
+        assert resolve_tol(None, 1e-7) == 1e-7
+        with pytest.raises(ConfigError, match="tolerance must be positive, got -5"):
+            resolve_tol(-5.0, 1e-7)
+        with pytest.raises(ConfigError, match="tolerance must be positive, got 0"):
+            resolve_tol(None, 0.0)
+
+    def test_flag_beats_the_config_tol(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QIR_TOL", "1e-6")
+        cfg = write_cfg(tmp_path, CAMPAIGN_CFG.replace("trials = 16", "trials = 2") + "tol = 1e-9\n")
+        runs = {"flag": ["--tol", "1e-3"], "config": []}
+        for name, flag in runs.items():
+            out = tmp_path / name
+            assert main(["verify", "--config", cfg, "--out", str(out), *flag]) == 0
+            runs[name] = json.loads((out / "manifest.json").read_text())["config"]["tol"]
+        assert runs == {"flag": 1e-3, "config": 1e-9}
+
+    @pytest.mark.parametrize("tol", ["-5", "0"])
+    def test_non_positive_flag_exits_2_despite_a_config_tol(self, tmp_path, capsys, tol):
+        cfg = write_cfg(tmp_path, CAMPAIGN_CFG + "tol = 1e-9\n")
+        out = tmp_path / "results"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be positive")
+        assert not out.exists()
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):

@@ -26,7 +26,8 @@ Cases:
 - ``kernel``: the eigendecompositions of one 21-point monitoring sweep at
   (d_A, d_B) = (3, 2), as ``herm_eig`` one matrix at a time (``loop``)
   and as one ``_stack_eigenvalues`` call (``stack``): the 20 monitored
-  6 x 6 states, and the 147 2 x 2 B marginals and blocks (symmetrized);
+  6 x 6 states, and the 147 2 x 2 B marginals and blocks, as ``_blocks``
+  gives them (``linalg`` hands the kernel their Hermitian part);
 - ``entropy_bundle``: one bundle with X and Y for each of the 12 pairs
   d_A in 2..5, d_B in 1..3 (one operation is all 12);
 - ``bundle_2x2``: one bundle with X and Y at (2, 2), the size the
@@ -130,9 +131,7 @@ def cases(qir):
     rhos = np.array([qir.monitor(y, eps, state).rho for eps in grid])
     big = rhos[1:]
     marginals = np.einsum("kijil->kjl", rhos.reshape(len(rhos), 3, 2, 3, 2))[:, None]
-    small = linalg._hermitian_part(
-        np.concatenate([marginals, _blocks(x, rhos, 3, 2), _blocks(y, rhos, 3, 2)], axis=1).reshape(-1, 2, 2)
-    )
+    small = np.concatenate([marginals, _blocks(x, rhos, 3, 2), _blocks(y, rhos, 3, 2)], axis=1).reshape(-1, 2, 2)
     bundles = []
     for k, (d_a, d_b) in enumerate((a, b) for a in (2, 3, 4, 5) for b in (1, 2, 3)):
         bundles.append((qir.random_basis(d_a, (23, k)), qir.random_mixed(d_a, d_b, d_a * d_b, (24, k)),
@@ -147,8 +146,8 @@ def cases(qir):
         **{f"kernel.loop.n{rho.dim}": (lambda m=rho.rho: linalg.herm_eig(m))
            for _, rho, _ in bundles if (rho.d_a, rho.d_b) in ((3, 1), (3, 2), (3, 3), (5, 3))},
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
-        "kernel.stack.monitored_6x6_k20": lambda: linalg._stack_eigenvalues(big.copy()),
-        "kernel.stack.blocks_2x2_k147": lambda: linalg._stack_eigenvalues(small.copy()),
+        "kernel.stack.monitored_6x6_k20": lambda: linalg._stack_eigenvalues(big),
+        "kernel.stack.blocks_2x2_k147": lambda: linalg._stack_eigenvalues(small),
     }
 
 
