@@ -51,8 +51,8 @@ def resolve_tol(explicit: float | None, configured: float | None = None) -> floa
     """Tolerance precedence: ``--tol``, then the config file's ``tol``, then QIR_TOL, then the default."""
     for given in (explicit, configured):
         if given is not None:
-            if not given > 0:
-                raise ConfigError(f"tolerance must be positive, got {given}")
+            if not 0 < given < math.inf:
+                raise ConfigError(f"tolerance must be positive and finite, got {given}")
             return given
     env = os.environ.get("QIR_TOL")
     if env is not None:
@@ -60,8 +60,8 @@ def resolve_tol(explicit: float | None, configured: float | None = None) -> floa
             value = float(env)
         except ValueError as exc:
             raise ConfigError(f"QIR_TOL={env!r} is not a decimal number") from exc
-        if not value > 0:
-            raise ConfigError(f"QIR_TOL must be positive, got {env!r}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"QIR_TOL must be positive and finite, got {env!r}")
         return value
     return DEFAULT_TOL
 

@@ -87,8 +87,8 @@ class CampaignConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if not self.dims:
             raise ConfigError("dims must list at least one (dA, dB) pair")
         for d_a, d_b in self.dims:
@@ -333,6 +333,83 @@ def _decode_basis(vec: np.ndarray, d: int) -> ObservableBasis | None:
     return ObservableBasis(d, q * (diag / np.abs(diag)))
 
 
+class _BudgetSpent(Exception):
+    """The search has made all the calls it may make."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, xatol: float, fatol: float, max_evals: int) -> None:
+    """Nelder–Mead simplex descent of ``fun`` from ``x0`` (Comput. J. 7, 308 (1965)).
+
+    The steps of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=False``,
+    no bounds and its default initial simplex, down to the numpy expressions
+    and sorts, so that ``fun`` is called at the same points in the same order.
+    The search stops once the simplex spans at most ``xatol`` in every
+    coordinate and ``fatol`` in value, or once ``fun`` has been called
+    ``max_evals`` times, even within the initial simplex or a shrink. ``fun``
+    must not change the point it is given. Nothing is returned: the caller
+    keeps what it needs from the calls.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= max_evals:
+            raise _BudgetSpent
+        calls += 1
+        return fun(x)
+
+    def order():
+        nonlocal sim, fsim
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        order()
+        order()  # scipy sorts a second time here, and np.argsort is not stable
+        while not (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            order()
+    except _BudgetSpent:
+        pass
+
+
 def minimize_slack(
     relation: str,
     d_a: int,
@@ -345,17 +422,17 @@ def minimize_slack(
 ) -> MinimizeResult:
     """Search for the configuration minimizing an inequality's slack.
 
-    Derivative-free simplex descent (classical reflection/expansion/
-    contraction coefficients 1, 2, 0.5, 0.5) over a real parametrization:
-    a pure state as 2*dA*dB reals, each basis as 2*dA^2 reals pushed
-    through a QR retraction, plus one strength parameter for relations
-    that monitor. Restarts draw independent start points from streams
-    ``(seed, restart)``; the search stops early once ``target`` is reached.
+    qir's own Nelder–Mead simplex descent (``_nelder_mead``), which
+    evaluates the points scipy's non-adaptive Nelder–Mead evaluates, in
+    the same order, so results do not depend on the installed scipy. It
+    runs over a real parametrization: a pure state as 2*dA*dB reals, each
+    basis as 2*dA^2 reals pushed through a QR retraction, plus one
+    strength parameter for relations that monitor. Each restart draws its
+    start point from stream ``(seed, restart)`` and may evaluate
+    ``max_evals`` points; the search stops early once ``target`` is reached.
 
     Raises ``TheoremViolation`` if the best slack falls below ``-tol``.
     """
-    from scipy.optimize import minimize as scipy_minimize  # slow import, needed only here
-
     info = lookup_relation(relation)
     if info.kind != "inequality":
         raise ConfigError(f"relation {relation!r} is an identity; nothing to minimize")
@@ -363,6 +440,10 @@ def minimize_slack(
         raise BadDimension(f"need d_a >= 2 and d_b >= 1, got ({d_a}, {d_b})")
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if max_evals < 1:
+        raise ConfigError(f"max_evals must be >= 1, got {max_evals}")
 
     n_state = 2 * d_a * d_b
     n_basis = 2 * d_a * d_a
@@ -400,18 +481,7 @@ def minimize_slack(
     for restart in range(restarts):
         restarts_used += 1
         x0 = spawn_rng(seed, restart).standard_normal(n_params)
-        scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-                "maxfev": max_evals,
-                "maxiter": max_evals,
-                "adaptive": False,
-            },
-        )
+        _nelder_mead(objective, x0, xatol=1e-9, fatol=1e-12, max_evals=max_evals)
         if target is not None and best_value <= target:
             break
 

@@ -279,6 +279,12 @@ class TestMinimize:
         assert capsys.readouterr().err == f"error: need --dA >= 2 and --dB >= 1, got ({d_a}, {d_b})\n"
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "argmin.json"
+        assert main(["minimize", "--relation", "eq11", "--dA", "2", "--dB", "2", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_theorem_violation_exit_3(self, monkeypatch, capsys):
         from qir import cli
         from qir.errors import TheoremViolation
@@ -370,9 +376,9 @@ class TestTolerance:
         monkeypatch.setenv("QIR_TOL", "1e-6")
         assert resolve_tol(1e-3, 1e-7) == 1e-3
         assert resolve_tol(None, 1e-7) == 1e-7
-        with pytest.raises(ConfigError, match="tolerance must be positive, got -5"):
+        with pytest.raises(ConfigError, match="tolerance must be positive and finite, got -5"):
             resolve_tol(-5.0, 1e-7)
-        with pytest.raises(ConfigError, match="tolerance must be positive, got 0"):
+        with pytest.raises(ConfigError, match="tolerance must be positive and finite, got 0"):
             resolve_tol(None, 0.0)
 
     def test_flag_beats_the_config_tol(self, tmp_path, monkeypatch):
@@ -384,6 +390,22 @@ class TestTolerance:
             assert main(["verify", "--config", cfg, "--out", str(out), *flag]) == 0
             runs[name] = json.loads((out / "manifest.json").read_text())["config"]["tol"]
         assert runs == {"flag": 1e-3, "config": 1e-9}
+
+    def test_infinite_flag_exits_2(self, capsys):
+        assert main(["saturate", "--d", "2", "--tol", "inf"]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got inf\n"
+
+    def test_infinite_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QIR_TOL", "inf")
+        assert main(["saturate", "--d", "2"]) == 2
+        assert capsys.readouterr().err == "error: QIR_TOL must be positive and finite, got 'inf'\n"
+
+    def test_infinite_config_tol_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CAMPAIGN_CFG + "tol = inf\n")
+        out = tmp_path / "results"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got inf\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-5", "0"])
     def test_non_positive_flag_exits_2_despite_a_config_tol(self, tmp_path, capsys, tol):

@@ -78,6 +78,11 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError):
             small_config(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_a_tolerance_that_passes_every_slack(self, tol):
+        with pytest.raises(ConfigError, match=f"tol must be positive and finite, got {tol}"):
+            small_config(tol=tol)
+
     def test_named_ensemble_pins_dims(self):
         cfg = small_config(ensemble="named:bell:2", dims=((2, 2),))
         assert cfg.dims == ((2, 2),)
@@ -374,6 +379,22 @@ class TestMinimize:
         with pytest.raises(ConfigError):
             minimize_slack("eq5", 2, 2, restarts=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
+            ({"max_evals": -5}, "max_evals must be >= 1, got -5"),
+        ],
+    )
+    def test_rejects_a_negative_seed_and_an_empty_budget_up_front(self, bad, message, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran before its inputs were checked")
+
+        monkeypatch.setattr(explore, "_nelder_mead", never)
+        with pytest.raises(ConfigError, match=message):
+            minimize_slack("eq11", 2, 2, **{"restarts": 1, "seed": 0, **bad})
+
     def test_deterministic(self):
         a = minimize_slack("eq5", 2, 1, restarts=2, seed=11, max_evals=500)
         b = minimize_slack("eq5", 2, 1, restarts=2, seed=11, max_evals=500)
@@ -395,3 +416,112 @@ class TestMinimize:
     def test_descriptor_dataclass(self):
         d = ArgminDescriptor(seed=1, trial=2, d_a=3, d_b=4)
         assert (d.seed, d.trial, d.d_a, d.d_b) == (1, 2, 3, 4)
+
+
+def scipy_nelder_mead(fun, x0, xatol, fatol, max_evals):
+    """scipy's non-adaptive Nelder-Mead, called as ``minimize_slack`` called it."""
+    from scipy.optimize import minimize
+
+    options = {"xatol": xatol, "fatol": fatol, "maxfev": max_evals, "maxiter": max_evals, "adaptive": False}
+    return minimize(fun, x0, method="Nelder-Mead", options=options)
+
+
+def evaluated_points(search, fun, x0, xatol=1e-9, fatol=1e-12, max_evals=1000):
+    """The bytes of every point ``search`` hands ``fun``, in order."""
+    points = []
+
+    def recorded(x):
+        points.append(x.tobytes())
+        return fun(x)
+
+    search(recorded, x0, xatol, fatol, max_evals)
+    return points
+
+
+def flat(x):
+    return 1.0
+
+
+def nonsmooth(x):
+    return float(np.max(np.abs(x - 0.3)) + 0.1 * abs(x[0]))
+
+
+class TestNelderMead:
+    """``explore._nelder_mead`` calls its objective at scipy's points, in scipy's order."""
+
+    def assert_same_search(self, fun, x0, **kw):
+        ours = evaluated_points(explore._nelder_mead, fun, x0, **kw)
+        assert ours == evaluated_points(scipy_nelder_mead, fun, x0, **kw)
+        return ours
+
+    def test_tolerance_exit_on_a_smooth_function(self):
+        x0 = np.random.default_rng(1).standard_normal(6)
+        weights = np.arange(1.0, 7.0)
+
+        def smooth(x):
+            return float(np.sum(weights * (x - 0.5) ** 2) + 0.1 * np.sum(x) ** 4)
+
+        points = self.assert_same_search(smooth, x0, xatol=1e-3, fatol=1e-3, max_evals=10_000)
+        result = scipy_nelder_mead(smooth, x0, 1e-3, 1e-3, 10_000)
+        assert result.status == 0 and len(points) == result.nfev < 10_000
+
+    def test_budget_ending_inside_the_initial_simplex(self):
+        x0 = np.random.default_rng(2).standard_normal(6)
+        x0[2] = 0.0  # a zero coordinate takes the 0.00025 vertex rule
+        assert len(self.assert_same_search(nonsmooth, x0, max_evals=4)) == 4
+
+    def test_budget_ending_inside_a_shrink(self):
+        # on a flat objective every step reflects, contracts inside and then
+        # shrinks: N + 1 calls for the simplex, 2 before each shrink of N calls
+        x0 = np.random.default_rng(3).standard_normal(6)
+        budget = 7 + 2 + 6 + 2 + 3
+        assert len(self.assert_same_search(flat, x0, max_evals=budget)) == budget
+
+    def test_every_budget_on_a_nonsmooth_function(self):
+        x0 = np.random.default_rng(4).standard_normal(4)
+        for max_evals in range(1, 90):
+            assert len(self.assert_same_search(nonsmooth, x0, max_evals=max_evals)) == max_evals
+
+    def test_tied_values_on_a_plateau(self):
+        # minimize_slack scores an undecodable point 1e3; argsort is not
+        # stable, so ties test the sorts as well as the steps
+        x0 = np.random.default_rng(5).standard_normal(24)
+        level = float(np.sum(x0))
+
+        def plateau(x):
+            return 1e3 if np.sum(x) > level else float(np.sum(x**2))
+
+        values = [plateau(np.frombuffer(p)) for p in self.assert_same_search(plateau, x0, max_evals=1500)]
+        assert values.count(1e3) > 100 and len(set(values)) > 1000
+
+    @pytest.mark.parametrize("relation, d_a, d_b", [("eq11", 2, 2), ("eq16", 3, 2)])
+    def test_minimize_slack_gives_scipys_result(self, relation, d_a, d_b, monkeypatch):
+        from qir import serialize
+
+        def search():
+            result = minimize_slack(relation, d_a, d_b, restarts=2, seed=3, max_evals=400)
+            return json.dumps(serialize.argmin_to_dict(result))
+
+        ours = search()
+        monkeypatch.setattr(explore, "_nelder_mead", scipy_nelder_mead)
+        assert search() == ours
+
+    def test_a_search_imports_no_scipy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qir
+
+        package_root = str(Path(qir.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys, qir\n"
+            "qir.minimize_slack('eq11', 2, 2, restarts=1, seed=0, max_evals=30)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -162,6 +162,15 @@ def git_sha(src: str) -> str:
     return sha if clean else sha + "+dirty"
 
 
+def scipy_version() -> str | None:
+    """The installed scipy's version, or None: qir does not need scipy."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src")
@@ -169,8 +178,6 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     qir = load_qir(args.src, args.compiled)
-    import scipy
-
     from qir import backend
 
     counter = Counter(backend)
@@ -181,7 +188,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version(),
         "repeats": args.repeats,
         "cases": results,
     }, indent=2))
