@@ -11,8 +11,9 @@ taken from its d_a diagonal d_b x d_b blocks in the measured frame
 Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
 ``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
-entropies of a stack of density matrices and their spectra with one
-frame per basis, one stacked eigendecomposition and two entropy passes;
+entropies of a stack of density matrices and their spectra, with one
+basis shared by the stack or one per matrix, one stacked
+eigendecomposition and two entropy passes;
 ``cond_entropy``, ``uncertainty``, ``irreality`` and ``dephased_entropy``
 read their state's row of it.
 """
@@ -124,7 +125,9 @@ def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndar
 
     ``rhos`` is a ``(k, n, n)`` stack of density matrices sharing (d_a, n / d_a),
     and ``spectra`` their ascending ``(k, n)`` spectra; shape ``(k, 2 + len(bases))``.
-    Each basis's frame is built once; the B marginals and the blocks of every
+    Each basis is given by its vectors: one ``(d_a, d_a)`` basis shared by
+    every matrix, or a ``(k, d_a, d_a)`` stack of one per matrix. Each
+    basis's frames are built once; the B marginals and the blocks of every
     matrix and basis, matrix by matrix, go through one stacked
     eigendecomposition. S(rho) and the dephased entropies take one
     entropy pass and the marginals a second; the passes check every spectrum.
@@ -141,8 +144,9 @@ def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndar
 
 
 def _state_entropies(bases, rho: BipartiteState) -> list[float]:
-    """The row of ``_configuration_entropies`` for one state."""
-    return _configuration_entropies(bases, rho.d_a, rho.rho[None], rho.spectrum[None])[0].tolist()
+    """The row of ``_configuration_entropies`` for one state and its ``ObservableBasis``es."""
+    vectors = [b.vectors for b in bases]
+    return _configuration_entropies(vectors, rho.d_a, rho.rho[None], rho.spectrum[None])[0].tolist()
 
 
 def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:

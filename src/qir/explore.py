@@ -33,6 +33,8 @@ from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
+    _bundles,
+    _reports,
     evaluate_relations,
     lookup_relation,
     mu_bound,
@@ -41,6 +43,8 @@ from .relations import (
 from .states import (
     BipartiteState,
     ObservableBasis,
+    _checked_bases,
+    _checked_stack,
     _pure,
     computational_basis,
     fourier_basis,
@@ -51,6 +55,7 @@ from .states import (
 )
 
 HISTOGRAM_BINS = 64
+SWEEP_CHUNK = 256  # strengths per stacked pass of monitoring_sweep
 
 # stream roles within one trial
 _STATE, _BASIS_X, _BASIS_Y, _EPS = 0, 1, 2, 3
@@ -281,17 +286,23 @@ def monitoring_sweep(
     """Track irr(X) and H(Y|B) while monitoring by Y at each grid strength.
 
     Gives bit for bit ``irreality(x, monitor(y, eps, rho))`` and
-    ``uncertainty(y, monitor(y, eps, rho))`` at each eps, with two stacked
-    eigendecompositions for the whole grid: one of the monitored matrices,
-    one of all their B marginals and X and Y blocks. A strength outside
-    [0, 1] raises ``OutOfRange`` naming it.
+    ``uncertainty(y, monitor(y, eps, rho))`` at each eps. The grid runs in
+    chunks of ``SWEEP_CHUNK`` strengths, so memory does not grow with it;
+    each chunk takes two stacked eigendecompositions: one of its monitored
+    matrices, one of all their B marginals and X and Y blocks. A slice's
+    bits do not depend on its stack, so the chunks move no output bit. A
+    strength outside [0, 1] raises ``OutOfRange`` naming it.
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
         raise OutOfRange("grid must be a nonempty vector")
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
-    h_b, h_ab, h_xb, h_yb = _configuration_entropies([x, y], rho.d_a, *_monitor_grid(y, eps_grid, rho)).T
+    h = np.empty((len(eps_grid), 4))
+    for i in range(0, len(eps_grid), SWEEP_CHUNK):
+        grid = _monitor_grid(y.vectors, eps_grid[i : i + SWEEP_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
+        h[i : i + SWEEP_CHUNK] = _configuration_entropies([x.vectors, y.vectors], rho.d_a, *grid)
+    h_b, h_ab, h_xb, h_yb = h.T
     try:
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
     except InvariantViolation as err:
@@ -315,22 +326,54 @@ class MinimizeResult:
     restarts_used: int
 
 
-def _decode_state(vec: np.ndarray, d_a: int, d_b: int) -> BipartiteState | None:
+def _decode(thetas: np.ndarray, d_a: int, d_b: int, needs_eps: bool):
+    """Decode a ``(k, n_params)`` batch of search points, unchecked.
+
+    A point is a pure state as 2*dA*dB reals (real parts, then imaginary),
+    the X and then the Y basis as 2*dA^2 reals each (a Ginibre matrix,
+    retracted by QR with the phase fix of ``random_basis``), and for a
+    relation that monitors one more real t, the strength (1 + tanh t) / 2.
+    Returns the indices of the decodable points, their unit state vectors
+    ``(m, dA*dB)``, their X and Y vectors as one ``(m, 2, dA, dA)`` stack and
+    their strengths, or None. A point is not decodable when its state part
+    has norm below 1e-12 or one of its R factors a diagonal entry below
+    1e-12 in modulus. The norms take one ``np.vecdot`` pass and the bases
+    one stacked ``np.linalg.qr``; row i has the bits of point i decoded alone.
+    """
     n = d_a * d_b
-    z = vec[:n] + 1j * vec[n:]
-    nrm = np.linalg.norm(z)
-    if nrm < 1e-12:
-        return None
-    return _pure(d_a, d_b, z / nrm)
+    z = thetas[:, :n] + 1j * thetas[:, n : 2 * n]
+    norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))  # np.linalg.norm's bits
+    parts = thetas[:, 2 * n : 2 * n + 4 * d_a * d_a].reshape(-1, 2, 2, d_a, d_a)
+    q, r = np.linalg.qr(parts[:, :, 0] + 1j * parts[:, :, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    kept = np.flatnonzero(~(norms < 1e-12) & ~np.any(np.abs(diag) < 1e-12, axis=(1, 2)))
+    diag = diag[kept]
+    bases = q[kept] * (diag / np.abs(diag))[..., None, :]
+    eps = [0.5 * (1.0 + math.tanh(t)) for t in thetas[kept, -1].tolist()] if needs_eps else None
+    return kept, z[kept] / norms[kept, None], bases, eps
 
 
-def _decode_basis(vec: np.ndarray, d: int) -> ObservableBasis | None:
-    z = (vec[: d * d] + 1j * vec[d * d :]).reshape(d, d)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    if np.any(np.abs(diag) < 1e-12):
-        return None
-    return ObservableBasis(d, q * (diag / np.abs(diag)))
+def _point_slacks(relation: str, d_a: int, d_b: int, thetas: np.ndarray, tol: float):
+    """Slack of ``relation`` at each point of a ``(k, n_params)`` batch, and the decodable points.
+
+    A point that does not decode (``_decode``) scores 1e3. The rest are
+    checked as their constructors check them, as stacks (``_checked_stack``
+    and ``_checked_bases``), their spectra take one stacked call, and their
+    bundles one ``_bundles`` call; point i gets the bits of the slack
+    ``evaluate_relations`` gives it. Returns the ``(k,)`` slacks and the
+    ``(k,)`` mask of decodable points.
+    """
+    row = lookup_relation(relation)
+    kept, psi, bases, eps = _decode(thetas, d_a, d_b, row.needs_eps)
+    slacks = np.full(len(thetas), 1e3)
+    if len(kept):
+        rhos, spectra = _checked_stack(d_a, d_b, psi[:, :, None] * psi.conj()[:, None, :])
+        bases = _checked_bases(d_a, bases.reshape(-1, d_a, d_a)).reshape(-1, 2, d_a, d_a)
+        bundles = _bundles(bases[:, 0], bases[:, 1], d_a, rhos, spectra, eps)
+        slacks[kept] = [_reports([row], bundle, tol)[relation].slack for bundle in bundles]
+    decodable = np.zeros(len(thetas), dtype=bool)
+    decodable[kept] = True
+    return slacks, decodable
 
 
 class _BudgetSpent(Exception):
@@ -342,22 +385,29 @@ def _nelder_mead(fun, x0: np.ndarray, xatol: float, fatol: float, max_evals: int
 
     The steps of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=False``,
     no bounds and its default initial simplex, down to the numpy expressions
-    and sorts, so that ``fun`` is called at the same points in the same order.
-    The search stops once the simplex spans at most ``xatol`` in every
-    coordinate and ``fatol`` in value, or once ``fun`` has been called
-    ``max_evals`` times, even within the initial simplex or a shrink. ``fun``
-    must not change the point it is given. Nothing is returned: the caller
-    keeps what it needs from the calls.
+    and sorts, so that ``fun`` is given the same points in the same order.
+    ``fun`` takes a ``(k, n)`` batch of points and returns their k values.
+    The initial simplex goes to it as one batch, each shrink as one batch,
+    and every other point as a batch of one. The search stops once the
+    simplex spans at most ``xatol`` in every coordinate and ``fatol`` in
+    value, or once ``fun`` has been given ``max_evals`` points: a batch that
+    would pass the budget is cut at it, and the search ends with that batch.
+    ``fun`` must not change the points it is given. Nothing is returned:
+    the caller keeps what it needs from the calls.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     calls = 0
 
-    def f(x):
+    def f(points):
         nonlocal calls
         if calls >= max_evals:
             raise _BudgetSpent
-        calls += 1
-        return fun(x)
+        batch = points[: max_evals - calls]
+        calls += len(batch)
+        values = fun(batch)
+        if len(batch) < len(points):
+            raise _BudgetSpent
+        return values
 
     def order():
         nonlocal sim, fsim
@@ -373,8 +423,7 @@ def _nelder_mead(fun, x0: np.ndarray, xatol: float, fatol: float, max_evals: int
         sim[k + 1] = y
     fsim = np.full((n + 1,), np.inf, dtype=float)
     try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
+        fsim[:] = f(sim)
         order()
         order()  # scipy sorts a second time here, and np.argsort is not stable
         while not (
@@ -383,28 +432,27 @@ def _nelder_mead(fun, x0: np.ndarray, xatol: float, fatol: float, max_evals: int
         ):
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
+            fxr = f(xr[None])[0]
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
+                fxe = f(xe[None])[0]
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
                     xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = f(xc)
+                    fxc = f(xc[None])[0]
                     accept = fxc <= fxr
                 else:
                     xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = f(xc)
+                    fxc = f(xc[None])[0]
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                    sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                    fsim[1:] = f(sim[1:])
             order()
     except _BudgetSpent:
         pass
@@ -427,9 +475,15 @@ def minimize_slack(
     the same order, so results do not depend on the installed scipy. It
     runs over a real parametrization: a pure state as 2*dA*dB reals, each
     basis as 2*dA^2 reals pushed through a QR retraction, plus one
-    strength parameter for relations that monitor. Each restart draws its
-    start point from stream ``(seed, restart)`` and may evaluate
-    ``max_evals`` points; the search stops early once ``target`` is reached.
+    strength parameter for relations that monitor (``_decode``). Each
+    restart draws its start point from stream ``(seed, restart)`` and may
+    evaluate ``max_evals`` points. The simplex hands the objective its
+    initial simplex and each shrink as one batch, and every other point as
+    a batch of one; a batch is decoded, checked and evaluated in one
+    stacked pass (``_point_slacks``), and each point gets the slack it
+    would get alone, so the points, the evaluation count and the best
+    point do not depend on the batching. Once the best slack is at most
+    ``target``, the search stops after the restart in which it got there.
 
     Raises ``TheoremViolation`` if the best slack falls below ``-tol``.
     """
@@ -445,37 +499,20 @@ def minimize_slack(
     if max_evals < 1:
         raise ConfigError(f"max_evals must be >= 1, got {max_evals}")
 
-    n_state = 2 * d_a * d_b
-    n_basis = 2 * d_a * d_a
-    n_params = n_state + 2 * n_basis + (1 if info.needs_eps else 0)
-
-    def decode(theta: np.ndarray):
-        state = _decode_state(theta[:n_state], d_a, d_b)
-        x = _decode_basis(theta[n_state : n_state + n_basis], d_a)
-        y = _decode_basis(theta[n_state + n_basis : n_state + 2 * n_basis], d_a)
-        if state is None or x is None or y is None:
-            return None
-        eps = None
-        if info.needs_eps:
-            eps = 0.5 * (1.0 + math.tanh(theta[-1]))
-        return state, x, y, eps
-
+    n_params = 2 * d_a * d_b + 4 * d_a * d_a + (1 if info.needs_eps else 0)
     best_value = math.inf
     best_theta: np.ndarray | None = None
     evaluations = 0
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(thetas: np.ndarray) -> np.ndarray:
         nonlocal best_value, best_theta, evaluations
-        evaluations += 1
-        decoded = decode(theta)
-        if decoded is None:
-            return 1e3
-        state, x, y, eps = decoded
-        value = evaluate_relations((relation,), x, y, state, eps=eps, tol=tol)[relation].slack
-        if value < best_value:
-            best_value = value
-            best_theta = theta.copy()
-        return value
+        values, decodable = _point_slacks(relation, d_a, d_b, thetas, tol)
+        for theta, value, ok in zip(thetas, values.tolist(), decodable.tolist()):
+            evaluations += 1
+            if ok and value < best_value:
+                best_value = value
+                best_theta = theta.copy()
+        return values
 
     restarts_used = 0
     for restart in range(restarts):
@@ -485,10 +522,12 @@ def minimize_slack(
         if target is not None and best_value <= target:
             break
 
-    decoded = decode(best_theta) if best_theta is not None else None
-    if decoded is None:
+    if best_theta is None:
         raise ConfigError("search never produced a decodable point")
-    state, x, y, eps = decoded
+    _, psi, bases, eps = _decode(best_theta[None], d_a, d_b, info.needs_eps)
+    state = _pure(d_a, d_b, psi[0])
+    x, y = ObservableBasis(d_a, bases[0, 0]), ObservableBasis(d_a, bases[0, 1])
+    eps = None if eps is None else eps[0]
     best = evaluate_relations((relation,), x, y, state, eps=eps, tol=tol)[relation]
     best_slack = float(best.slack)
     if best_slack < -tol:

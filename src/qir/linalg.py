@@ -28,9 +28,17 @@ ROTATION_BUDGET = 100  # Jacobi rotations per matrix entry
 
 def as_operator(m) -> np.ndarray:
     """Validate ``m`` as a finite square complex matrix and return it."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return _as_operators(np.asarray(m, dtype=np.complex128)[None])[0]
+
+
+def _as_operators(ms) -> np.ndarray:
+    """Validate ``ms`` as a ``(k, n, n)`` stack of finite complex matrices and return it.
+
+    ``as_operator`` is its one-matrix case: a bad shape is named without the stack axis.
+    """
+    a = np.asarray(ms, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape[1:]}")
     if not np.isfinite(a).all():
         raise InvariantViolation("matrix contains non-finite entries")
     return a

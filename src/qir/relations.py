@@ -41,7 +41,12 @@ def mu_overlap(x: ObservableBasis, y: ObservableBasis) -> float:
     """Largest overlap modulus c = max_ij |<x_i|y_j>| of two bases."""
     if x.d != y.d:
         raise DimensionMismatch(f"basis dims {x.d} and {y.d} differ")
-    return float(np.abs(x.vectors.conj().T @ y.vectors).max())
+    return float(_overlaps(x.vectors, y.vectors))
+
+
+def _overlaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_ij |<x_i|y_j>| of each pair of bases from the ``(..., d, d)`` vector stacks ``x`` and ``y``."""
+    return np.abs(np.swapaxes(x.conj(), -1, -2) @ y).max(axis=(-2, -1))
 
 
 def mu_bound(x: ObservableBasis, y: ObservableBasis) -> float:
@@ -129,25 +134,56 @@ def entropy_bundle(
 def _bundle(
     x: ObservableBasis, y: ObservableBasis | None, rho: BipartiteState, eps: float | None = None
 ) -> EntropyBundle:
-    """Every entropy of the configuration, from one ``_configuration_entropies`` call.
+    """Every entropy of one configuration: the one-row case of ``_bundles``."""
+    return _bundles(
+        x.vectors, None if y is None else y.vectors, rho.d_a, rho.rho[None], rho.spectrum[None],
+        None if eps is None else [eps],
+    )[0]
 
-    The call covers ``rho`` and, when ``eps`` is given, ``rho`` monitored by
-    ``y`` at ``eps``: the rows of ``_monitor_grid(y, [0.0, eps], rho)``.
+
+def _bundles(
+    x: np.ndarray,
+    y: np.ndarray | None,
+    d_a: int,
+    rhos: np.ndarray,
+    spectra: np.ndarray,
+    eps=None,
+) -> list[EntropyBundle]:
+    """The ``EntropyBundle`` of each of k configurations, from one ``_configuration_entropies`` call.
+
+    ``rhos`` and ``spectra`` are the ``(k, n, n)`` matrices and ``(k, n)``
+    spectra of checked states sharing (d_a, n / d_a). ``x`` and ``y`` (None
+    for no Y side) are basis vectors: one ``(d_a, d_a)`` basis shared by
+    every state, or a ``(k, d_a, d_a)`` stack of one per state. ``eps``,
+    None or k strengths (then ``y`` is given), adds the rows of each state
+    monitored by its Y at its strength (``_monitor_grid``) to the call.
+    Bundle i has the bits of the bundle of configuration i alone.
     """
-    grid = (rho.rho[None], rho.spectrum[None]) if eps is None else _monitor_grid(y, [0.0, eps], rho)
-    rows = _configuration_entropies([x] if y is None else [x, y], rho.d_a, *grid).tolist()
-    h_b, h_ab, h_xb, *y_side = rows[0]
-    h_yb = y_side[0] if y_side else None
-    return EntropyBundle(
-        h_ab=h_ab,
-        h_b=h_b,
-        h_x_given_b=h_xb - h_b,
-        irreality_x=h_xb - h_ab,
-        h_y_given_b=None if h_yb is None else h_yb - h_b,
-        irreality_y=None if h_yb is None else h_yb - h_ab,
-        q=None if y is None else mu_bound(x, y),
-        irreality_x_monitored=None if eps is None else rows[1][2] - rows[1][1],
-    )
+    k = len(rhos)
+    bases = [x] if y is None else [x, y]
+    if eps is not None:
+        monitored, monitored_spectra = _monitor_grid(y, eps, d_a, rhos, spectra)
+        rhos, spectra = np.concatenate([rhos, monitored]), np.concatenate([spectra, monitored_spectra])
+        bases = [b if b.ndim == 2 else np.concatenate([b, b]) for b in bases]
+    rows = _configuration_entropies(bases, d_a, rhos, spectra).tolist()
+    qs = [None] * k if y is None else [
+        -2.0 * math.log(c) for c in np.broadcast_to(_overlaps(x, y), (k,)).tolist()
+    ]
+    bundles = []
+    for i in range(k):
+        h_b, h_ab, h_xb, *y_side = rows[i]
+        h_yb = y_side[0] if y_side else None
+        bundles.append(EntropyBundle(
+            h_ab=h_ab,
+            h_b=h_b,
+            h_x_given_b=h_xb - h_b,
+            irreality_x=h_xb - h_ab,
+            h_y_given_b=None if h_yb is None else h_yb - h_b,
+            irreality_y=None if h_yb is None else h_yb - h_ab,
+            q=qs[i],
+            irreality_x_monitored=None if eps is None else rows[k + i][2] - rows[k + i][1],
+        ))
+    return bundles
 
 
 class Relation(NamedTuple):

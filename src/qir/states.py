@@ -36,10 +36,11 @@ class BipartiteState:
 
     Construction validates Hermiticity (defect <= 1e-10, then keeps the
     matrix's Hermitian part), unit trace (<= 1e-10), and positivity
-    (smallest eigenvalue >= -1e-10). Each check runs once, and the kept
-    matrix goes straight to ``linalg._stack_eigenvalues``. The eigenvalues
-    found during validation are kept in ``spectrum`` (ascending), with the
-    bits of ``herm_eig(rho)``; every entropy downstream needs only those.
+    (smallest eigenvalue >= -1e-10), as ``_checked_stack`` on a stack of
+    one. Each check runs once, and the kept matrix goes straight to
+    ``linalg._stack_eigenvalues``. The eigenvalues found during validation
+    are kept in ``spectrum`` (ascending), with the bits of
+    ``herm_eig(rho)``; every entropy downstream needs only those.
     """
 
     d_a: int
@@ -48,13 +49,8 @@ class BipartiteState:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = _checked_matrix(self.d_a, self.d_b, self.rho)
-        spectrum = linalg._stack_eigenvalues(rho[None], "{n}x{n} matrix")[0]
-        if spectrum[0] < -PSD_TOL:
-            raise InvariantViolation(
-                f"({self.d_a}, {self.d_b}) state not positive semidefinite "
-                f"(min eigenvalue {spectrum[0]:.3e})"
-            )
+        rhos, spectra = _checked_stack(self.d_a, self.d_b, [self.rho])
+        rho, spectrum = rhos[0], spectra[0]
         rho.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -65,46 +61,68 @@ class BipartiteState:
         return self.d_a * self.d_b
 
 
-def _checked_matrix(d_a: int, d_b: int, matrix) -> np.ndarray:
-    """The constructor's checks that come before the spectrum; the matrix's Hermitian part.
+def _checked_stack(d_a: int, d_b: int, matrices) -> tuple[np.ndarray, np.ndarray]:
+    """The state constructor's checks on a ``(k, n, n)`` stack: Hermitian parts and ascending spectra.
 
-    In order: dims, shape and finiteness (``as_operator``), dim, Hermiticity
-    (defect <= 1e-10), trace.
+    In order: dims, shape and finiteness (``linalg._as_operators``), dim,
+    Hermiticity (defect <= 1e-10), trace, positivity (smallest eigenvalue
+    >= -1e-10). Each check covers the whole stack before the next one runs
+    and reports the worst matrix; the spectra take one stacked
+    eigendecomposition, each with the bits of ``herm_eig``. The one checker
+    of states: ``BipartiteState`` passes a stack of one.
     """
     if d_a < 2:
         raise BadDimension(f"d_a must be >= 2, got {d_a}")
     if d_b < 1:
         raise BadDimension(f"d_b must be >= 1, got {d_b}")
-    m = linalg.as_operator(matrix)
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}")
-    defect = np.abs(m - m.conj().T).max()
+    ms = linalg._as_operators(matrices)
+    if ms.shape[1] != d_a * d_b:
+        raise DimensionMismatch(f"matrix dim {ms.shape[1]} != d_a*d_b = {d_a * d_b}")
+    defect = np.abs(ms - np.swapaxes(ms.conj(), -1, -2)).max()
     if defect > HERMITICITY_TOL:
         raise InvariantViolation(f"({d_a}, {d_b}) state not Hermitian (defect {defect:.3e})")
-    rho = linalg._hermitian_part(m)
-    trace = np.trace(rho)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(trace)!r} != 1")
-    return rho
+    rhos = linalg._hermitian_part(ms)
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    worst = int(np.abs(traces - 1.0).argmax())
+    if abs(traces[worst] - 1.0) > TRACE_TOL:
+        raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(traces[worst])!r} != 1")
+    label = "{n}x{n} matrix" if len(rhos) == 1 else "slice {i} ({n}x{n})"
+    spectra = linalg._stack_eigenvalues(rhos, label)
+    lowest = float(spectra[:, 0].min())
+    if lowest < -PSD_TOL:
+        raise InvariantViolation(
+            f"({d_a}, {d_b}) state not positive semidefinite (min eigenvalue {lowest:.3e})"
+        )
+    return rhos, spectra
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableBasis:
-    """Orthonormal eigenbasis of a non-degenerate observable (columns)."""
+    """Orthonormal eigenbasis of a non-degenerate observable (columns), checked by ``_checked_bases``."""
 
     d: int
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = linalg.as_operator(self.vectors)
-        if v.shape[0] != self.d:
-            raise DimensionMismatch(f"basis matrix dim {v.shape[0]} != d = {self.d}")
-        defect = float(np.abs(v.conj().T @ v - np.eye(self.d)).max())
-        if defect > UNITARITY_TOL:
-            raise InvariantViolation(f"basis columns not orthonormal (defect {defect:.3e})")
-        v = v.copy()
+        v = _checked_bases(self.d, [self.vectors])[0]
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
+
+
+def _checked_bases(d: int, vectors) -> np.ndarray:
+    """The basis constructor's checks on a ``(k, d, d)`` stack of column bases; the checked stack.
+
+    In order: shape and finiteness (``linalg._as_operators``), dim,
+    orthonormality (largest entry of |V^dag V - 1| <= 1e-10 over the stack).
+    The one checker of bases: ``ObservableBasis`` passes a stack of one.
+    """
+    v = linalg._as_operators(vectors)
+    if v.shape[1] != d:
+        raise DimensionMismatch(f"basis matrix dim {v.shape[1]} != d = {d}")
+    defect = float(np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(d)).max())
+    if defect > UNITARITY_TOL:
+        raise InvariantViolation(f"basis columns not orthonormal (defect {defect:.3e})")
+    return v
 
 
 def _pure(d_a: int, d_b: int, psi: np.ndarray) -> BipartiteState:

@@ -45,7 +45,7 @@ def marginal_b(state):
 
 def blocks(x, state):
     """The d_a diagonal blocks p_i sigma_i of a state in the frame of ``x``."""
-    return _blocks(x, state.rho[None], state.d_a, state.d_b)[0]
+    return _blocks(x.vectors, state.rho[None], state.d_a, state.d_b)[0]
 
 
 def purity(state):

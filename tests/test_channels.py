@@ -110,7 +110,7 @@ class TestDephase:
             for d_b in (1, 2, 3):
                 for i in range(20):
                     x = random_basis(d_a, (303, d_a, d_b, i))
-                    assert _frame(x, d_b).tobytes() == np.kron(x.vectors, np.eye(d_b)).tobytes()
+                    assert _frame(x.vectors, d_b).tobytes() == np.kron(x.vectors, np.eye(d_b)).tobytes()
 
 
 class TestDephasedDecomposition:
@@ -213,7 +213,7 @@ class TestMonitor:
             for state in (random_mixed(d_a, d_b, d_a * d_b, (310, k)), haar_random_pure(d_a, d_b, (311, k))):
                 y = random_basis(d_a, (312, k))
                 for eps in (0.4, 1.0):
-                    dephased = _dephased_matrix(y, state.rho, d_a, d_b)
+                    dephased = _dephased_matrix(y.vectors, state.rho[None], d_a, d_b)[0]
                     built = BipartiteState(d_a, d_b, _monitored_matrix(state.rho, dephased, eps))
                     got = monitor(y, eps, state)
                     assert got.rho.tobytes() == built.rho.tobytes(), (d_a, d_b, eps)
@@ -227,7 +227,7 @@ class TestMonitor:
         for k, (d_a, d_b) in enumerate(dims):
             for state in (random_mixed(d_a, d_b, d_a * d_b, (313, k)), haar_random_pure(d_a, d_b, (314, k))):
                 y = random_basis(d_a, (315, k))
-                rhos, spectra = _monitor_grid(y, grid, state)
+                rhos, spectra = _monitor_grid(y.vectors, grid, d_a, state.rho[None], state.spectrum[None])
                 assert rhos.shape == (len(grid), d_a * d_b, d_a * d_b) and spectra.shape == (len(grid), d_a * d_b)
                 for i, eps in enumerate(grid):
                     monitored = monitor(y, eps, state)
@@ -235,7 +235,7 @@ class TestMonitor:
                     assert spectra[i].tobytes() == monitored.spectrum.tobytes(), (d_a, d_b, eps)
                 assert rhos[0].tobytes() == state.rho.tobytes()
         with pytest.raises(OutOfRange, match=r"monitoring strength must lie in \[0, 1\], got 1\.5"):
-            _monitor_grid(y, [0.0, 1.5], state)
+            _monitor_grid(y.vectors, [0.0, 1.5], d_a, state.rho[None], state.spectrum[None])
 
     def test_monitor_n_edge_counts(self):
         state, _, y = random_triple(7)

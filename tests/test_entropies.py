@@ -350,18 +350,28 @@ class TestBatchedEntropies:
             if k == 1:
                 yield state.rho[None], state.spectrum[None], [state]
             else:
-                yield *_monitor_grid(y, grid, state), [monitor(y, eps, state) for eps in grid]
+                yield *_monitor_grid(y.vectors, grid, d_a, state.rho[None], state.spectrum[None]), [
+                    monitor(y, eps, state) for eps in grid]
 
     @pytest.mark.parametrize("k", [1, 21])
     def test_blocks_and_marginals_are_bitwise_per_state(self, k):
         for d_a, d_b in ACCEPTANCE_DIMS:
             x = random_basis(d_a, (47, d_a, d_b))
             for rhos, _, states in self.stacks(k, d_a, d_b):
-                stacked, marginals = _blocks(x, rhos, d_a, d_b), _marginals(rhos, d_a, d_b)
+                stacked, marginals = _blocks(x.vectors, rhos, d_a, d_b), _marginals(rhos, d_a, d_b)
                 assert stacked.shape == (k, d_a, d_b, d_b) and marginals.shape == (k, d_b, d_b)
                 for i, state in enumerate(states):
                     assert stacked[i].tobytes() == blocks(x, state).tobytes(), (d_a, d_b, i)
                     assert marginals[i].tobytes() == marginal_b(state).tobytes(), (d_a, d_b, i)
+
+    def test_blocks_with_one_frame_per_matrix_are_bitwise_the_shared_frame_call(self):
+        for d_a, d_b in ACCEPTANCE_DIMS:
+            xs = np.array([random_basis(d_a, (49, d_a, d_b, i)).vectors for i in range(20)])
+            rhos = np.array([random_mixed(d_a, d_b, d_a * d_b, (50, d_a, d_b, i)).rho for i in range(20)])
+            stacked = _blocks(xs, rhos, d_a, d_b)
+            assert stacked.shape == (20, d_a, d_b, d_b)
+            for i in range(20):
+                assert stacked[i].tobytes() == _blocks(xs[i], rhos[i : i + 1], d_a, d_b)[0].tobytes(), (d_a, d_b, i)
 
     @pytest.mark.parametrize("k", [1, 21])
     def test_configuration_entropies_are_bitwise_the_per_state_route(self, k):
@@ -372,7 +382,7 @@ class TestBatchedEntropies:
         for d_a, d_b in ACCEPTANCE_DIMS:
             x, y = random_basis(d_a, (48, d_a, d_b)), computational_basis(d_a)
             for rhos, spectra, states in self.stacks(k, d_a, d_b):
-                h = _configuration_entropies([x, y], d_a, rhos, spectra)
+                h = _configuration_entropies([x.vectors, y.vectors], d_a, rhos, spectra)
                 assert h.shape == (k, 4)
                 for i, state in enumerate(states):
                     h_b = scalar_entropy(linalg.herm_eig(marginal_b(state)).eigenvalues)

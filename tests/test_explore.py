@@ -20,6 +20,8 @@ from qir.explore import (
 )
 from qir.relations import evaluate_relations
 from qir.states import (
+    ObservableBasis,
+    _pure,
     computational_basis,
     fourier_basis,
     haar_random_pure,
@@ -261,6 +263,27 @@ class TestSweep:
         # the 20 monitored states, then per point rho_B and 3 + 3 blocks
         assert stacks == [(20, 6, 6), (21 * 7, 2, 2)]
 
+    def test_long_grids_run_in_chunks_with_the_bits_of_short_ones(self, monkeypatch):
+        stacks = []
+        stacked = backend.jacobi_eigh_stack
+
+        def counting_stack(a, v, max_rotations):
+            stacks.append(a.shape)
+            return stacked(a, v, max_rotations)
+
+        state = random_mixed(3, 2, 6, 73)
+        x, y = random_basis(3, 74), random_basis(3, 75)
+        grid = np.linspace(0.0, 1.0, 2 * explore.SWEEP_CHUNK + 5)
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", counting_stack)
+        trace = monitoring_sweep(x, y, state, grid)
+        monkeypatch.undo()
+        # eps = 0 takes rho's own spectrum; per point rho_B and 3 + 3 blocks
+        assert stacks == [(255, 6, 6), (256 * 7, 2, 2), (256, 6, 6), (256 * 7, 2, 2), (5, 6, 6), (5 * 7, 2, 2)]
+        for i in range(0, len(grid), 51):
+            alone = monitoring_sweep(x, y, state, grid[i : i + 1])
+            assert trace.irreality_x[i].tobytes() == alone.irreality_x.tobytes(), i
+            assert trace.uncertainty_y[i].tobytes() == alone.uncertainty_y.tobytes(), i
+
     def test_grid_validation(self):
         state = werner(0.5)
         x = computational_basis(2)
@@ -418,6 +441,120 @@ class TestMinimize:
         assert (d.seed, d.trial, d.d_a, d.d_b) == (1, 2, 3, 4)
 
 
+def decode_point(theta, d_a, d_b, needs_eps):
+    """One search point decoded alone, through the constructors: (state, x, y, eps), or None.
+
+    The per-point reference for ``explore._decode``: the same parametrization,
+    one ``np.linalg.norm`` and one ``np.linalg.qr`` per point.
+    """
+    n, m = d_a * d_b, d_a * d_a
+    z = theta[:n] + 1j * theta[n : 2 * n]
+    norm = np.linalg.norm(z)
+    if norm < 1e-12:
+        return None
+    state = _pure(d_a, d_b, z / norm)
+    bases = []
+    for start in (2 * n, 2 * n + 2 * m):
+        block = theta[start : start + 2 * m]
+        q, r = np.linalg.qr((block[:m] + 1j * block[m:]).reshape(d_a, d_a))
+        diag = np.diag(r)
+        if np.any(np.abs(diag) < 1e-12):
+            return None
+        bases.append(ObservableBasis(d_a, q * (diag / np.abs(diag))))
+    eps = 0.5 * (1.0 + math.tanh(theta[-1])) if needs_eps else None
+    return state, bases[0], bases[1], eps
+
+
+def mixed_batch(d_a, d_b, needs_eps, seed, size=12):
+    """Random search points with undecodable ones among them: rows 3, 7 and 9.
+
+    Row 3 has a zero state vector; rows 7 and 9 a zero first column in the X
+    and the Y block, so that R's first diagonal entry is 0.
+    """
+    n, m = d_a * d_b, d_a * d_a
+    thetas = np.random.default_rng(seed).standard_normal((size, 2 * n + 4 * m + int(needs_eps)))
+    thetas[3, : 2 * n] = 0.0
+    thetas[7, 2 * n : 2 * n + 2 * m : d_a] = 0.0
+    thetas[9, 2 * n + 2 * m : 2 * n + 4 * m : d_a] = 0.0
+    return thetas
+
+
+BATCH_CASES = [
+    (relation, d_a, d_b)
+    for relation in ("eq5", "eq9", "eq10", "eq11", "eq16")
+    for d_a, d_b in ((2, 1), (2, 2), (3, 2))
+]
+
+
+class TestBatchedEvaluation:
+    """A batch of search points is evaluated in one stacked pass, bit for bit the per-point route."""
+
+    def test_stacked_qr_is_bitwise_the_per_matrix_call(self):
+        rng = np.random.default_rng(70)
+        for d in (2, 3, 4, 5):
+            z = rng.standard_normal((16, 2, d, d)) + 1j * rng.standard_normal((16, 2, d, d))
+            q, r = np.linalg.qr(z)
+            for i in range(16):
+                for j in range(2):
+                    q1, r1 = np.linalg.qr(z[i, j])
+                    assert q[i, j].tobytes() == q1.tobytes() and r[i, j].tobytes() == r1.tobytes(), (d, i, j)
+
+    def test_vecdot_norm_is_bitwise_np_linalg_norm(self):
+        rng = np.random.default_rng(71)
+        for n in sorted({d_a * d_b for d_a, d_b in ACCEPTANCE_DIMS}):
+            thetas = rng.standard_normal((16, 2 * n))
+            z = thetas[:, :n] + 1j * thetas[:, n:]
+            norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+            assert norms.tobytes() == np.array([np.linalg.norm(row) for row in z]).tobytes(), n
+
+    @pytest.mark.parametrize("relation, d_a, d_b", BATCH_CASES)
+    def test_each_point_gets_the_slack_of_evaluate_relations(self, relation, d_a, d_b):
+        needs_eps = relation == "eq16"
+        thetas = mixed_batch(d_a, d_b, needs_eps, seed=d_a * 10 + d_b)
+        slacks, decodable = explore._point_slacks(relation, d_a, d_b, thetas, 1e-9)
+        points = [decode_point(theta, d_a, d_b, needs_eps) for theta in thetas]
+        expected = [
+            1e3 if p is None else evaluate_relations((relation,), p[1], p[2], p[0], eps=p[3])[relation].slack
+            for p in points
+        ]
+        assert slacks.tobytes() == np.array(expected).tobytes()
+        assert decodable.tolist() == [p is not None for p in points]
+        assert np.flatnonzero(~decodable).tolist() == [3, 7, 9]
+
+    @pytest.mark.parametrize("relation, d_a, d_b", BATCH_CASES)
+    def test_a_batch_keeps_the_count_and_the_best_point_of_single_rows(self, relation, d_a, d_b, monkeypatch):
+        from qir import serialize
+
+        thetas = mixed_batch(d_a, d_b, relation == "eq16", seed=d_a * 10 + d_b + 1)
+
+        def replay(batched):
+            def search(fun, x0, xatol, fatol, max_evals):
+                for batch in [thetas] if batched else np.split(thetas, len(thetas)):
+                    fun(batch)
+
+            return search
+
+        found = []
+        for batched in (True, False):
+            monkeypatch.setattr(explore, "_nelder_mead", replay(batched))
+            result = minimize_slack(relation, d_a, d_b, restarts=1, seed=0)
+            found.append(json.dumps(serialize.argmin_to_dict(result)))
+            assert result.evaluations == len(thetas)
+        assert found[0] == found[1]
+        slacks, decodable = explore._point_slacks(relation, d_a, d_b, thetas, 1e-9)
+        best = int(np.argmin(np.where(decodable, slacks, np.inf)))
+        state, x, y, eps = decode_point(thetas[best], d_a, d_b, relation == "eq16")
+        assert result.best_slack == slacks[best]
+        assert result.state.rho.tobytes() == state.rho.tobytes()
+        assert result.x.vectors.tobytes() == x.vectors.tobytes() and result.eps == eps
+
+    def test_a_search_with_no_decodable_point_is_refused(self, monkeypatch):
+        thetas = mixed_batch(2, 2, False, seed=72)[[3, 7, 9]]
+        monkeypatch.setattr(explore, "_nelder_mead", lambda fun, *args, **kwargs: fun(thetas))
+        with pytest.raises(ConfigError, match="search never produced a decodable point"):
+            minimize_slack("eq11", 2, 2, restarts=2, seed=0)
+
+
 def scipy_nelder_mead(fun, x0, xatol, fatol, max_evals):
     """scipy's non-adaptive Nelder-Mead, called as ``minimize_slack`` called it."""
     from scipy.optimize import minimize
@@ -426,13 +563,27 @@ def scipy_nelder_mead(fun, x0, xatol, fatol, max_evals):
     return minimize(fun, x0, method="Nelder-Mead", options=options)
 
 
-def evaluated_points(search, fun, x0, xatol=1e-9, fatol=1e-12, max_evals=1000):
-    """The bytes of every point ``search`` hands ``fun``, in order."""
+def one_row(search):
+    """A per-point ``search`` under ``_nelder_mead``'s contract: each point goes to ``fun`` as a batch of one."""
+
+    def batched(fun, x0, xatol, fatol, max_evals):
+        return search(lambda x: fun(x[None])[0], x0, xatol, fatol, max_evals)
+
+    return batched
+
+
+def evaluated_points(search, fun, x0, xatol=1e-9, fatol=1e-12, max_evals=1000, batches=None):
+    """The bytes of every point ``search`` hands the per-point ``fun`` in its batches, in order.
+
+    The size of each batch is appended to ``batches`` when one is given.
+    """
     points = []
 
-    def recorded(x):
-        points.append(x.tobytes())
-        return fun(x)
+    def recorded(xs):
+        if batches is not None:
+            batches.append(len(xs))
+        points.extend(x.tobytes() for x in xs)
+        return [fun(x) for x in xs]
 
     search(recorded, x0, xatol, fatol, max_evals)
     return points
@@ -451,7 +602,7 @@ class TestNelderMead:
 
     def assert_same_search(self, fun, x0, **kw):
         ours = evaluated_points(explore._nelder_mead, fun, x0, **kw)
-        assert ours == evaluated_points(scipy_nelder_mead, fun, x0, **kw)
+        assert ours == evaluated_points(one_row(scipy_nelder_mead), fun, x0, **kw)
         return ours
 
     def test_tolerance_exit_on_a_smooth_function(self):
@@ -476,6 +627,16 @@ class TestNelderMead:
         x0 = np.random.default_rng(3).standard_normal(6)
         budget = 7 + 2 + 6 + 2 + 3
         assert len(self.assert_same_search(flat, x0, max_evals=budget)) == budget
+
+    def test_initial_simplex_and_shrinks_go_as_one_batch_each(self):
+        # on the flat objective of the shrink test: the 7-point simplex, a
+        # reflection and a contraction, a 6-point shrink, and so on; a batch
+        # that would pass the budget is cut at it
+        x0 = np.random.default_rng(3).standard_normal(6)
+        for budget, expected in ((4, [4]), (7, [7]), (7 + 2 + 6 + 2 + 3, [7, 1, 1, 6, 1, 1, 3])):
+            batches = []
+            points = evaluated_points(explore._nelder_mead, flat, x0, max_evals=budget, batches=batches)
+            assert batches == expected and len(points) == budget
 
     def test_every_budget_on_a_nonsmooth_function(self):
         x0 = np.random.default_rng(4).standard_normal(4)
@@ -503,7 +664,7 @@ class TestNelderMead:
             return json.dumps(serialize.argmin_to_dict(result))
 
         ours = search()
-        monkeypatch.setattr(explore, "_nelder_mead", scipy_nelder_mead)
+        monkeypatch.setattr(explore, "_nelder_mead", one_row(scipy_nelder_mead))
         assert search() == ours
 
     def test_a_search_imports_no_scipy(self):

@@ -16,6 +16,9 @@ from qir.relations import (
     entropy_bundle,
     evaluate_relations,
     mu_bound,
+    _bundle,
+    _bundles,
+    _overlaps,
     mu_overlap,
     report_slack,
 )
@@ -77,6 +80,13 @@ class TestMuBound:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mu_overlap(computational_basis(2), computational_basis(3))
+
+    def test_stacked_overlaps_are_bitwise_mu_overlap(self):
+        for d in (2, 3, 4, 5):
+            xs = [random_basis(d, (630, d, i)) for i in range(20)]
+            ys = [random_basis(d, (631, d, i)) for i in range(20)]
+            stacked = _overlaps(np.array([x.vectors for x in xs]), np.array([y.vectors for y in ys]))
+            assert stacked.tobytes() == np.array([mu_overlap(x, y) for x, y in zip(xs, ys)]).tobytes(), d
 
 
 class TestNamedCases:
@@ -350,3 +360,25 @@ class TestRegistry:
         r = evaluate_relations(["eq11"], x, y, state)["eq11"]
         assert r.slack == r.lhs - r.rhs
         assert r.satisfied == (r.slack >= -r.tol)
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+def test_bundles_of_a_stack_are_the_bundles_of_each_configuration(monitored):
+    # one basis per configuration, and one shared by all; with and without Y
+    for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
+        states = [random_mixed(d_a, d_b, d_a * d_b, (640, k, i)) for i in range(3)] + [
+            haar_random_pure(d_a, d_b, (641, k))]
+        xs = [random_basis(d_a, (642, k, i)) for i in range(4)]
+        ys = [random_basis(d_a, (643, k, i)) for i in range(4)]
+        eps = [0.0, 0.3, 1.0, 0.75] if monitored else None
+        rhos = np.array([s.rho for s in states])
+        spectra = np.array([s.spectrum for s in states])
+        per_row = np.array([x.vectors for x in xs]), np.array([y.vectors for y in ys])
+        cases = [(per_row[0], per_row[1], xs, ys), (xs[0].vectors, ys[0].vectors, [xs[0]] * 4, [ys[0]] * 4)]
+        if not monitored:
+            cases.append((per_row[0], None, xs, [None] * 4))
+        for x, y, x_each, y_each in cases:
+            got = _bundles(x, y, d_a, rhos, spectra, eps)
+            alone = [_bundle(bx, by, s, None if eps is None else e)
+                     for bx, by, s, e in zip(x_each, y_each, states, eps or [None] * 4)]
+            assert got == alone, (d_a, d_b, monitored, y is None)

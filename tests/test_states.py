@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from qir.errors import (
 from qir.states import (
     BipartiteState,
     ObservableBasis,
+    _checked_bases,
+    _checked_stack,
     basis_from_token,
     computational_basis,
     fourier_basis,
@@ -93,6 +96,30 @@ class TestBipartiteState:
             BipartiteState(1, 2, np.full((2, 3), 1 / 3))
         with pytest.raises(BadDimension, match=r"^d_b must be >= 1, got 0$"):
             BipartiteState(2, 0, fine)
+
+    def test_a_stack_is_checked_as_its_matrices_one_at_a_time(self):
+        # the constructor is the one-matrix case of _checked_stack: a bad matrix
+        # among good ones fails with the error it fails with alone
+        fine = [werner(0.3).rho, max_mixed(2, 2).rho, haar_random_pure(2, 2, 1).rho]
+        bad = [
+            np.eye(4) / 2,
+            np.diag([1.5, -0.5, 0.0, 0.0]),
+            np.triu(np.ones((4, 4))) / 4,
+            np.diag([np.nan, 0.5, 0.5, 0.0]),
+        ]
+        for m in bad:
+            with pytest.raises(InvariantViolation) as alone:
+                BipartiteState(2, 2, m)
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(str(alone.value))}$"):
+                _checked_stack(2, 2, [fine[0], m, fine[1]])
+        with pytest.raises(DimensionMismatch, match=r"^matrix dim 3 != d_a\*d_b = 4$"):
+            _checked_stack(2, 2, np.array([np.eye(3) / 3] * 2))
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(4, 3\)$"):
+            _checked_stack(2, 2, np.ones((2, 4, 3)))
+        rhos, spectra = _checked_stack(2, 2, fine)
+        for m, rho, spectrum in zip(fine, rhos, spectra):
+            state = BipartiteState(2, 2, m)
+            assert rho.tobytes() == state.rho.tobytes() and spectrum.tobytes() == state.spectrum.tobytes()
 
     def test_spectrum_matches_solver(self):
         state = werner(0.3)
@@ -222,6 +249,13 @@ class TestBases:
     def test_basis_validation(self):
         with pytest.raises(InvariantViolation):
             ObservableBasis(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        fine = [computational_basis(2).vectors, fourier_basis(2).vectors]
+        with pytest.raises(InvariantViolation, match=r"^basis columns not orthonormal \(defect 1\.000e\+00\)$"):
+            _checked_bases(2, [fine[0], skew, fine[1]])
+        with pytest.raises(DimensionMismatch, match=r"^basis matrix dim 3 != d = 2$"):
+            _checked_bases(2, np.array([np.eye(3)]))
+        assert _checked_bases(2, fine).tobytes() == np.array(fine, dtype=complex).tobytes()
         with pytest.raises(BadDimension):
             random_basis(1, 0)
 

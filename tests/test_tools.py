@@ -11,11 +11,16 @@ from qir import backend
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bench_layers_cases_run_on_the_python_kernel():
+def load_bench_layers():
     path = ROOT / "tools" / "bench_layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bench_layers_cases_run_on_the_python_kernel():
+    tool = load_bench_layers()
     name = backend.backend_name()
     backend.set_backend("python")
     try:
@@ -23,6 +28,20 @@ def test_bench_layers_cases_run_on_the_python_kernel():
             case()
     finally:
         backend.set_backend(name)
+
+
+def test_bench_layers_minimize_simplex_takes_its_states_in_one_stacked_call(monkeypatch):
+    # the 25 vertices of an eq11 2 x 2 simplex: 25 states of 4 x 4 and their
+    # 125 B marginals and blocks of 2 x 2, in 2 kernel calls as one batch and
+    # in 25 + 25 one vertex at a time
+    tool = load_bench_layers()
+    for entry in ("jacobi_eigh", "jacobi_eigh_stack"):
+        monkeypatch.setattr(backend, entry, getattr(backend, entry))  # the counter's wrappers go on undo
+    counter = tool.Counter(backend)
+    cases = tool.cases(qir)
+    for case, calls in (("minimize-simplex.batch", 2), ("minimize-simplex.per_point", 50)):
+        result = tool.measure(counter, cases[case], repeats=1)
+        assert (result["kernel_calls"], result["eigendecompositions"]) == (calls, 150), case
 
 
 def test_kernel_table_runs_from_the_repo_root():

@@ -12,8 +12,9 @@ example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
 _jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel;
 the ``stack`` cases then run its stack entry, which loops over the slices in C.
 Each case reports the best of ``--repeats`` wall times per operation, the
-eigendecompositions and rotations one operation runs, counted at the
-backend (a stacked call counts each slice), and that best time divided by
+kernel calls, eigendecompositions and rotations one operation runs,
+counted at the backend (a stacked call is one kernel call and counts
+each slice as an eigendecomposition), and that best time divided by
 the rotations, in us (``us_per_rotation``; it includes the checks and
 entropy work around the kernel, so it is a kernel figure only for the
 ``kernel`` and ``full_size`` cases).
@@ -37,7 +38,11 @@ Cases:
   pairs, n = d_A * d_B from 2 to 15 (one operation is all 12): the
   full-size eigendecompositions that dominate a campaign trial; and
   ``kernel.loop.n<n>``, those at n = 3, 6, 9 and 15 alone;
-- ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2).
+- ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2);
+- ``minimize-simplex``: the slacks of the 25 vertices of the initial
+  simplex of one eq11 search at (2, 2), the first batch ``_nelder_mead``
+  hands its objective: one vertex at a time (``per_point``, 25 batches of
+  one) and as the one batch the search makes of them (``batch``).
 """
 
 from __future__ import annotations
@@ -76,11 +81,12 @@ class Counter:
     """Counts eigendecompositions and rotations at the backend's entry points."""
 
     def __init__(self, backend):
-        self.eigs = self.rotations = 0
+        self.calls = self.eigs = self.rotations = 0
         single = backend.jacobi_eigh
 
         def counted(a, v, max_rotations):
             rotations, converged = single(a, v, max_rotations)
+            self.calls += 1
             self.eigs += 1
             self.rotations += rotations
             return rotations, converged
@@ -90,6 +96,7 @@ class Counter:
         if stack is not None:
             def counted_stack(a, v, max_rotations):
                 rotations, converged = stack(a, v, max_rotations)
+                self.calls += 1
                 self.eigs += len(rotations)
                 self.rotations += int(rotations.sum())
                 return rotations, converged
@@ -99,9 +106,9 @@ class Counter:
 
 def measure(counter: Counter, fn, repeats: int) -> dict:
     fn()  # warm-up
-    counter.eigs = counter.rotations = 0
+    counter.calls = counter.eigs = counter.rotations = 0
     fn()
-    eigs, rotations = counter.eigs, counter.rotations
+    calls, eigs, rotations = counter.calls, counter.eigs, counter.rotations
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -110,6 +117,7 @@ def measure(counter: Counter, fn, repeats: int) -> dict:
     best = min(times)
     return {
         "best_s": best,
+        "kernel_calls": calls,
         "eigendecompositions": eigs,
         "rotations": rotations,
         "us_per_rotation": 1e6 * best / rotations if rotations else None,
@@ -121,17 +129,34 @@ def sweep_inputs(qir):
     return qir.random_basis(3, (21, 0)), qir.random_basis(3, (22, 0)), state
 
 
+def simplex_vertices(qir) -> np.ndarray:
+    """The 25 vertices of the initial simplex of ``minimize_slack("eq11", 2, 2, ..., seed=7)``."""
+    from qir import explore
+    from qir._rng import spawn_rng
+
+    batches = []
+
+    def first_batch(points):
+        batches.append(points.copy())
+        return np.zeros(len(points))
+
+    explore._nelder_mead(first_batch, spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25)
+    return batches[0]
+
+
 def cases(qir):
-    from qir import linalg
+    from qir import explore, linalg
     from qir.channels import _blocks
     from qir.relations import entropy_bundle
 
     grid = np.linspace(0.0, 1.0, 21)
     x, y, state = sweep_inputs(qir)
+    vertices = simplex_vertices(qir)
     rhos = np.array([qir.monitor(y, eps, state).rho for eps in grid])
     big = rhos[1:]
     marginals = np.einsum("kijil->kjl", rhos.reshape(len(rhos), 3, 2, 3, 2))[:, None]
-    small = np.concatenate([marginals, _blocks(x, rhos, 3, 2), _blocks(y, rhos, 3, 2)], axis=1).reshape(-1, 2, 2)
+    small = np.concatenate([marginals, _blocks(x.vectors, rhos, 3, 2), _blocks(y.vectors, rhos, 3, 2)],
+                           axis=1).reshape(-1, 2, 2)
     bundles = []
     for k, (d_a, d_b) in enumerate((a, b) for a in (2, 3, 4, 5) for b in (1, 2, 3)):
         bundles.append((qir.random_basis(d_a, (23, k)), qir.random_mixed(d_a, d_b, d_a * d_b, (24, k)),
@@ -148,6 +173,9 @@ def cases(qir):
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
         "kernel.stack.monitored_6x6_k20": lambda: linalg._stack_eigenvalues(big),
         "kernel.stack.blocks_2x2_k147": lambda: linalg._stack_eigenvalues(small),
+        "minimize-simplex.per_point": lambda: [explore._point_slacks("eq11", 2, 2, v[None], 1e-9)
+                                               for v in vertices],
+        "minimize-simplex.batch": lambda: explore._point_slacks("eq11", 2, 2, vertices, 1e-9),
     }
 
 
