@@ -437,9 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True, help=f"one of {', '.join(RELATIONS)}")
     p.add_argument("--dA", type=int, required=True)
     p.add_argument("--dB", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=50,
+                   help="Nelder-Mead restarts: side by side, or one at a time with --target")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", type=float, default=None, help="stop once slack <= target")
+    p.add_argument("--target", type=float, default=None, help="stop after the restart that reaches slack <= target")
     p.add_argument("--out", default="argmin.json", help="argmin output path")
     p.add_argument("--tol", type=float, default=None, help="verdict tolerance in nats")
     p.set_defaults(func=cmd_minimize)

@@ -55,7 +55,7 @@ from .states import (
 )
 
 HISTOGRAM_BINS = 64
-SWEEP_CHUNK = 256  # strengths per stacked pass of monitoring_sweep
+STACK_CHUNK = 256  # rows per stacked pass: sweep strengths, or search points of minimize_slack
 
 # stream roles within one trial
 _STATE, _BASIS_X, _BASIS_Y, _EPS = 0, 1, 2, 3
@@ -287,7 +287,7 @@ def monitoring_sweep(
 
     Gives bit for bit ``irreality(x, monitor(y, eps, rho))`` and
     ``uncertainty(y, monitor(y, eps, rho))`` at each eps. The grid runs in
-    chunks of ``SWEEP_CHUNK`` strengths, so memory does not grow with it;
+    chunks of ``STACK_CHUNK`` strengths, so memory does not grow with it;
     each chunk takes two stacked eigendecompositions: one of its monitored
     matrices, one of all their B marginals and X and Y blocks. A slice's
     bits do not depend on its stack, so the chunks move no output bit. A
@@ -299,9 +299,9 @@ def monitoring_sweep(
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
     h = np.empty((len(eps_grid), 4))
-    for i in range(0, len(eps_grid), SWEEP_CHUNK):
-        grid = _monitor_grid(y.vectors, eps_grid[i : i + SWEEP_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
-        h[i : i + SWEEP_CHUNK] = _configuration_entropies([x.vectors, y.vectors], rho.d_a, *grid)
+    for i in range(0, len(eps_grid), STACK_CHUNK):
+        grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
+        h[i : i + STACK_CHUNK] = _configuration_entropies([x.vectors, y.vectors], rho.d_a, *grid)
     h_b, h_ab, h_xb, h_yb = h.T
     try:
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
@@ -376,86 +376,140 @@ def _point_slacks(relation: str, d_a: int, d_b: int, thetas: np.ndarray, tol: fl
     return slacks, decodable
 
 
-class _BudgetSpent(Exception):
-    """The search has made all the calls it may make."""
-
-
-def _nelder_mead(fun, x0: np.ndarray, xatol: float, fatol: float, max_evals: int) -> None:
-    """Nelder–Mead simplex descent of ``fun`` from ``x0`` (Comput. J. 7, 308 (1965)).
+def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float, max_evals: int):
+    """Nelder–Mead simplex descent from ``x0`` (Comput. J. 7, 308 (1965)), as an ask/tell generator.
 
     The steps of scipy 1.17's ``_minimize_neldermead`` with ``adaptive=False``,
     no bounds and its default initial simplex, down to the numpy expressions
-    and sorts, so that ``fun`` is given the same points in the same order.
-    ``fun`` takes a ``(k, n)`` batch of points and returns their k values.
-    The initial simplex goes to it as one batch, each shrink as one batch,
-    and every other point as a batch of one. The search stops once the
-    simplex spans at most ``xatol`` in every coordinate and ``fatol`` in
-    value, or once ``fun`` has been given ``max_evals`` points: a batch that
-    would pass the budget is cut at it, and the search ends with that batch.
-    ``fun`` must not change the points it is given. Nothing is returned:
-    the caller keeps what it needs from the calls.
+    and sorts, so that the search asks for the same points in the same
+    order. It yields each ``(k, n)`` batch of points and must be sent their
+    k values. The initial simplex is one batch, each shrink one batch, and
+    every other point a batch of one. The search ends once the simplex
+    spans at most ``xatol`` in every coordinate and ``fatol`` in value, or
+    once it has yielded ``max_evals`` points: a batch that would pass the
+    budget is cut at it, and the search ends when that batch's values are
+    sent. A batch may be a view of the simplex: the caller must not change
+    it and must be done with it before sending its values. Nothing is
+    returned: the caller keeps what it needs from the batches.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    calls = 0
 
-    def f(points):
-        nonlocal calls
-        if calls >= max_evals:
-            raise _BudgetSpent
-        batch = points[: max_evals - calls]
-        calls += len(batch)
-        values = fun(batch)
-        if len(batch) < len(points):
-            raise _BudgetSpent
-        return values
-
-    def order():
-        nonlocal sim, fsim
+    def ordered(sim, fsim):
         ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    n = len(x0)
-    sim = np.empty((n + 1, n), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    try:
-        fsim[:] = f(sim)
-        order()
-        order()  # scipy sorts a second time here, and np.argsort is not stable
+    def steps():
+        n = len(x0)
+        sim = np.empty((n + 1, n), dtype=x0.dtype)
+        sim[0] = x0
+        for k in range(n):
+            y = np.array(x0, copy=True)
+            y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+            sim[k + 1] = y
+        fsim = np.full((n + 1,), np.inf, dtype=float)
+        fsim[:] = yield sim
+        sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice here, and np.argsort is not stable
         while not (
             np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
             and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
         ):
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr[None])[0]
+            fxr = (yield xr[None])[0]
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe[None])[0]
+                fxe = (yield xe[None])[0]
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
                     xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = f(xc[None])[0]
+                    fxc = (yield xc[None])[0]
                     accept = fxc <= fxr
                 else:
                     xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = f(xc[None])[0]
+                    fxc = (yield xc[None])[0]
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                    fsim[1:] = f(sim[1:])
-            order()
-    except _BudgetSpent:
-        pass
+                    fsim[1:] = yield sim[1:]
+            sim, fsim = ordered(sim, fsim)
+
+    search = steps()
+    batch = next(search)
+    while True:
+        batch = batch[:max_evals]
+        max_evals -= len(batch)
+        values = yield batch
+        if not max_evals:
+            return
+        try:
+            batch = search.send(values)
+        except StopIteration:
+            return
+
+
+def _chunks(batches: list):
+    """The rows of ``batches``, in order, as stacks of at most ``STACK_CHUNK`` rows.
+
+    A stack may hold the end of one batch and the start of the next.
+    """
+    pieces, room = [], STACK_CHUNK
+    for batch in batches:
+        while len(batch):
+            pieces.append(batch[:room])
+            batch, room = batch[room:], room - len(pieces[-1])
+            if not room:
+                yield np.concatenate(pieces)
+                pieces, room = [], STACK_CHUNK
+    if pieces:
+        yield np.concatenate(pieces)
+
+
+class _Restart:
+    """One Nelder–Mead search of a slack: its pending batch, its evaluation count and its first best point."""
+
+    def __init__(self, x0: np.ndarray, max_evals: int):
+        self.steps = _nelder_mead(x0, xatol=1e-9, fatol=1e-12, max_evals=max_evals)
+        self.batch = next(self.steps)
+        self.evaluations, self.best_value, self.best_theta = 0, math.inf, None
+
+    def tell(self, values: np.ndarray, decodable: np.ndarray) -> bool:
+        """Take the pending batch's slacks and send them on; False once the search has ended.
+
+        The best point is the first decodable point of least slack.
+        """
+        self.evaluations += len(values)
+        for theta, value, ok in zip(self.batch, values.tolist(), decodable.tolist()):
+            if ok and value < self.best_value:
+                self.best_value, self.best_theta = value, theta.copy()
+        try:
+            self.batch = self.steps.send(values)
+        except StopIteration:
+            self.batch = None
+            return False
+        return True
+
+
+def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_evals: int) -> list[_Restart]:
+    """Run a search of ``relation``'s slack from each start point, side by side.
+
+    Each tick takes the pending batch of every unfinished search, in start
+    order, and evaluates them in stacked passes of at most ``STACK_CHUNK``
+    points (``_chunks``, ``_point_slacks``). A point's slack does not
+    depend on its pass, so each search takes the steps it takes alone.
+    """
+    runs = [_Restart(x0, max_evals) for x0 in starts]
+    live = runs
+    while live:
+        passes = [_point_slacks(relation, d_a, d_b, chunk, tol) for chunk in _chunks([run.batch for run in live])]
+        ends = np.cumsum([len(run.batch) for run in live])[:-1]
+        slacks, decodable = (np.split(np.concatenate(part), ends) for part in zip(*passes))
+        live = [run for run, values, ok in zip(live, slacks, decodable) if run.tell(values, ok)]
+    return runs
 
 
 def minimize_slack(
@@ -477,13 +531,19 @@ def minimize_slack(
     basis as 2*dA^2 reals pushed through a QR retraction, plus one
     strength parameter for relations that monitor (``_decode``). Each
     restart draws its start point from stream ``(seed, restart)`` and may
-    evaluate ``max_evals`` points. The simplex hands the objective its
-    initial simplex and each shrink as one batch, and every other point as
-    a batch of one; a batch is decoded, checked and evaluated in one
-    stacked pass (``_point_slacks``), and each point gets the slack it
-    would get alone, so the points, the evaluation count and the best
-    point do not depend on the batching. Once the best slack is at most
-    ``target``, the search stops after the restart in which it got there.
+    evaluate ``max_evals`` points. A restart asks for its initial simplex
+    and each shrink as one batch, and for every other point as a batch of
+    one. Without a ``target`` every restart will run, so the restarts step
+    side by side, up to ``STACK_CHUNK`` of them at a time: each tick
+    evaluates the pending batch of every unfinished restart, in restart
+    order, in stacked passes of at most ``STACK_CHUNK`` points
+    (``_point_slacks``: decoded, checked and evaluated as stacks). With a
+    ``target`` the restarts run one at a time, and the search stops after
+    the restart in which the best slack reached the target. Each point
+    gets the slack it gets alone, each restart keeps its own evaluation
+    count and first best point, and the restarts are merged in restart
+    order, so the result does not depend on the passes: it is that of a
+    point-by-point search of one restart after another.
 
     Raises ``TheoremViolation`` if the best slack falls below ``-tol``.
     """
@@ -500,25 +560,16 @@ def minimize_slack(
         raise ConfigError(f"max_evals must be >= 1, got {max_evals}")
 
     n_params = 2 * d_a * d_b + 4 * d_a * d_a + (1 if info.needs_eps else 0)
-    best_value = math.inf
-    best_theta: np.ndarray | None = None
-    evaluations = 0
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        nonlocal best_value, best_theta, evaluations
-        values, decodable = _point_slacks(relation, d_a, d_b, thetas, tol)
-        for theta, value, ok in zip(thetas, values.tolist(), decodable.tolist()):
-            evaluations += 1
-            if ok and value < best_value:
-                best_value = value
-                best_theta = theta.copy()
-        return values
-
-    restarts_used = 0
-    for restart in range(restarts):
-        restarts_used += 1
-        x0 = spawn_rng(seed, restart).standard_normal(n_params)
-        _nelder_mead(objective, x0, xatol=1e-9, fatol=1e-12, max_evals=max_evals)
+    # a window wider than one pass holds more simplices and saves no pass
+    window = min(restarts, STACK_CHUNK) if target is None else 1
+    best_value, best_theta, evaluations, restarts_used = math.inf, None, 0, 0
+    for first in range(0, restarts, window):
+        restarts_used = min(first + window, restarts)
+        starts = [spawn_rng(seed, restart).standard_normal(n_params) for restart in range(first, restarts_used)]
+        for run in _searches(relation, d_a, d_b, tol, starts, max_evals):
+            evaluations += run.evaluations
+            if run.best_value < best_value:
+                best_value, best_theta = run.best_value, run.best_theta
         if target is not None and best_value <= target:
             break
 

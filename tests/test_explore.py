@@ -1,6 +1,8 @@
 import json
 import math
+import queue
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qir.explore import (
     run_campaign_records,
     _trial_inputs,
 )
+from qir._rng import spawn_rng
 from qir.relations import evaluate_relations
 from qir.states import (
     ObservableBasis,
@@ -273,7 +276,7 @@ class TestSweep:
 
         state = random_mixed(3, 2, 6, 73)
         x, y = random_basis(3, 74), random_basis(3, 75)
-        grid = np.linspace(0.0, 1.0, 2 * explore.SWEEP_CHUNK + 5)
+        grid = np.linspace(0.0, 1.0, 2 * explore.STACK_CHUNK + 5)
         monkeypatch.setattr(backend, "jacobi_eigh_stack", counting_stack)
         trace = monitoring_sweep(x, y, state, grid)
         monkeypatch.undo()
@@ -413,6 +416,7 @@ class TestMinimize:
     def test_rejects_a_negative_seed_and_an_empty_budget_up_front(self, bad, message, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the search ran before its inputs were checked")
+            yield
 
         monkeypatch.setattr(explore, "_nelder_mead", never)
         with pytest.raises(ConfigError, match=message):
@@ -528,9 +532,9 @@ class TestBatchedEvaluation:
         thetas = mixed_batch(d_a, d_b, relation == "eq16", seed=d_a * 10 + d_b + 1)
 
         def replay(batched):
-            def search(fun, x0, xatol, fatol, max_evals):
+            def search(x0, xatol, fatol, max_evals):
                 for batch in [thetas] if batched else np.split(thetas, len(thetas)):
-                    fun(batch)
+                    yield batch
 
             return search
 
@@ -550,9 +554,150 @@ class TestBatchedEvaluation:
 
     def test_a_search_with_no_decodable_point_is_refused(self, monkeypatch):
         thetas = mixed_batch(2, 2, False, seed=72)[[3, 7, 9]]
-        monkeypatch.setattr(explore, "_nelder_mead", lambda fun, *args, **kwargs: fun(thetas))
+
+        def replay(*args, **kwargs):
+            yield thetas
+
+        monkeypatch.setattr(explore, "_nelder_mead", replay)
         with pytest.raises(ConfigError, match="search never produced a decodable point"):
             minimize_slack("eq11", 2, 2, restarts=2, seed=0)
+
+
+def n_params(relation, d_a, d_b):
+    return 2 * d_a * d_b + 4 * d_a * d_a + int(relation == "eq16")
+
+
+def result_bytes(result):
+    """Everything a search returns, as bytes or exact values."""
+    return (
+        repr(result.best_slack),
+        result.state.rho.tobytes(),
+        result.x.vectors.tobytes(),
+        result.y.vectors.tobytes(),
+        repr(result.eps),
+        result.evaluations,
+        result.restarts_used,
+    )
+
+
+def recorded_search(monkeypatch):
+    """Record what a ``minimize_slack`` run asks for: every search's batches, and every ``_point_slacks`` pass.
+
+    Returns two lists that the run fills: per search, in the order the
+    searches start, a copy of each batch it yields; and a copy of the
+    points of each ``_point_slacks`` call.
+    """
+    searches, passes = [], []
+    search, point_slacks = explore._nelder_mead, explore._point_slacks
+
+    def recording(*args, **kwargs):
+        asked = []
+        searches.append(asked)
+        steps = search(*args, **kwargs)
+        try:
+            batch = next(steps)
+            while True:
+                asked.append(batch.copy())
+                batch = steps.send((yield batch))
+        except StopIteration:
+            return
+
+    def recorded_slacks(relation, d_a, d_b, thetas, tol):
+        passes.append(thetas.copy())
+        return point_slacks(relation, d_a, d_b, thetas, tol)
+
+    monkeypatch.setattr(explore, "_nelder_mead", recording)
+    monkeypatch.setattr(explore, "_point_slacks", recorded_slacks)
+    return searches, passes
+
+
+def ticks(searches):
+    """Per tick, the pending batches of every unfinished search, in the order the searches start."""
+    return [[asked[t] for asked in searches if t < len(asked)] for t in range(max(map(len, searches)))]
+
+
+SIDE_BY_SIDE_CASES = [
+    ("eq5", 2, 1),
+    ("eq5", 3, 2),
+    ("eq11", 2, 2),
+    ("eq11", 3, 1),
+    ("eq16", 2, 1),
+    ("eq16", 3, 2),
+]
+
+
+class TestSideBySideRestarts:
+    """Without a target, the restarts of a search step side by side and give the one-at-a-time result."""
+
+    @pytest.mark.parametrize("relation, d_a, d_b", SIDE_BY_SIDE_CASES)
+    def test_side_by_side_is_the_one_at_a_time_search(self, relation, d_a, d_b):
+        # target=-inf is never reached, so that search runs every restart one at a time;
+        # a budget of n // 2 cuts the initial simplex
+        for restarts in (1, 2, 5):
+            for max_evals in (n_params(relation, d_a, d_b) // 2, 60):
+                kw = dict(restarts=restarts, seed=restarts + max_evals, max_evals=max_evals)
+                side_by_side = minimize_slack(relation, d_a, d_b, target=None, **kw)
+                one_at_a_time = minimize_slack(relation, d_a, d_b, target=-math.inf, **kw)
+                assert result_bytes(side_by_side) == result_bytes(one_at_a_time), (restarts, max_evals)
+                assert side_by_side.restarts_used == restarts
+                assert side_by_side.evaluations == restarts * max_evals
+
+    def test_restarts_that_end_at_different_ticks(self, monkeypatch):
+        # restart 1 of this search shrinks its simplex and so ends 20 ticks early
+        kw = dict(restarts=3, seed=7, max_evals=400)
+        searches, passes = recorded_search(monkeypatch)
+        side_by_side = minimize_slack("eq16", 2, 1, **kw)
+        assert [len(asked) for asked in searches] == [379, 359, 379]
+        assert len(passes) == 379
+        for points, pending in zip(passes, ticks(searches)):
+            assert points.tobytes() == np.concatenate(pending).tobytes()
+        monkeypatch.undo()
+        assert result_bytes(side_by_side) == result_bytes(minimize_slack("eq16", 2, 1, target=-math.inf, **kw))
+
+    def test_the_first_pass_is_every_initial_simplex_in_restart_order(self, monkeypatch):
+        restarts, n = 5, n_params("eq11", 2, 2)
+        searches, passes = recorded_search(monkeypatch)
+        minimize_slack("eq11", 2, 2, restarts=restarts, seed=4, max_evals=60)
+        assert len(searches) == restarts
+        assert [len(points) for points in passes] == [restarts * (n + 1)] + [restarts] * (len(passes) - 1)
+        for restart, asked in enumerate(searches):
+            simplex = asked[0]
+            assert simplex[0].tobytes() == spawn_rng(4, restart).standard_normal(n).tobytes()
+            assert passes[0][restart * (n + 1) : (restart + 1) * (n + 1)].tobytes() == simplex.tobytes()
+        for points, pending in zip(passes, ticks(searches)):
+            assert points.tobytes() == np.concatenate(pending).tobytes()
+
+    def test_a_target_search_runs_one_restart_at_a_time(self, monkeypatch):
+        for target, used in ((-math.inf, 3), (1e9, 1)):
+            searches, passes = recorded_search(monkeypatch)
+            result = minimize_slack("eq11", 2, 2, restarts=3, seed=5, max_evals=40, target=target)
+            assert result.restarts_used == used and len(searches) == used
+            batches = [batch for asked in searches for batch in asked]
+            assert [points.tobytes() for points in passes] == [batch.tobytes() for batch in batches]
+            assert [len(points) for points in passes] == ([25] + [1] * 15) * used
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "relation, d_a, d_b, restarts, max_evals, sizes",
+        [
+            # 11 simplices of 25 points fill a pass and spill into the next
+            ("eq11", 2, 2, 11, 30, [256, 19] + [11] * 5),
+            # the window takes 256 restarts at a time: 256 simplices of 21 points
+            # and 256 single points, then 4 simplices and 4 single points
+            ("eq5", 2, 1, 260, 22, [256] * 21 + [256, 84, 4]),
+        ],
+    )
+    def test_no_pass_holds_more_than_a_chunk(self, relation, d_a, d_b, restarts, max_evals, sizes, monkeypatch):
+        assert explore.STACK_CHUNK == 256
+        kw = dict(restarts=restarts, seed=6, max_evals=max_evals)
+        searches, passes = recorded_search(monkeypatch)
+        side_by_side = minimize_slack(relation, d_a, d_b, **kw)
+        assert [len(points) for points in passes] == sizes
+        windows = [searches[i : i + 256] for i in range(0, restarts, 256)]
+        pending = [batch for window in windows for tick in ticks(window) for batch in tick]
+        assert np.concatenate(passes).tobytes() == np.concatenate(pending).tobytes()
+        monkeypatch.undo()
+        assert result_bytes(side_by_side) == result_bytes(minimize_slack(relation, d_a, d_b, target=-math.inf, **kw))
 
 
 def scipy_nelder_mead(fun, x0, xatol, fatol, max_evals):
@@ -563,30 +708,52 @@ def scipy_nelder_mead(fun, x0, xatol, fatol, max_evals):
     return minimize(fun, x0, method="Nelder-Mead", options=options)
 
 
-def one_row(search):
-    """A per-point ``search`` under ``_nelder_mead``'s contract: each point goes to ``fun`` as a batch of one."""
+def asked(search):
+    """A per-point callback ``search`` under ``_nelder_mead``'s ask/tell contract.
 
-    def batched(fun, x0, xatol, fatol, max_evals):
-        return search(lambda x: fun(x[None])[0], x0, xatol, fatol, max_evals)
+    The search runs in a thread that hands each point over a queue and
+    waits for its value: each point is yielded as a batch of one.
+    """
 
-    return batched
+    def steps(x0, xatol, fatol, max_evals):
+        points, values = queue.Queue(1), queue.Queue(1)
+
+        def fun(x):
+            points.put(x.copy())
+            return values.get()
+
+        def run():
+            try:
+                search(fun, x0, xatol, fatol, max_evals)
+            finally:
+                points.put(None)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        while (x := points.get(timeout=60)) is not None:
+            values.put((yield x[None])[0])
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    return steps
 
 
 def evaluated_points(search, fun, x0, xatol=1e-9, fatol=1e-12, max_evals=1000, batches=None):
-    """The bytes of every point ``search`` hands the per-point ``fun`` in its batches, in order.
+    """The bytes of every point ``search`` asks the per-point ``fun`` for in its batches, in order.
 
     The size of each batch is appended to ``batches`` when one is given.
     """
     points = []
-
-    def recorded(xs):
-        if batches is not None:
-            batches.append(len(xs))
-        points.extend(x.tobytes() for x in xs)
-        return [fun(x) for x in xs]
-
-    search(recorded, x0, xatol, fatol, max_evals)
-    return points
+    steps = search(x0, xatol, fatol, max_evals)
+    try:
+        xs = next(steps)
+        while True:
+            if batches is not None:
+                batches.append(len(xs))
+            points.extend(x.tobytes() for x in xs)
+            xs = steps.send([fun(x) for x in xs])
+    except StopIteration:
+        return points
 
 
 def flat(x):
@@ -602,7 +769,7 @@ class TestNelderMead:
 
     def assert_same_search(self, fun, x0, **kw):
         ours = evaluated_points(explore._nelder_mead, fun, x0, **kw)
-        assert ours == evaluated_points(one_row(scipy_nelder_mead), fun, x0, **kw)
+        assert ours == evaluated_points(asked(scipy_nelder_mead), fun, x0, **kw)
         return ours
 
     def test_tolerance_exit_on_a_smooth_function(self):
@@ -664,7 +831,7 @@ class TestNelderMead:
             return json.dumps(serialize.argmin_to_dict(result))
 
         ours = search()
-        monkeypatch.setattr(explore, "_nelder_mead", one_row(scipy_nelder_mead))
+        monkeypatch.setattr(explore, "_nelder_mead", asked(scipy_nelder_mead))
         assert search() == ours
 
     def test_a_search_imports_no_scipy(self):

@@ -41,8 +41,12 @@ Cases:
 - ``sweep``: ``monitoring_sweep`` over a 21-point grid at (3, 2);
 - ``minimize-simplex``: the slacks of the 25 vertices of the initial
   simplex of one eq11 search at (2, 2), the first batch ``_nelder_mead``
-  hands its objective: one vertex at a time (``per_point``, 25 batches of
-  one) and as the one batch the search makes of them (``batch``).
+  yields: one vertex at a time (``per_point``, 25 batches of one) and as
+  the one batch the search makes of them (``batch``);
+- ``minimize-restarts``: ``minimize_slack("eq11", 2, 2)`` with 4 restarts
+  of 60 evaluations, stepped side by side (``side_by_side``, no target)
+  and one at a time (``one_at_a_time``, ``target=-inf``, which no slack
+  reaches): the same points and result, in 36 passes or in 4 x 36.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import argparse
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import platform
 import subprocess
@@ -78,11 +83,20 @@ def load_qir(src: str, compiled: str | None):
 
 
 class Counter:
-    """Counts eigendecompositions and rotations at the backend's entry points."""
+    """Counts kernel calls, eigendecompositions and rotations at the backend's entry points.
+
+    A context manager: entering wraps ``backend.jacobi_eigh`` and
+    ``backend.jacobi_eigh_stack`` in counting wrappers, and leaving puts the
+    entries it found back.
+    """
 
     def __init__(self, backend):
+        self.backend = backend
         self.calls = self.eigs = self.rotations = 0
-        single = backend.jacobi_eigh
+
+    def __enter__(self):
+        backend = self.backend
+        self.entries = single, stack = backend.jacobi_eigh, backend.jacobi_eigh_stack
 
         def counted(a, v, max_rotations):
             rotations, converged = single(a, v, max_rotations)
@@ -91,17 +105,19 @@ class Counter:
             self.rotations += rotations
             return rotations, converged
 
-        backend.jacobi_eigh = counted
-        stack = getattr(backend, "jacobi_eigh_stack", None)
-        if stack is not None:
-            def counted_stack(a, v, max_rotations):
-                rotations, converged = stack(a, v, max_rotations)
-                self.calls += 1
-                self.eigs += len(rotations)
-                self.rotations += int(rotations.sum())
-                return rotations, converged
+        def counted_stack(a, v, max_rotations):
+            rotations, converged = stack(a, v, max_rotations)
+            self.calls += 1
+            self.eigs += len(rotations)
+            self.rotations += int(rotations.sum())
+            return rotations, converged
 
-            backend.jacobi_eigh_stack = counted_stack
+        backend.jacobi_eigh, backend.jacobi_eigh_stack = counted, counted_stack
+        return self
+
+    def __exit__(self, *exc):
+        self.backend.jacobi_eigh, self.backend.jacobi_eigh_stack = self.entries
+        return False
 
 
 def measure(counter: Counter, fn, repeats: int) -> dict:
@@ -134,14 +150,7 @@ def simplex_vertices(qir) -> np.ndarray:
     from qir import explore
     from qir._rng import spawn_rng
 
-    batches = []
-
-    def first_batch(points):
-        batches.append(points.copy())
-        return np.zeros(len(points))
-
-    explore._nelder_mead(first_batch, spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25)
-    return batches[0]
+    return next(explore._nelder_mead(spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25))
 
 
 def cases(qir):
@@ -152,6 +161,7 @@ def cases(qir):
     grid = np.linspace(0.0, 1.0, 21)
     x, y, state = sweep_inputs(qir)
     vertices = simplex_vertices(qir)
+    restarts = dict(restarts=4, seed=7, max_evals=60)
     rhos = np.array([qir.monitor(y, eps, state).rho for eps in grid])
     big = rhos[1:]
     marginals = np.einsum("kijil->kjl", rhos.reshape(len(rhos), 3, 2, 3, 2))[:, None]
@@ -176,6 +186,9 @@ def cases(qir):
         "minimize-simplex.per_point": lambda: [explore._point_slacks("eq11", 2, 2, v[None], 1e-9)
                                                for v in vertices],
         "minimize-simplex.batch": lambda: explore._point_slacks("eq11", 2, 2, vertices, 1e-9),
+        "minimize-restarts.side_by_side": lambda: qir.minimize_slack("eq11", 2, 2, **restarts),
+        "minimize-restarts.one_at_a_time": lambda: qir.minimize_slack("eq11", 2, 2, target=-math.inf,
+                                                                      **restarts),
     }
 
 
@@ -208,8 +221,8 @@ def main() -> None:
     qir = load_qir(args.src, args.compiled)
     from qir import backend
 
-    counter = Counter(backend)
-    results = {name: measure(counter, fn, args.repeats) for name, fn in sorted(cases(qir).items())}
+    with Counter(backend) as counter:
+        results = {name: measure(counter, fn, args.repeats) for name, fn in sorted(cases(qir).items())}
     print(json.dumps({
         "backend": backend.backend_name(),
         "sha": git_sha(args.src),
