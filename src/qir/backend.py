@@ -46,7 +46,10 @@ def jacobi_eigh_stack(a, v, max_rotations):
 
     Each kernel has its own stack entry: the Python kernel runs the slices
     together, the compiled one loops over them in C. Each slice gets the
-    bits ``jacobi_eigh`` gives it.
+    bits ``jacobi_eigh`` gives it. ``linalg._jacobi`` calls it only for
+    stacks of more than ``linalg.SMALL_STACK`` slices: the Python kernel's
+    stacked call costs more than one ``jacobi_eigh`` call per slice below
+    about 3 to 5 slices (README, "Backends").
     """
     rotations, converged = _KERNELS[_active].jacobi_eigh_stack(a, v, max_rotations)
     return np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)

@@ -9,8 +9,12 @@ fallback, see ``qir.backend``): ``herm_eig`` checks one matrix, and
 to be within 1e-10 of Hermitian. The kernel needs an exactly Hermitian
 input and overwrites it, so both hand it the ``_hermitian_part`` of what
 they are given, a new array; no caller copies or symmetrizes for it, and
-no caller's array is overwritten. Products, adjoints and Kronecker
-products are numpy's own (``@``, ``.conj().T``, ``np.kron``).
+no caller's array is overwritten. A stack of up to ``SMALL_STACK``
+slices is diagonalized slice by slice, a larger one in one stacked call:
+on the Python kernel the stacked call pays per numpy call, and it breaks
+even with the loop at three to five slices (README, "Backends").
+Products, adjoints and Kronecker products are numpy's own (``@``,
+``.conj().T``, ``np.kron``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHer
 
 HERMITICITY_TOL = 1e-10
 ROTATION_BUDGET = 100  # Jacobi rotations per matrix entry
+SMALL_STACK = 3  # stacks of up to this many slices run jacobi_eigh slice by slice (see _jacobi)
 
 
 def as_operator(m) -> np.ndarray:
@@ -101,20 +106,24 @@ def _stack_eigenvalues(ms: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np
 def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
     """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
 
-    The one caller of the kernel. A stack of one runs ``jacobi_eigh``, which
-    is the faster entry for a single matrix; any other stack runs
-    ``jacobi_eigh_stack``. Both give a slice the same bits. Returns the
+    The one caller of the kernel. A stack of at most ``SMALL_STACK`` slices
+    runs ``jacobi_eigh`` on each slice in order; a larger one makes one
+    ``jacobi_eigh_stack`` call. On the Python kernel the loop is the faster
+    route up to 2 slices at every n measured and up to 3 at n >= 4, and
+    the stacked call from 5 or 6 slices on (README, "Backends": the
+    crossover table). On the compiled kernel both routes run the same C.
+    Both give a slice the same bits and rotation count. Returns the
     eigenvector stack, columns in the order of the diagonals of ``work``.
-    The budget is 100 * n**2 rotations per slice. A slice that
-    exceeds it raises ``NoConvergence``; ``label.format(i=slice, n=n)``
-    names it.
+    The budget is 100 * n**2 rotations per slice. A slice that exceeds it
+    raises ``NoConvergence``; ``label.format(i=slice, n=n)`` names the
+    first such slice.
     """
     k, n = work.shape[0], work.shape[1]
     vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
     max_rotations = ROTATION_BUDGET * n * n
-    if k == 1:
-        rotations, converged = backend.jacobi_eigh(work[0], vecs[0], max_rotations)
-        rotations, converged = [rotations], [converged]
+    if k <= SMALL_STACK:
+        results = [backend.jacobi_eigh(work[i], vecs[i], max_rotations) for i in range(k)]
+        rotations, converged = [r for r, _ in results], [c for _, c in results]
     else:
         rotations, converged = backend.jacobi_eigh_stack(work, vecs, max_rotations)
     if not all(converged):

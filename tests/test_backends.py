@@ -371,13 +371,18 @@ def test_stack_slice_alone_and_inside_a_stack(rng):
 
 
 def test_stack_eigenvalues_is_bitwise_herm_eig(rng, restore_backend):
+    # the whole kernel_stack runs the stack entry; its first SMALL_STACK slices
+    # run jacobi_eigh slice by slice, and its first SMALL_STACK + 1 the stack entry
     for name in backend.available_backends():
         backend.set_backend(name)
         for n in (1, 2, 4, 6):
             ms = kernel_stack(rng, n)
+            assert len(ms) > linalg.SMALL_STACK + 1
             values = linalg._stack_eigenvalues(ms)
             for i, m in enumerate(ms):
                 assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes()
+            for k in (linalg.SMALL_STACK, linalg.SMALL_STACK + 1):
+                assert linalg._stack_eigenvalues(ms[:k]).tobytes() == values[:k].tobytes(), (name, n, k)
 
 
 @needs_compiled

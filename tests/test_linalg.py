@@ -181,40 +181,54 @@ class TestHermEigStack:
             assert ms.tobytes() == before, k
 
     def test_errors_name_the_slice(self, rng, monkeypatch):
-        ms = np.array([random_hermitian(rng, 3) for _ in range(3)])
-        stacked_kernel = linalg.backend.jacobi_eigh_stack
-        budgets = []
+        # slice by slice (k = SMALL_STACK) and stacked (k = SMALL_STACK + 1), the last slice stalls
+        single, stacked = linalg.backend.jacobi_eigh, linalg.backend.jacobi_eigh_stack
+        for k in (linalg.SMALL_STACK, linalg.SMALL_STACK + 1):
+            ms = np.array([random_hermitian(rng, 3) for _ in range(k)])
+            budgets = []
 
-        def stalls_on_slice_1(a, v, max_rotations):
-            budgets.append(max_rotations)
-            rotations, converged = stacked_kernel(a, v, max_rotations)
-            converged[1] = False
-            return rotations, converged
+            def single_stalls_on_the_last_slice(a, v, max_rotations, k=k, budgets=budgets):
+                budgets.append(max_rotations)
+                rotations, converged = single(a, v, max_rotations)
+                return rotations, converged and len(budgets) < k
 
-        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stalls_on_slice_1)
-        with pytest.raises(NoConvergence, match=r"slice 1 \(3x3\): .* after \d+ rotations"):
-            linalg._stack_eigenvalues(ms)
-        assert budgets == [100 * 3 * 3]
+            def stack_stalls_on_the_last_slice(a, v, max_rotations, budgets=budgets):
+                budgets.append(max_rotations)
+                rotations, converged = stacked(a, v, max_rotations)
+                converged[-1] = False
+                return rotations, converged
+
+            monkeypatch.setattr(linalg.backend, "jacobi_eigh", single_stalls_on_the_last_slice)
+            monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stack_stalls_on_the_last_slice)
+            with pytest.raises(NoConvergence, match=rf"slice {k - 1} \(3x3\): .* after \d+ rotations"):
+                linalg._stack_eigenvalues(ms)
+            assert budgets == [100 * 3 * 3] * (k if k <= linalg.SMALL_STACK else 1), k
 
     def test_kernel_entry_follows_the_stack_size(self, rng, monkeypatch):
-        # a stack of one runs the loop kernel, any larger stack the stacked one
+        # up to SMALL_STACK slices run the loop kernel slice by slice, a larger
+        # stack the stacked one; both give a slice the same bytes and rotations
         calls = []
         single, stacked = linalg.backend.jacobi_eigh, linalg.backend.jacobi_eigh_stack
 
         def counting_single(a, v, max_rotations):
-            calls.append(("jacobi_eigh", a.shape))
-            return single(a, v, max_rotations)
+            rotations, converged = single(a, v, max_rotations)
+            calls.append(("jacobi_eigh", a.shape, [rotations]))
+            return rotations, converged
 
         def counting_stacked(a, v, max_rotations):
-            calls.append(("jacobi_eigh_stack", a.shape))
-            return stacked(a, v, max_rotations)
+            rotations, converged = stacked(a, v, max_rotations)
+            calls.append(("jacobi_eigh_stack", a.shape, list(rotations)))
+            return rotations, converged
 
         monkeypatch.setattr(linalg.backend, "jacobi_eigh", counting_single)
         monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", counting_stacked)
-        ms = np.array([random_hermitian(rng, 3) for _ in range(2)])
-        one = linalg._stack_eigenvalues(ms[:1])
-        assert calls == [("jacobi_eigh", (3, 3))]
+        k = linalg.SMALL_STACK
+        ms = np.array([random_hermitian(rng, 3) for _ in range(k + 1)])
+        small = linalg._stack_eigenvalues(ms[:k])
+        assert [(entry, shape) for entry, shape, _ in calls] == [("jacobi_eigh", (3, 3))] * k
+        per_slice = [r for _, _, (r,) in calls]
         calls.clear()
-        two = linalg._stack_eigenvalues(ms)
-        assert calls == [("jacobi_eigh_stack", (2, 3, 3))]
-        assert one[0].tobytes() == two[0].tobytes()
+        large = linalg._stack_eigenvalues(ms)
+        assert [(entry, shape) for entry, shape, _ in calls] == [("jacobi_eigh_stack", (k + 1, 3, 3))]
+        assert calls[0][2][:k] == per_slice
+        assert small.tobytes() == large[:k].tobytes()

@@ -12,9 +12,10 @@ example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
 _jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel;
 the ``stack`` cases then run its stack entry, which loops over the slices in C.
 Each case reports the best of ``--repeats`` wall times per operation, the
-kernel calls, eigendecompositions and rotations one operation runs,
-counted at the backend (a stacked call is one kernel call and counts
-each slice as an eigendecomposition), and that best time divided by
+kernel calls per entry (``jacobi_eigh`` and ``jacobi_eigh_stack``),
+eigendecompositions and rotations one operation runs, counted at the
+backend (a stacked call is one kernel call and counts each slice as an
+eigendecomposition), and that best time divided by
 the rotations, in us (``us_per_rotation``; it includes the checks and
 entropy work around the kernel, so it is a kernel figure only for the
 ``kernel`` and ``full_size`` cases).
@@ -46,7 +47,12 @@ Cases:
 - ``minimize-restarts``: ``minimize_slack("eq11", 2, 2)`` with 4 restarts
   of 60 evaluations, stepped side by side (``side_by_side``, no target)
   and one at a time (``one_at_a_time``, ``target=-inf``, which no slack
-  reaches): the same points and result, in 36 passes or in 4 x 36.
+  reaches): the same points and result, in 36 passes or in 4 x 36;
+- ``small_stack``: ``_stack_eigenvalues`` of the first k = 1..8 of 8
+  induced-mixed densities, routed to the stack entry (``stacked``) or to
+  ``jacobi_eigh`` slice by slice (``per_slice``), at n = 2, 4 (rank 1, as
+  ``minimize`` builds them, and full rank), 6 and 9: the crossover table
+  that sets ``linalg.SMALL_STACK``, the largest stack run slice by slice.
 """
 
 from __future__ import annotations
@@ -83,16 +89,20 @@ def load_qir(src: str, compiled: str | None):
 
 
 class Counter:
-    """Counts kernel calls, eigendecompositions and rotations at the backend's entry points.
+    """Counts kernel calls per entry, eigendecompositions and rotations at the backend's entry points.
 
     A context manager: entering wraps ``backend.jacobi_eigh`` and
     ``backend.jacobi_eigh_stack`` in counting wrappers, and leaving puts the
-    entries it found back.
+    entries it found back. ``calls`` maps each entry's name to its calls.
     """
 
     def __init__(self, backend):
         self.backend = backend
-        self.calls = self.eigs = self.rotations = 0
+        self.reset()
+
+    def reset(self):
+        self.calls = {"jacobi_eigh": 0, "jacobi_eigh_stack": 0}
+        self.eigs = self.rotations = 0
 
     def __enter__(self):
         backend = self.backend
@@ -100,14 +110,14 @@ class Counter:
 
         def counted(a, v, max_rotations):
             rotations, converged = single(a, v, max_rotations)
-            self.calls += 1
+            self.calls["jacobi_eigh"] += 1
             self.eigs += 1
             self.rotations += rotations
             return rotations, converged
 
         def counted_stack(a, v, max_rotations):
             rotations, converged = stack(a, v, max_rotations)
-            self.calls += 1
+            self.calls["jacobi_eigh_stack"] += 1
             self.eigs += len(rotations)
             self.rotations += int(rotations.sum())
             return rotations, converged
@@ -122,9 +132,9 @@ class Counter:
 
 def measure(counter: Counter, fn, repeats: int) -> dict:
     fn()  # warm-up
-    counter.calls = counter.eigs = counter.rotations = 0
+    counter.reset()
     fn()
-    calls, eigs, rotations = counter.calls, counter.eigs, counter.rotations
+    calls, eigs, rotations = dict(counter.calls), counter.eigs, counter.rotations
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -151,6 +161,36 @@ def simplex_vertices(qir) -> np.ndarray:
     from qir._rng import spawn_rng
 
     return next(explore._nelder_mead(spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25))
+
+
+# the small_stack shapes: (d_a, d_b, rank) of the induced-mixed densities, rank 1 as minimize builds them
+SMALL_STACK_SHAPES = {"n2": (2, 1, 2), "n4_rank1": (2, 2, 1), "n4": (2, 2, 4), "n6": (3, 2, 6), "n9": (3, 3, 9)}
+
+
+def through(linalg, entry: str, ms: np.ndarray) -> np.ndarray:
+    """``linalg._stack_eigenvalues(ms)`` routed to one entry: ``per_slice`` runs
+    ``jacobi_eigh`` on each slice, ``stacked`` makes one ``jacobi_eigh_stack`` call."""
+    small = linalg.SMALL_STACK
+    linalg.SMALL_STACK = len(ms) if entry == "per_slice" else 0
+    try:
+        return linalg._stack_eigenvalues(ms)
+    finally:
+        linalg.SMALL_STACK = small
+
+
+def small_stack_cases(qir) -> dict:
+    """``small_stack.<shape>.k<k>.<entry>`` for k = 1..8, on the first k of 8 densities of each shape."""
+    from qir import linalg
+
+    if not hasattr(linalg, "SMALL_STACK"):  # a tree from before the routing rule
+        return {}
+    out = {}
+    for name, (d_a, d_b, rank) in SMALL_STACK_SHAPES.items():
+        ms = np.array([qir.random_mixed(d_a, d_b, rank, (26, j)).rho for j in range(8)])
+        for k in range(1, 9):
+            for entry in ("stacked", "per_slice"):
+                out[f"small_stack.{name}.k{k}.{entry}"] = lambda e=entry, m=ms[:k]: through(linalg, e, m)
+    return out
 
 
 def cases(qir):
@@ -189,6 +229,7 @@ def cases(qir):
         "minimize-restarts.side_by_side": lambda: qir.minimize_slack("eq11", 2, 2, **restarts),
         "minimize-restarts.one_at_a_time": lambda: qir.minimize_slack("eq11", 2, 2, target=-math.inf,
                                                                       **restarts),
+        **small_stack_cases(qir),
     }
 
 
