@@ -12,28 +12,30 @@ diagonal gap. Sweeps repeat until the off-diagonal Frobenius norm falls
 below ``OFF_NORM_FACTOR`` times the Frobenius norm of the input, or the
 rotation budget runs out.
 
-``jacobi_eigh_stack`` runs the same schedule on every slice of a
-``(k, n, n)`` stack at once (cf. batched Jacobi, Golub & Van Loan,
-*Matrix Computations*, 8.5). Each slice ends bit for bit as
-``jacobi_eigh`` leaves it: the stacked arithmetic is the scalar
-arithmetic, operation by operation, applied to the slices that rotate.
-At a pivot where every slice rotates, it rotates views of the stack;
-elsewhere, gathered copies of the slices that rotate.
+``jacobi_eigh_stack`` diagonalizes a ``(k, n, n)`` stack, and
+``jacobi_eigh`` is its one-slice case. ``_rotate_stack`` runs the schedule
+on every slice at once (cf. batched Jacobi, Golub & Van Loan, *Matrix
+Computations*, 8.5): the scalar arithmetic, operation by operation, on the
+slices that rotate; views of the stack where every slice rotates, gathered
+copies elsewhere. It pays per numpy call and breaks even with a loop over
+the slices at three to five, so a stack of at most ``SMALL_STACK`` slices
+runs ``_rotate`` on one slice at a time (README, "Backends"). Both give a
+slice the same bytes and rotation count.
 
 Both norms, of the input and of the off-diagonal part, come from
-``_norms``, in one call for a whole stack (``jacobi_eigh`` passes a stack
-of one). They are ``np.linalg.norm``'s bits: that is ``sqrt(re.dot(re) +
-im.dot(im))`` over the raveled entries, and ``np.vecdot`` of float64 rows
-calls the same BLAS dot per row as ``ndarray.dot``.
+``_norms``, in one call for a whole stack. They are ``np.linalg.norm``'s
+bits: that is ``sqrt(re.dot(re) + im.dot(im))`` over the raveled entries,
+and ``np.vecdot`` of float64 rows calls the same BLAS dot per row as
+``ndarray.dot``.
 
-Both kernels work on one column-major buffer ``b = [a^T | v^T]`` of shape
-``(n, 2n)`` (``(k, n, 2n)`` for a stack): ``b[j]`` holds column j of ``a``
-and then column j of ``v``. A rotation updates columns p and q of ``a`` and
-``v`` together, as rows p and q of ``b`` in one ``(2, 1) * (1, 2n)``
-broadcast with the coefficients ``[[c, s], [-conj(s), c]]``; it then copies
-rows p and q of ``a`` from the conjugated columns, as the compiled twin
-does, and pins the four pivot entries. Every exit copies the buffer back
-into ``a`` and ``v``.
+Both work on one column-major buffer ``b = [a^T | v^T]``, ``(k, n, 2n)``:
+``b[i, j]`` holds column j of slice i of ``a`` and then of ``v``. A
+rotation updates columns p and q of ``a`` and ``v`` together, as rows p
+and q of ``b[i]`` in one ``(2, 1) * (1, 2n)`` broadcast with the
+coefficients ``[[c, s], [-conj(s), c]]``; it then copies rows p and q of
+``a`` from the conjugated columns, as the compiled twin does, and pins
+the four pivot entries. Every exit copies the buffer back into ``a`` and
+``v``.
 
 So ``a`` must be exactly Hermitian on entry: its bytes those of
 ``a.conj().T`` up to the sign of a zero. Then the copied rows are what
@@ -62,6 +64,7 @@ import math
 import numpy as np
 
 OFF_NORM_FACTOR = 1e-14
+SMALL_STACK = 3  # stacks of up to this many slices run _rotate slice by slice
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -91,23 +94,41 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
 
     Same contract as the compiled kernel: ``a`` exactly Hermitian (its bytes
     those of ``a.conj().T`` up to the sign of a zero) and ``v`` the identity
-    on entry; returns ``(rotations, converged)``. Each rotation updates
-    columns p and q and copies rows p and q of ``a`` from the conjugated
-    columns, as the compiled twin does.
+    on entry; returns ``(rotations, converged)``: ``jacobi_eigh_stack`` on one slice.
     """
-    n = a.shape[0]
-    if a.shape != (n, n) or v.shape != (n, n):
-        raise ValueError("kernel buffers must be square and of equal size")
-    b = np.concatenate((a.T, v.T), axis=1)
-    thr = OFF_NORM_FACTOR * float(_norms(a[None])[0])
-    rotations, converged = _rotate(b, n, thr, max_rotations)
-    a[...] = b[:, :n].T
-    v[...] = b[:, n:].T
+    rotations, converged = jacobi_eigh_stack(a[None], v[None], max_rotations)
+    return int(rotations[0]), bool(converged[0])
+
+
+def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
+
+    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, each slice of ``a``
+    exactly Hermitian, ``v`` identities on entry. Every slice follows the
+    schedule with its own threshold, skip test and rotation budget, slice
+    by slice (``_rotate``) up to ``SMALL_STACK`` slices and all at once
+    (``_rotate_stack``) above. Returns per-slice ``(rotations, converged)``
+    arrays.
+    """
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
+        raise ValueError("kernel buffers must be stacks of square matrices of equal size")
+    k, n = a.shape[0], a.shape[1]
+    b = np.concatenate((a.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
+    thr = OFF_NORM_FACTOR * _norms(a)
+    if k <= SMALL_STACK:
+        rotations, converged = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+        for i in range(k):
+            # a Python float threshold keeps the loop's compares on Python floats
+            rotations[i], converged[i] = _rotate(b[i], n, float(thr[i]), max_rotations)
+    else:
+        rotations, converged = _rotate_stack(b, n, thr, max_rotations)
+    a[...] = b[:, :, :n].transpose(0, 2, 1)
+    v[...] = b[:, :, n:].transpose(0, 2, 1)
     return rotations, converged
 
 
 def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
-    """``jacobi_eigh``'s sweeps on the ``(n, 2n)`` buffer ``[a^T | v^T]``."""
+    """The sweeps of one slice, on its ``(n, 2n)`` buffer ``[a^T | v^T]``."""
     at = b[:, :n]  # a transposed: at[j, i] is a[i, j]
     skip = thr / n if n > 0 else 0.0
     rotations = 0
@@ -159,30 +180,8 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
                 rotations += 1
 
 
-def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
-
-    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, each slice of ``a``
-    exactly Hermitian, ``v`` identities on entry. Every slice follows
-    ``jacobi_eigh``'s schedule, its own threshold, skip test and rotation
-    budget; a rotation at pivot (p, q) acts on the slices whose entry there
-    is above their skip level, updates their columns p and q and copies rows
-    p and q of ``a`` from the conjugated columns. Returns per-slice
-    ``(rotations, converged)`` arrays.
-    """
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
-        raise ValueError("kernel buffers must be stacks of square matrices of equal size")
-    n = a.shape[1]
-    b = np.concatenate((a.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
-    thr = OFF_NORM_FACTOR * _norms(a)
-    rotations, converged = _rotate_stack(b, n, thr, max_rotations)
-    a[...] = b[:, :, :n].transpose(0, 2, 1)
-    v[...] = b[:, :, n:].transpose(0, 2, 1)
-    return rotations, converged
-
-
 def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_eigh_stack``'s sweeps on the ``(k, n, 2n)`` buffer ``[a^T | v^T]``."""
+    """The sweeps of every slice at once, on the ``(k, n, 2n)`` buffer ``[a^T | v^T]``."""
     k = b.shape[0]
     at = b[:, :, :n]  # each slice of a transposed
     rotations = np.zeros(k, dtype=np.int64)

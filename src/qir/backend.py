@@ -1,6 +1,8 @@
 """Kernel selection: compiled Jacobi core when available, pure Python otherwise.
 
 The choice is made at import; ``set_backend`` switches it at runtime.
+``jacobi_eigh_stack`` is the one entry to the active kernel, and
+``linalg._jacobi`` its one caller.
 """
 
 import numpy as np
@@ -37,19 +39,13 @@ def set_backend(name: str) -> None:
     _active = name
 
 
-def jacobi_eigh(a, v, max_rotations):
-    return _KERNELS[_active].jacobi_eigh(a, v, max_rotations)
-
-
 def jacobi_eigh_stack(a, v, max_rotations):
-    """Per-slice ``jacobi_eigh`` of ``(k, n, n)`` stacks; ``(rotations, converged)`` arrays.
+    """Diagonalize each slice of a ``(k, n, n)`` stack in place; ``(rotations, converged)`` arrays.
 
-    Each kernel has its own stack entry: the Python kernel runs the slices
-    together, the compiled one loops over them in C. Each slice gets the
-    bits ``jacobi_eigh`` gives it. ``linalg._jacobi`` calls it only for
-    stacks of more than ``linalg.SMALL_STACK`` slices: the Python kernel's
-    stacked call costs more than one ``jacobi_eigh`` call per slice below
-    about 3 to 5 slices (README, "Backends").
+    Whatever k: the Python kernel runs up to ``_jacobi_py.SMALL_STACK``
+    slices one at a time and more all at once, the compiled one loops over
+    them in C. Each slice gets the bits of the kernel's one-matrix
+    ``jacobi_eigh``, which qir itself does not call.
     """
     rotations, converged = _KERNELS[_active].jacobi_eigh_stack(a, v, max_rotations)
     return np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)

@@ -9,12 +9,9 @@ fallback, see ``qir.backend``): ``herm_eig`` checks one matrix, and
 to be within 1e-10 of Hermitian. The kernel needs an exactly Hermitian
 input and overwrites it, so both hand it the ``_hermitian_part`` of what
 they are given, a new array; no caller copies or symmetrizes for it, and
-no caller's array is overwritten. A stack of up to ``SMALL_STACK``
-slices is diagonalized slice by slice, a larger one in one stacked call:
-on the Python kernel the stacked call pays per numpy call, and it breaks
-even with the loop at three to five slices (README, "Backends").
-Products, adjoints and Kronecker products are numpy's own (``@``,
-``.conj().T``, ``np.kron``).
+no caller's array is overwritten. ``_jacobi`` makes the one kernel call
+of each stack and counts it (``kernel_counts``). Products, adjoints and
+Kronecker products are numpy's own (``@``, ``.conj().T``, ``np.kron``).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from .errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHer
 
 HERMITICITY_TOL = 1e-10
 ROTATION_BUDGET = 100  # Jacobi rotations per matrix entry
-SMALL_STACK = 3  # stacks of up to this many slices run jacobi_eigh slice by slice (see _jacobi)
+_KERNEL_COUNTS: dict[int, tuple[int, int, int]] = {}  # n -> (calls, slices, rotations), see kernel_counts
 
 
 def as_operator(m) -> np.ndarray:
@@ -106,26 +103,19 @@ def _stack_eigenvalues(ms: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np
 def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
     """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
 
-    The one caller of the kernel. A stack of at most ``SMALL_STACK`` slices
-    runs ``jacobi_eigh`` on each slice in order; a larger one makes one
-    ``jacobi_eigh_stack`` call. On the Python kernel the loop is the faster
-    route up to 2 slices at every n measured and up to 3 at n >= 4, and
-    the stacked call from 5 or 6 slices on (README, "Backends": the
-    crossover table). On the compiled kernel both routes run the same C.
-    Both give a slice the same bits and rotation count. Returns the
-    eigenvector stack, columns in the order of the diagonals of ``work``.
-    The budget is 100 * n**2 rotations per slice. A slice that exceeds it
-    raises ``NoConvergence``; ``label.format(i=slice, n=n)`` names the
-    first such slice.
+    The one caller of the kernel: one ``backend.jacobi_eigh_stack`` call per
+    stack, whatever k, counted in ``kernel_counts``. Returns the eigenvector
+    stack, columns in the order of the diagonals of ``work``. The budget is
+    100 * n**2 rotations per slice. A slice that exceeds it raises
+    ``NoConvergence``, after the call is counted, since its rotations were
+    spent; ``label.format(i=slice, n=n)`` names the first such slice.
     """
     k, n = work.shape[0], work.shape[1]
     vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
     max_rotations = ROTATION_BUDGET * n * n
-    if k <= SMALL_STACK:
-        results = [backend.jacobi_eigh(work[i], vecs[i], max_rotations) for i in range(k)]
-        rotations, converged = [r for r, _ in results], [c for _, c in results]
-    else:
-        rotations, converged = backend.jacobi_eigh_stack(work, vecs, max_rotations)
+    rotations, converged = backend.jacobi_eigh_stack(work, vecs, max_rotations)
+    calls, slices, spent = _KERNEL_COUNTS.get(n, (0, 0, 0))
+    _KERNEL_COUNTS[n] = (calls + 1, slices + k, spent + sum(rotations.tolist()))
     if not all(converged):
         i = int(np.argmin(converged))
         raise NoConvergence(
@@ -133,3 +123,18 @@ def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
             f"after {rotations[i]} rotations"
         )
     return vecs
+
+
+def kernel_counts(since: dict | None = None) -> dict[int, tuple[int, int, int]]:
+    """This process's kernel work, ``{n: (calls, slices, rotations)}``, or its growth ``since`` a snapshot.
+
+    ``_jacobi`` counts each stack of n x n slices it hands the kernel as one
+    call, its k slices (none for an empty stack) and their rotations,
+    converged or not. With ``since``, each n that took a call after that
+    snapshot maps to the differences. A worker process's counts stay in it.
+    """
+    now = dict(sorted(_KERNEL_COUNTS.items()))
+    if since is None:
+        return now
+    return {n: tuple(x - y for x, y in zip(c, since.get(n, (0, 0, 0))))
+            for n, c in now.items() if c != since.get(n)}

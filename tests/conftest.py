@@ -15,6 +15,17 @@ from qir.channels import _blocks
 from qir.states import BipartiteState
 
 
+# the compiled twin, built from the shipped C source by the compiled_kernel fixture if need be
+needs_compiled = pytest.mark.usefixtures("compiled_kernel")
+
+
+@pytest.fixture
+def restore_backend():
+    name = backend.backend_name()
+    yield
+    backend.set_backend(name)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -7,21 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qir import backend, linalg
+from qir import _jacobi_py, backend, linalg
 from qir.errors import ConfigError
 from qir.states import werner
 
-from conftest import random_density, random_hermitian
-
-# the compiled twin, built from the shipped C source by the conftest fixture if need be
-needs_compiled = pytest.mark.usefixtures("compiled_kernel")
-
-
-@pytest.fixture
-def restore_backend():
-    name = backend.backend_name()
-    yield
-    backend.set_backend(name)
+from conftest import needs_compiled, random_density, random_hermitian
 
 
 def test_python_backend_always_available():
@@ -220,8 +210,6 @@ def test_kernel_rotation_counts_match(rng, restore_backend):
 
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_loop_twin_is_bitwise_the_reference(rng, n):
-    from qir import _jacobi_py
-
     for m in kernel_stack(rng, n):
         for budget in (0, 1, 3, 7, 100 * n * n):
             a, v, rotations, converged = loop_twin(_jacobi_py, m, budget)
@@ -246,11 +234,11 @@ def skewed_with_signed_zeros(rng, n):
 
 
 def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng, monkeypatch):
-    """Every ``a`` that reaches either kernel entry has the bytes of its conjugate
+    """Every ``a`` that reaches the kernel entry has the bytes of its conjugate
     transpose up to the sign of a zero (adding 0.0 maps -0.0 to 0.0): the premise
     of copying rows from the conjugated columns.
 
-    Both entries are wrapped at ``qir.backend`` and every route that ends in the
+    The entry is wrapped at ``qir.backend`` and every route that ends in the
     kernel runs: a state's constructor (on skewed input with signed zeros),
     ``herm_eig``, an eq16 ``evaluate_relations``, a 21-point
     ``monitoring_sweep``, ``monitor_n`` and a ``minimize_slack`` evaluation.
@@ -259,14 +247,13 @@ def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng, monkeypatch
     from qir.explore import minimize_slack, monitoring_sweep
 
     handed = []
-    for entry in ("jacobi_eigh", "jacobi_eigh_stack"):
-        kernel = getattr(backend, entry)
+    kernel = backend.jacobi_eigh_stack
 
-        def recording(a, v, max_rotations, kernel=kernel, entry=entry):
-            handed.append((entry, a.copy()))
-            return kernel(a, v, max_rotations)
+    def recording(a, v, max_rotations):
+        handed.append(a.copy())
+        return kernel(a, v, max_rotations)
 
-        monkeypatch.setattr(backend, entry, recording)
+    monkeypatch.setattr(backend, "jacobi_eigh_stack", recording)
 
     def routes():
         for d_a, d_b in ((2, 2), (3, 2), (5, 3)):
@@ -284,10 +271,10 @@ def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng, monkeypatch
         handed.clear()
         run()
         assert handed, name
-        for entry, a in handed:
+        for a in handed:
             adjoint = np.swapaxes(a.conj(), -1, -2)
-            assert np.array_equal(a, adjoint), (name, entry)
-            assert (a + 0.0).tobytes() == (adjoint + 0.0).tobytes(), (name, entry)
+            assert np.array_equal(a, adjoint), name
+            assert (a + 0.0).tobytes() == (adjoint + 0.0).tobytes(), name
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)
@@ -301,8 +288,6 @@ def test_mirrored_rows_are_the_rotated_rows_on_hermitian_input(rng, n):
     bytes, and ``a`` its values. Every matrix qir hands the kernel is symmetrized
     this way.
     """
-    from qir import _jacobi_py
-
     ms = linalg._hermitian_part(kernel_stack(rng, n))
     for m in ms:
         for budget in (0, 1, 3, 7, 100 * n * n):
@@ -316,8 +301,6 @@ def test_mirrored_rows_are_the_rotated_rows_on_hermitian_input(rng, n):
 
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_stack_is_bitwise_the_loop_twin(rng, n):
-    from qir import _jacobi_py
-
     stacks = [kernel_stack(rng, n)]
     # full-rank densities alone: every slice rotates at every pivot of the first
     # sweep, where the stacked kernel rotates views instead of gathered copies
@@ -338,8 +321,6 @@ def test_norms_are_bitwise_np_linalg_norm(rng, n):
     ``ndarray.dot``. Checked on every ``kernel_stack`` slice and on its
     off-diagonal part, at three scales.
     """
-    from qir import _jacobi_py
-
     ms = kernel_stack(rng, n)
     off = ms.copy()
     off[:, np.arange(n), np.arange(n)] = 0.0
@@ -353,8 +334,6 @@ def test_norms_are_bitwise_np_linalg_norm(rng, n):
 
 
 def test_stack_slice_alone_and_inside_a_stack(rng):
-    from qir import _jacobi_py
-
     for n in (3, 9):
         ms = kernel_stack(rng, n)
         whole = run_stack(_jacobi_py.jacobi_eigh_stack, ms, 100 * n * n)
@@ -370,19 +349,73 @@ def test_stack_slice_alone_and_inside_a_stack(rng):
     assert linalg._stack_eigenvalues(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
 
 
+@needs_compiled
 def test_stack_eigenvalues_is_bitwise_herm_eig(rng, restore_backend):
-    # the whole kernel_stack runs the stack entry; its first SMALL_STACK slices
-    # run jacobi_eigh slice by slice, and its first SMALL_STACK + 1 the stack entry
+    # on the Python kernel the first SMALL_STACK slices run slice by slice, the
+    # first SMALL_STACK + 1 and the whole kernel_stack stacked
+    small = _jacobi_py.SMALL_STACK
+    assert backend.available_backends() == ("compiled", "python")
     for name in backend.available_backends():
         backend.set_backend(name)
         for n in (1, 2, 4, 6):
             ms = kernel_stack(rng, n)
-            assert len(ms) > linalg.SMALL_STACK + 1
+            assert len(ms) > small + 1
             values = linalg._stack_eigenvalues(ms)
             for i, m in enumerate(ms):
                 assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes()
-            for k in (linalg.SMALL_STACK, linalg.SMALL_STACK + 1):
+            for k in (small, small + 1):
                 assert linalg._stack_eigenvalues(ms[:k]).tobytes() == values[:k].tobytes(), (name, n, k)
+
+
+def test_kernel_entry_follows_the_stack_size(rng, restore_backend, monkeypatch):
+    # on the Python kernel, up to SMALL_STACK slices run _rotate slice by slice
+    # and a larger stack _rotate_stack; both give a slice the same bytes and rotations
+    backend.set_backend("python")
+    calls = []
+    rotate, rotate_stack = _jacobi_py._rotate, _jacobi_py._rotate_stack
+
+    def recording_rotate(b, n, thr, max_rotations):
+        rotations, converged = rotate(b, n, thr, max_rotations)
+        calls.append(("_rotate", b.shape, [rotations]))
+        return rotations, converged
+
+    def recording_rotate_stack(b, n, thr, max_rotations):
+        rotations, converged = rotate_stack(b, n, thr, max_rotations)
+        calls.append(("_rotate_stack", b.shape, list(rotations)))
+        return rotations, converged
+
+    monkeypatch.setattr(_jacobi_py, "_rotate", recording_rotate)
+    monkeypatch.setattr(_jacobi_py, "_rotate_stack", recording_rotate_stack)
+    k = _jacobi_py.SMALL_STACK
+    ms = np.array([random_hermitian(rng, 3) for _ in range(k + 1)])
+    small = linalg._stack_eigenvalues(ms[:k])
+    assert [(body, shape) for body, shape, _ in calls] == [("_rotate", (3, 6))] * k
+    per_slice = [r for _, _, (r,) in calls]
+    calls.clear()
+    large = linalg._stack_eigenvalues(ms)
+    assert [(body, shape) for body, shape, _ in calls] == [("_rotate_stack", (k + 1, 3, 6))]
+    assert calls[0][2][:k] == per_slice
+    assert small.tobytes() == large[:k].tobytes()
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+def test_stacked_body_is_bitwise_the_loop_on_small_stacks(rng, n, monkeypatch):
+    """``_rotate_stack`` runs in production only above ``SMALL_STACK`` slices.
+    Forced onto stacks of 1 to ``SMALL_STACK`` + 1 slices, every window of
+    ``kernel_stack``, it gives each slice the loop route's bytes, rotations and flags."""
+    ms = kernel_stack(rng, n)
+    for k in range(1, _jacobi_py.SMALL_STACK + 2):
+        for start in range(0, len(ms), k):
+            window = ms[start : start + k]
+            for budget in (0, 1, 3, 100 * n * n):
+                runs = []
+                for small in (len(window), 0):  # the loop route, then the stacked body
+                    monkeypatch.setattr(_jacobi_py, "SMALL_STACK", small)
+                    runs.append(run_stack(_jacobi_py.jacobi_eigh_stack, window, budget))
+                (a0, v0, r0, c0), (a1, v1, r1, c1) = runs
+                assert r0.tobytes() == r1.tobytes() and c0.tobytes() == c1.tobytes(), (n, k, budget)
+                assert a0.tobytes() == a1.tobytes(), (n, k, budget)
+                assert v0.tobytes() == v1.tobytes(), (n, k, budget)
 
 
 @needs_compiled

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import backend, entropy_bundle, linalg
+from qir import entropy_bundle, linalg
 from qir.channels import _blocks, _monitor_grid, dephase, monitor
 from qir.entropies import (
     EIG_CLIP,
@@ -252,46 +252,33 @@ class TestDephasedEntropy:
             dephased_entropy(computational_basis(3), max_mixed(2, 2))
 
     @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
-    def test_campaign_trial_runs_two_full_size_eigendecompositions(self, monkeypatch, ensemble):
-        # the state and the monitored state; every dephased entropy comes from blocks
-        sizes = []
-        kernel = backend.jacobi_eigh
-
-        def counting(a, v, max_rotations):
-            sizes.append(a.shape[0])
-            return kernel(a, v, max_rotations)
-
-        monkeypatch.setattr(backend, "jacobi_eigh", counting)
+    def test_campaign_trial_runs_two_full_size_eigendecompositions(self, ensemble):
+        # the state and the monitored state, one kernel call each; every dephased
+        # entropy comes from blocks
         relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
         for d_a, d_b in ACCEPTANCE_DIMS:
             cfg = CampaignConfig(
                 dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
             )
-            sizes.clear()
+            start = linalg.kernel_counts()
             run_campaign_records(cfg)
-            assert sizes.count(d_a * d_b) == 2 * cfg.trials, (d_a, d_b)
-            assert max(sizes) == d_a * d_b
+            counts = linalg.kernel_counts(start)
+            assert counts[d_a * d_b][:2] == (2 * cfg.trials, 2 * cfg.trials), (d_a, d_b)
+            assert max(counts) == d_a * d_b
 
     @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
-    def test_campaign_trial_runs_one_stacked_eigendecomposition(self, monkeypatch, ensemble):
+    def test_campaign_trial_runs_one_stacked_eigendecomposition(self, ensemble):
         # the marginals and blocks of the state and of the monitored state, in one call
-        calls = []
-        kernel = backend.jacobi_eigh_stack
-
-        def counting(a, v, max_rotations):
-            calls.append(a.shape)
-            return kernel(a, v, max_rotations)
-
-        monkeypatch.setattr(backend, "jacobi_eigh_stack", counting)
         relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
         for d_a, d_b in ACCEPTANCE_DIMS:
             cfg = CampaignConfig(
                 dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
             )
-            calls.clear()
+            start = linalg.kernel_counts()
             run_campaign_records(cfg)
-            assert len(calls) == cfg.trials, (d_a, d_b, calls)
-            assert all(shape == (2 * (1 + 2 * d_a), d_b, d_b) for shape in calls), (d_a, d_b, calls)
+            counts = linalg.kernel_counts(start)
+            assert set(counts) == {d_b, d_a * d_b}, (d_a, d_b, counts)
+            assert counts[d_b][:2] == (cfg.trials, cfg.trials * 2 * (1 + 2 * d_a)), (d_a, d_b, counts)
 
 
 class TestBatchedEntropies:

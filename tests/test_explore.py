@@ -245,26 +245,14 @@ class TestSweep:
                     assert trace.uncertainty_y.tobytes() == np.array(unc).tobytes(), (d_a, d_b, grid)
                     assert [irreality(x, m) for m in monitored] == irr
 
-    def test_sweep_makes_no_full_size_call_per_point(self, monkeypatch):
-        singles, stacks = [], []
-        kernel, stacked = backend.jacobi_eigh, backend.jacobi_eigh_stack
-
-        def counting(a, v, max_rotations):
-            singles.append(a.shape)
-            return kernel(a, v, max_rotations)
-
-        def counting_stack(a, v, max_rotations):
-            stacks.append(a.shape)
-            return stacked(a, v, max_rotations)
-
+    def test_sweep_makes_no_full_size_call_per_point(self):
         state = random_mixed(3, 2, 6, 64)
         x, y = random_basis(3, 65), random_basis(3, 66)
-        monkeypatch.setattr(backend, "jacobi_eigh", counting)
-        monkeypatch.setattr(backend, "jacobi_eigh_stack", counting_stack)
+        start = linalg.kernel_counts()
         monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21))
-        assert singles == []
-        # the 20 monitored states, then per point rho_B and 3 + 3 blocks
-        assert stacks == [(20, 6, 6), (21 * 7, 2, 2)]
+        counts = linalg.kernel_counts(start)
+        # one call of the 20 monitored states, then one of rho_B and 3 + 3 blocks per point
+        assert {n: c[:2] for n, c in counts.items()} == {6: (1, 20), 2: (1, 21 * 7)}
 
     def test_long_grids_run_in_chunks_with_the_bits_of_short_ones(self, monkeypatch):
         stacks = []

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import linalg
+from qir import _jacobi_py, backend, linalg
 from qir.entropies import _marginals
 from qir.errors import DimensionMismatch, InvariantViolation, NoConvergence, NotHermitian
 
-from conftest import random_hermitian
+from conftest import needs_compiled, random_density, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -146,9 +146,9 @@ class TestHermEig:
 
         def stalls_after_one_rotation(a, v, max_rotations):
             budgets.append(max_rotations)
-            return 1, False
+            return np.array([1]), np.array([False])
 
-        monkeypatch.setattr(linalg.backend, "jacobi_eigh", stalls_after_one_rotation)
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stalls_after_one_rotation)
         with pytest.raises(NoConvergence, match=r"4x4 matrix: .* after 1 rotations"):
             linalg.herm_eig(m)
         assert budgets == [100 * 4 * 4]
@@ -181,16 +181,12 @@ class TestHermEigStack:
             assert ms.tobytes() == before, k
 
     def test_errors_name_the_slice(self, rng, monkeypatch):
-        # slice by slice (k = SMALL_STACK) and stacked (k = SMALL_STACK + 1), the last slice stalls
-        single, stacked = linalg.backend.jacobi_eigh, linalg.backend.jacobi_eigh_stack
-        for k in (linalg.SMALL_STACK, linalg.SMALL_STACK + 1):
+        # a stack small enough to run slice by slice on the Python kernel and
+        # one that runs stacked: one call each, in which the last slice stalls
+        stacked = linalg.backend.jacobi_eigh_stack
+        for k in (_jacobi_py.SMALL_STACK, _jacobi_py.SMALL_STACK + 1):
             ms = np.array([random_hermitian(rng, 3) for _ in range(k)])
             budgets = []
-
-            def single_stalls_on_the_last_slice(a, v, max_rotations, k=k, budgets=budgets):
-                budgets.append(max_rotations)
-                rotations, converged = single(a, v, max_rotations)
-                return rotations, converged and len(budgets) < k
 
             def stack_stalls_on_the_last_slice(a, v, max_rotations, budgets=budgets):
                 budgets.append(max_rotations)
@@ -198,37 +194,80 @@ class TestHermEigStack:
                 converged[-1] = False
                 return rotations, converged
 
-            monkeypatch.setattr(linalg.backend, "jacobi_eigh", single_stalls_on_the_last_slice)
             monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stack_stalls_on_the_last_slice)
             with pytest.raises(NoConvergence, match=rf"slice {k - 1} \(3x3\): .* after \d+ rotations"):
                 linalg._stack_eigenvalues(ms)
-            assert budgets == [100 * 3 * 3] * (k if k <= linalg.SMALL_STACK else 1), k
+            assert budgets == [100 * 3 * 3], k
 
-    def test_kernel_entry_follows_the_stack_size(self, rng, monkeypatch):
-        # up to SMALL_STACK slices run the loop kernel slice by slice, a larger
-        # stack the stacked one; both give a slice the same bytes and rotations
-        calls = []
-        single, stacked = linalg.backend.jacobi_eigh, linalg.backend.jacobi_eigh_stack
 
-        def counting_single(a, v, max_rotations):
-            rotations, converged = single(a, v, max_rotations)
-            calls.append(("jacobi_eigh", a.shape, [rotations]))
-            return rotations, converged
+class TestKernelCounts:
+    """``linalg.kernel_counts``: the kernel work ``_jacobi`` hands the backend, by n."""
 
-        def counting_stacked(a, v, max_rotations):
+    def test_two_identical_calls_count_twice_one(self, rng):
+        ms = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        m = random_hermitian(rng, 3)
+        start = linalg.kernel_counts()
+        linalg._stack_eigenvalues(ms)
+        linalg.herm_eig(m)
+        once = linalg.kernel_counts(start)
+        assert set(once) == {3, 4}
+        assert once[4][:2] == (1, 5) and once[3][:2] == (1, 1)
+        assert once[4][2] > 0 and once[3][2] > 0
+        linalg._stack_eigenvalues(ms)
+        linalg.herm_eig(m)
+        assert linalg.kernel_counts(start) == {n: tuple(2 * x for x in c) for n, c in once.items()}
+
+    def test_rotations_are_the_kernels_own(self, rng, monkeypatch):
+        ms = np.array([random_hermitian(rng, 5) for _ in range(4)])
+        returned = []
+        stacked = linalg.backend.jacobi_eigh_stack
+
+        def recording(a, v, max_rotations):
             rotations, converged = stacked(a, v, max_rotations)
-            calls.append(("jacobi_eigh_stack", a.shape, list(rotations)))
+            returned.append(int(rotations.sum()))
             return rotations, converged
 
-        monkeypatch.setattr(linalg.backend, "jacobi_eigh", counting_single)
-        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", counting_stacked)
-        k = linalg.SMALL_STACK
-        ms = np.array([random_hermitian(rng, 3) for _ in range(k + 1)])
-        small = linalg._stack_eigenvalues(ms[:k])
-        assert [(entry, shape) for entry, shape, _ in calls] == [("jacobi_eigh", (3, 3))] * k
-        per_slice = [r for _, _, (r,) in calls]
-        calls.clear()
-        large = linalg._stack_eigenvalues(ms)
-        assert [(entry, shape) for entry, shape, _ in calls] == [("jacobi_eigh_stack", (k + 1, 3, 3))]
-        assert calls[0][2][:k] == per_slice
-        assert small.tobytes() == large[:k].tobytes()
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", recording)
+        start = linalg.kernel_counts()
+        linalg._stack_eigenvalues(ms)
+        assert linalg.kernel_counts(start) == {5: (1, 4, returned[0])}
+
+    def test_a_stack_that_does_not_converge_is_counted(self, rng, monkeypatch):
+        # its rotations were spent: the call, its slices and rotations count before the raise
+        ms = np.array([random_hermitian(rng, 3) for _ in range(2)])
+
+        def stalls(a, v, max_rotations):
+            return np.array([7, 9]), np.array([True, False])
+
+        monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stalls)
+        start = linalg.kernel_counts()
+        with pytest.raises(NoConvergence, match=r"slice 1 \(3x3\): .* after 9 rotations"):
+            linalg._stack_eigenvalues(ms)
+        assert linalg.kernel_counts(start) == {3: (1, 2, 16)}
+
+    def test_an_empty_stack_is_one_call_of_no_slices(self):
+        start = linalg.kernel_counts()
+        assert linalg._stack_eigenvalues(np.zeros((0, 7, 7), dtype=complex)).shape == (0, 7)
+        assert linalg.kernel_counts(start) == {7: (1, 0, 0)}
+
+    def test_a_snapshot_is_unchanged_by_later_work(self, rng):
+        start = linalg.kernel_counts()
+        frozen = dict(start)
+        linalg.herm_eig(random_hermitian(rng, 2))
+        assert start == frozen
+        assert linalg.kernel_counts(linalg.kernel_counts()) == {}
+
+    @needs_compiled
+    def test_both_kernels_count_the_same_on_full_rank_input(self, rng, restore_backend):
+        # a density with a null space may take 1-2 rotations more on one twin
+        # (tests/test_backends.py, test_kernel_rotation_counts_match), so full rank only
+        stacks = [np.array([random_density(rng, n) for _ in range(k)]) for n in (2, 4, 6, 9) for k in (1, 3, 5)]
+        counts = {}
+        for name in ("python", "compiled"):
+            backend.set_backend(name)
+            start = linalg.kernel_counts()
+            for ms in stacks:
+                linalg._stack_eigenvalues(ms)
+            counts[name] = linalg.kernel_counts(start)
+        assert counts["python"] == counts["compiled"]
+        assert counts["python"][4][:2] == (3, 9)

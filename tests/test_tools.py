@@ -1,12 +1,13 @@
 """Smoke tests of ``tools/bench_layers.py`` and ``qirbench/kernels.py`` against this tree."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import qir
-from qir import backend, linalg
+from qir import _jacobi_py, backend, linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,55 +31,85 @@ def test_bench_layers_cases_run_on_the_python_kernel():
         backend.set_backend(name)
 
 
+def calls_and_slices(result):
+    """A case's per-n kernel calls and slices, rotations left out."""
+    return {n: (calls, slices) for n, (calls, slices, _) in result["kernel_counts"].items()}
+
+
 def test_bench_layers_minimize_simplex_takes_its_states_in_one_stacked_call():
     # the 25 vertices of an eq11 2 x 2 simplex: 25 states of 4 x 4 and their
-    # 125 B marginals and blocks of 2 x 2, in 2 stacked calls as one batch; one
-    # vertex at a time, each state alone runs jacobi_eigh and its 5 blocks a stack
+    # 125 B marginals and blocks of 2 x 2, in 2 kernel calls as one batch; one
+    # vertex at a time, a call for each state and one for its 5 blocks
     tool = load_bench_layers()
-    entries = backend.jacobi_eigh, backend.jacobi_eigh_stack
-    with tool.Counter(backend) as counter:
-        cases = tool.cases(qir)
-        for case, calls in (("minimize-simplex.batch", {"jacobi_eigh": 0, "jacobi_eigh_stack": 2}),
-                            ("minimize-simplex.per_point", {"jacobi_eigh": 25, "jacobi_eigh_stack": 25})):
-            result = tool.measure(counter, cases[case], repeats=1)
-            assert (result["kernel_calls"], result["eigendecompositions"]) == (calls, 150), case
-    assert (backend.jacobi_eigh, backend.jacobi_eigh_stack) == entries  # the counter puts the entries back
+    cases = tool.cases(qir)
+    for case, counts in (("minimize-simplex.batch", {4: (1, 25), 2: (1, 125)}),
+                         ("minimize-simplex.per_point", {4: (25, 25), 2: (25, 125)})):
+        result = tool.measure(linalg, cases[case], repeats=1)
+        assert (calls_and_slices(result), result["eigendecompositions"]) == (counts, 150), case
 
 
 def test_bench_layers_minimize_restarts_side_by_side_takes_a_quarter_of_the_passes():
     # 4 restarts of 60 evaluations, 36 passes each (the 25-point simplex, then
-    # 35 single points); a pass takes 2 kernel calls, its states and then their
-    # B marginals and blocks, and so does the check of the best point. Side by
-    # side, a pass holds 4 states, more than SMALL_STACK, so both calls are
-    # stacked; one at a time, the state of a single point runs jacobi_eigh
+    # 35 single points); a pass takes 2 kernel calls, its 4 x 4 states and then
+    # their 2 x 2 B marginals and blocks, and so does the check of the best point
     tool = load_bench_layers()
-    assert linalg.SMALL_STACK < 4
-    with tool.Counter(backend) as counter:
-        cases = tool.cases(qir)
-        runs = {case: tool.measure(counter, cases[f"minimize-restarts.{case}"], repeats=1)
-                for case in ("side_by_side", "one_at_a_time")}
-    assert runs["side_by_side"]["kernel_calls"] == {"jacobi_eigh": 1, "jacobi_eigh_stack": 2 * 36 + 1}
-    assert runs["one_at_a_time"]["kernel_calls"] == {"jacobi_eigh": 4 * 35 + 1,
-                                                     "jacobi_eigh_stack": 4 * (36 + 1) + 1}
+    cases = tool.cases(qir)
+    runs = {case: tool.measure(linalg, cases[f"minimize-restarts.{case}"], repeats=1)
+            for case in ("side_by_side", "one_at_a_time")}
+    calls = {case: {n: c for n, (c, _) in calls_and_slices(run).items()} for case, run in runs.items()}
+    assert calls == {"side_by_side": {4: 36 + 1, 2: 36 + 1}, "one_at_a_time": {4: 4 * 36 + 1, 2: 4 * 36 + 1}}
     assert runs["side_by_side"]["eigendecompositions"] == runs["one_at_a_time"]["eigendecompositions"]
     assert runs["side_by_side"]["rotations"] == runs["one_at_a_time"]["rotations"]
 
 
-def test_bench_layers_small_stack_runs_each_entry():
-    # k slices make k jacobi_eigh calls or one stacked call, with the same
-    # rotations, whatever SMALL_STACK says; it comes back after each call
+def test_bench_layers_small_stack_runs_each_body(restore_backend, monkeypatch):
+    # k slices run _rotate k times or _rotate_stack once, in one kernel call with
+    # the same rotations, whatever SMALL_STACK says; it comes back after each call
     tool = load_bench_layers()
-    small = linalg.SMALL_STACK
-    with tool.Counter(backend) as counter:
-        cases = tool.cases(qir)
-        for shape in tool.SMALL_STACK_SHAPES:
-            for k in (1, small + 1, 8):
-                runs = {entry: tool.measure(counter, cases[f"small_stack.{shape}.k{k}.{entry}"], repeats=1)
-                        for entry in ("stacked", "per_slice")}
-                assert runs["stacked"]["kernel_calls"] == {"jacobi_eigh": 0, "jacobi_eigh_stack": 1}
-                assert runs["per_slice"]["kernel_calls"] == {"jacobi_eigh": k, "jacobi_eigh_stack": 0}
-                assert runs["stacked"]["rotations"] == runs["per_slice"]["rotations"], (shape, k)
-                assert linalg.SMALL_STACK == small
+    backend.set_backend("python")
+    bodies = []
+
+    def recorded(body):
+        run = getattr(_jacobi_py, body)
+
+        def recording(*args):
+            bodies.append(body)
+            return run(*args)
+
+        return recording
+
+    for body in ("_rotate", "_rotate_stack"):
+        monkeypatch.setattr(_jacobi_py, body, recorded(body))
+    small = _jacobi_py.SMALL_STACK
+    cases = tool.cases(qir)
+    for shape, (d_a, d_b, _) in tool.SMALL_STACK_SHAPES.items():
+        for k in (1, small + 1, 8):
+            runs = {}
+            for entry, ran in (("stacked", ["_rotate_stack"]), ("per_slice", ["_rotate"] * k)):
+                bodies.clear()
+                runs[entry] = tool.measure(linalg, cases[f"small_stack.{shape}.k{k}.{entry}"], repeats=1)
+                assert bodies == ran * 3, (shape, k, entry)  # warm-up, counted run, one repeat
+                assert _jacobi_py.SMALL_STACK == small
+            assert runs["stacked"]["kernel_counts"] == runs["per_slice"]["kernel_counts"], (shape, k)
+            assert calls_and_slices(runs["stacked"]) == {d_a * d_b: (1, k)}, (shape, k)
+
+
+def test_bench_layers_runs_as_a_script():
+    # main() on this tree: each case's eigendecompositions and rotations are
+    # the sums over n of its per-n counts
+    done = subprocess.run(
+        [sys.executable, "tools/bench_layers.py", "--src", "src", "--repeats", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["backend"] == "python" and report["repeats"] == 1
+    assert len(report["cases"]) > 80
+    for case, result in report["cases"].items():
+        counts = result["kernel_counts"].values()
+        assert counts, case
+        assert result["eigendecompositions"] == sum(slices for _, slices, _ in counts), case
+        assert result["rotations"] == sum(rotations for _, _, rotations in counts), case
 
 
 def test_kernel_table_runs_from_the_repo_root():

@@ -9,16 +9,16 @@ Usage, from the root of the repository:
 measured by the same harness. ``--compiled`` registers a compiled Jacobi
 kernel, a shared object built from a tree's ``src/qir/_jacobi.c`` (for
 example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
-_jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel;
-the ``stack`` cases then run its stack entry, which loops over the slices in C.
-Each case reports the best of ``--repeats`` wall times per operation, the
-kernel calls per entry (``jacobi_eigh`` and ``jacobi_eigh_stack``),
-eigendecompositions and rotations one operation runs, counted at the
-backend (a stacked call is one kernel call and counts each slice as an
-eigendecomposition), and that best time divided by
-the rotations, in us (``us_per_rotation``; it includes the checks and
+_jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel:
+its stack entry, qir's one kernel call, loops over the slices in C.
+Each case reports the best of ``--repeats`` wall times per operation; one
+operation's kernel work from ``linalg.kernel_counts``, ``{n: [calls,
+slices, rotations]}`` (a call is one stack, a slice one eigendecomposition),
+and its eigendecompositions and rotations summed over n; and the best time
+per rotation in us (``us_per_rotation``; it includes the checks and
 entropy work around the kernel, so it is a kernel figure only for the
-``kernel`` and ``full_size`` cases).
+``kernel`` and ``full_size`` cases). Measure a tree older than
+``kernel_counts`` with that tree's own copy of the tool.
 
 One invocation is not a stable measurement on a shared machine: compare
 two trees by the best of each case over five or more invocations per
@@ -49,10 +49,11 @@ Cases:
   and one at a time (``one_at_a_time``, ``target=-inf``, which no slack
   reaches): the same points and result, in 36 passes or in 4 x 36;
 - ``small_stack``: ``_stack_eigenvalues`` of the first k = 1..8 of 8
-  induced-mixed densities, routed to the stack entry (``stacked``) or to
-  ``jacobi_eigh`` slice by slice (``per_slice``), at n = 2, 4 (rank 1, as
-  ``minimize`` builds them, and full rank), 6 and 9: the crossover table
-  that sets ``linalg.SMALL_STACK``, the largest stack run slice by slice.
+  induced-mixed densities, routed through the Python kernel's stacked
+  body (``stacked``) or its loop over the slices (``per_slice``), at n = 2,
+  4 (rank 1, as ``minimize`` builds them, and full rank), 6 and 9: the
+  crossover table that sets ``_jacobi_py.SMALL_STACK``, the largest stack
+  run slice by slice. On the compiled kernel both run the same C.
 """
 
 from __future__ import annotations
@@ -88,63 +89,22 @@ def load_qir(src: str, compiled: str | None):
     return qir
 
 
-class Counter:
-    """Counts kernel calls per entry, eigendecompositions and rotations at the backend's entry points.
-
-    A context manager: entering wraps ``backend.jacobi_eigh`` and
-    ``backend.jacobi_eigh_stack`` in counting wrappers, and leaving puts the
-    entries it found back. ``calls`` maps each entry's name to its calls.
-    """
-
-    def __init__(self, backend):
-        self.backend = backend
-        self.reset()
-
-    def reset(self):
-        self.calls = {"jacobi_eigh": 0, "jacobi_eigh_stack": 0}
-        self.eigs = self.rotations = 0
-
-    def __enter__(self):
-        backend = self.backend
-        self.entries = single, stack = backend.jacobi_eigh, backend.jacobi_eigh_stack
-
-        def counted(a, v, max_rotations):
-            rotations, converged = single(a, v, max_rotations)
-            self.calls["jacobi_eigh"] += 1
-            self.eigs += 1
-            self.rotations += rotations
-            return rotations, converged
-
-        def counted_stack(a, v, max_rotations):
-            rotations, converged = stack(a, v, max_rotations)
-            self.calls["jacobi_eigh_stack"] += 1
-            self.eigs += len(rotations)
-            self.rotations += int(rotations.sum())
-            return rotations, converged
-
-        backend.jacobi_eigh, backend.jacobi_eigh_stack = counted, counted_stack
-        return self
-
-    def __exit__(self, *exc):
-        self.backend.jacobi_eigh, self.backend.jacobi_eigh_stack = self.entries
-        return False
-
-
-def measure(counter: Counter, fn, repeats: int) -> dict:
+def measure(linalg, fn, repeats: int) -> dict:
     fn()  # warm-up
-    counter.reset()
+    start = linalg.kernel_counts()
     fn()
-    calls, eigs, rotations = dict(counter.calls), counter.eigs, counter.rotations
+    counts = linalg.kernel_counts(start)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     best = min(times)
+    rotations = sum(r for _, _, r in counts.values())
     return {
         "best_s": best,
-        "kernel_calls": calls,
-        "eigendecompositions": eigs,
+        "kernel_counts": counts,
+        "eigendecompositions": sum(slices for _, slices, _ in counts.values()),
         "rotations": rotations,
         "us_per_rotation": 1e6 * best / rotations if rotations else None,
     }
@@ -167,29 +127,28 @@ def simplex_vertices(qir) -> np.ndarray:
 SMALL_STACK_SHAPES = {"n2": (2, 1, 2), "n4_rank1": (2, 2, 1), "n4": (2, 2, 4), "n6": (3, 2, 6), "n9": (3, 3, 9)}
 
 
-def through(linalg, entry: str, ms: np.ndarray) -> np.ndarray:
-    """``linalg._stack_eigenvalues(ms)`` routed to one entry: ``per_slice`` runs
-    ``jacobi_eigh`` on each slice, ``stacked`` makes one ``jacobi_eigh_stack`` call."""
-    small = linalg.SMALL_STACK
-    linalg.SMALL_STACK = len(ms) if entry == "per_slice" else 0
+def through(linalg, kernel, entry: str, ms: np.ndarray) -> np.ndarray:
+    """``linalg._stack_eigenvalues(ms)`` on one body of the Python ``kernel``: ``per_slice`` runs
+    ``_rotate`` on each slice, ``stacked`` runs ``_rotate_stack`` on all of them."""
+    small = kernel.SMALL_STACK
+    kernel.SMALL_STACK = len(ms) if entry == "per_slice" else 0
     try:
         return linalg._stack_eigenvalues(ms)
     finally:
-        linalg.SMALL_STACK = small
+        kernel.SMALL_STACK = small
 
 
 def small_stack_cases(qir) -> dict:
     """``small_stack.<shape>.k<k>.<entry>`` for k = 1..8, on the first k of 8 densities of each shape."""
-    from qir import linalg
+    from qir import _jacobi_py, linalg
 
-    if not hasattr(linalg, "SMALL_STACK"):  # a tree from before the routing rule
-        return {}
     out = {}
     for name, (d_a, d_b, rank) in SMALL_STACK_SHAPES.items():
         ms = np.array([qir.random_mixed(d_a, d_b, rank, (26, j)).rho for j in range(8)])
         for k in range(1, 9):
             for entry in ("stacked", "per_slice"):
-                out[f"small_stack.{name}.k{k}.{entry}"] = lambda e=entry, m=ms[:k]: through(linalg, e, m)
+                key = f"small_stack.{name}.k{k}.{entry}"
+                out[key] = lambda e=entry, m=ms[:k]: through(linalg, _jacobi_py, e, m)
     return out
 
 
@@ -260,10 +219,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     qir = load_qir(args.src, args.compiled)
-    from qir import backend
+    from qir import backend, linalg
 
-    with Counter(backend) as counter:
-        results = {name: measure(counter, fn, args.repeats) for name, fn in sorted(cases(qir).items())}
+    results = {name: measure(linalg, fn, args.repeats) for name, fn in sorted(cases(qir).items())}
     print(json.dumps({
         "backend": backend.backend_name(),
         "sha": git_sha(args.src),
