@@ -33,7 +33,7 @@ from .explore import (
     monitoring_sweep,
     run_campaign_records,
 )
-from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_relations, report_slack
+from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_relations
 from .serialize import fmt_nats
 from .states import (
     basis_from_token,
@@ -248,7 +248,7 @@ def _replay(path: str, tol_override: float | None) -> int:
     reports = evaluate_relations(
         (name,), point["x"], point["y"], point["state"], eps=point["eps"], tol=tol
     )
-    slack = report_slack(reports[name])
+    slack = reports[name].slack
     drift = abs(slack - point["best_slack"])
     print(f"relation {point['relation']}: stored slack {fmt_nats(point['best_slack'])}")
     print(f"replayed slack {fmt_nats(slack)} (drift {drift:.3e})")

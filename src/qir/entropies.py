@@ -67,10 +67,12 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
 
 
 def shannon(p) -> float:
-    """-sum p_i ln p_i with 0 ln 0 = 0; clips and renormalizes tiny noise."""
+    """-sum p_i ln p_i with 0 ln 0 = 0; clips and renormalizes tiny noise, refuses non-finite weights."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise NotDistribution("expected a nonempty probability vector")
+    if not np.isfinite(arr).all():
+        raise NotDistribution(f"non-finite weight {arr[~np.isfinite(arr)][0]}")
     if arr.min() < -EIG_CLIP:
         raise NotDistribution(f"negative weight {arr.min():.3e} beyond tolerance")
     return float(_entropies(arr[None])[0])

@@ -34,11 +34,11 @@ from .relations import (
     DEFAULT_TOL,
     RELATIONS,
     _bundles,
+    _check_tol,
     _reports,
     evaluate_relations,
     lookup_relation,
     mu_bound,
-    report_slack,
 )
 from .states import (
     BipartiteState,
@@ -92,8 +92,7 @@ class CampaignConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        _check_tol(self.tol)
         if not self.dims:
             raise ConfigError("dims must list at least one (dA, dB) pair")
         for d_a, d_b in self.dims:
@@ -194,7 +193,7 @@ def _trial_record(cfg: CampaignConfig, index: int) -> TrialRecord:
         raise type(err)(
             f"trial {index} at (d_A, d_B) = ({state.d_a}, {state.d_b}){at_eps}: {err}"
         ) from None
-    slacks = {name: report_slack(report) for name, report in reports.items()}
+    slacks = {name: report.slack for name, report in reports.items()}
     return TrialRecord(index, state.d_a, state.d_b, eps, slacks)
 
 
@@ -469,47 +468,37 @@ def _chunks(batches: list):
         yield np.concatenate(pieces)
 
 
-class _Restart:
-    """One Nelder–Mead search of a slack: its pending batch, its evaluation count and its first best point."""
-
-    def __init__(self, x0: np.ndarray, max_evals: int):
-        self.steps = _nelder_mead(x0, xatol=1e-9, fatol=1e-12, max_evals=max_evals)
-        self.batch = next(self.steps)
-        self.evaluations, self.best_value, self.best_theta = 0, math.inf, None
-
-    def tell(self, values: np.ndarray, decodable: np.ndarray) -> bool:
-        """Take the pending batch's slacks and send them on; False once the search has ended.
-
-        The best point is the first decodable point of least slack.
-        """
-        self.evaluations += len(values)
-        for theta, value, ok in zip(self.batch, values.tolist(), decodable.tolist()):
-            if ok and value < self.best_value:
-                self.best_value, self.best_theta = value, theta.copy()
-        try:
-            self.batch = self.steps.send(values)
-        except StopIteration:
-            self.batch = None
-            return False
-        return True
-
-
-def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_evals: int) -> list[_Restart]:
+def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_evals: int):
     """Run a search of ``relation``'s slack from each start point, side by side.
 
     Each tick takes the pending batch of every unfinished search, in start
     order, and evaluates them in stacked passes of at most ``STACK_CHUNK``
     points (``_chunks``, ``_point_slacks``). A point's slack does not
     depend on its pass, so each search takes the steps it takes alone.
+    Returns the number of points evaluated and, per start, its search's
+    first decodable point of least slack as ``(slack, point)`` or ``(inf, None)``.
     """
-    runs = [_Restart(x0, max_evals) for x0 in starts]
-    live = runs
+    steps = [_nelder_mead(x0, xatol=1e-9, fatol=1e-12, max_evals=max_evals) for x0 in starts]
+    batches = [next(search) for search in steps]
+    best = [(math.inf, None)] * len(starts)
+    evaluations, live = 0, range(len(starts))
     while live:
-        passes = [_point_slacks(relation, d_a, d_b, chunk, tol) for chunk in _chunks([run.batch for run in live])]
-        ends = np.cumsum([len(run.batch) for run in live])[:-1]
-        slacks, decodable = (np.split(np.concatenate(part), ends) for part in zip(*passes))
-        live = [run for run, values, ok in zip(live, slacks, decodable) if run.tell(values, ok)]
-    return runs
+        sizes = [len(batches[i]) for i in live]
+        evaluations += sum(sizes)
+        passes = [_point_slacks(relation, d_a, d_b, chunk, tol) for chunk in _chunks([batches[i] for i in live])]
+        slacks, decodable = (np.split(np.concatenate(part), np.cumsum(sizes)[:-1]) for part in zip(*passes))
+        unfinished = []
+        for i, values, ok in zip(live, slacks, decodable):
+            for theta, value, good in zip(batches[i], values.tolist(), ok.tolist()):
+                if good and value < best[i][0]:
+                    best[i] = (value, theta.copy())  # a batch may be a view of the simplex
+            try:
+                batches[i] = steps[i].send(values)
+            except StopIteration:
+                continue
+            unfinished.append(i)
+        live = unfinished
+    return evaluations, best
 
 
 def minimize_slack(
@@ -540,12 +529,15 @@ def minimize_slack(
     (``_point_slacks``: decoded, checked and evaluated as stacks). With a
     ``target`` the restarts run one at a time, and the search stops after
     the restart in which the best slack reached the target. Each point
-    gets the slack it gets alone, each restart keeps its own evaluation
-    count and first best point, and the restarts are merged in restart
-    order, so the result does not depend on the passes: it is that of a
-    point-by-point search of one restart after another.
+    gets the slack it gets alone and ``_searches`` keeps each restart's
+    first best point. The best point is picked once, here: the first least
+    over all restarts, in restart order, so the first restart wins a tie and
+    the result is that of a point-by-point search of one restart after
+    another, whatever the passes.
 
-    Raises ``TheoremViolation`` if the best slack falls below ``-tol``.
+    A ``tol`` that is not positive and finite, or a NaN ``target``, raises
+    ``ConfigError`` before any search; a best slack below ``-tol`` raises
+    ``TheoremViolation``.
     """
     info = lookup_relation(relation)
     if info.kind != "inequality":
@@ -558,21 +550,24 @@ def minimize_slack(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if max_evals < 1:
         raise ConfigError(f"max_evals must be >= 1, got {max_evals}")
+    _check_tol(tol)
+    if target is not None and math.isnan(target):
+        raise ConfigError("target must be a number, got nan: no slack can reach it")
 
     n_params = 2 * d_a * d_b + 4 * d_a * d_a + (1 if info.needs_eps else 0)
     # a window wider than one pass holds more simplices and saves no pass
     window = min(restarts, STACK_CHUNK) if target is None else 1
-    best_value, best_theta, evaluations, restarts_used = math.inf, None, 0, 0
+    found, evaluations, restarts_used = [], 0, 0
     for first in range(0, restarts, window):
         restarts_used = min(first + window, restarts)
         starts = [spawn_rng(seed, restart).standard_normal(n_params) for restart in range(first, restarts_used)]
-        for run in _searches(relation, d_a, d_b, tol, starts, max_evals):
-            evaluations += run.evaluations
-            if run.best_value < best_value:
-                best_value, best_theta = run.best_value, run.best_theta
-        if target is not None and best_value <= target:
+        count, window_best = _searches(relation, d_a, d_b, tol, starts, max_evals)
+        evaluations += count
+        found += window_best
+        if target is not None and any(value <= target for value, _ in window_best):
             break
 
+    _, best_theta = min(found, key=lambda pair: pair[0])  # min keeps the first of equal slacks
     if best_theta is None:
         raise ConfigError("search never produced a decodable point")
     _, psi, bases, eps = _decode(best_theta[None], d_a, d_b, info.needs_eps)

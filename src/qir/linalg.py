@@ -81,26 +81,26 @@ def herm_eig(m) -> EigenDecomposition:
             f"{n}x{n} matrix: Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     work = _hermitian_part(a[None])
-    vecs = _jacobi(work, "{n}x{n} matrix")[0]
+    vecs = _jacobi(work)[0]
     w = np.diag(work[0]).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
 
 
-def _stack_eigenvalues(ms: np.ndarray, label: str = "slice {i} ({n}x{n})") -> np.ndarray:
+def _stack_eigenvalues(ms: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues, shape ``(k, n)``, of a finite ``(k, n, n)`` stack within 1e-10 of Hermitian.
 
     Nothing is checked, and ``ms`` is left as it is: the kernel diagonalizes
     the stack's ``_hermitian_part``. Slice i gets the bits of
-    ``herm_eig(ms[i]).eigenvalues``; ``label`` names a slice that does not
-    converge, as in ``_jacobi``.
+    ``herm_eig(ms[i]).eigenvalues``; a slice that does not converge is named
+    by ``_jacobi``, from the stack alone.
     """
     work = _hermitian_part(ms)
-    _jacobi(work, label)
+    _jacobi(work)
     return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
 
 
-def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
+def _jacobi(work: np.ndarray) -> np.ndarray:
     """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
 
     The one caller of the kernel: one ``backend.jacobi_eigh_stack`` call per
@@ -108,7 +108,8 @@ def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
     stack, columns in the order of the diagonals of ``work``. The budget is
     100 * n**2 rotations per slice. A slice that exceeds it raises
     ``NoConvergence``, after the call is counted, since its rotations were
-    spent; ``label.format(i=slice, n=n)`` names the first such slice.
+    spent. It names the first such slice from the stack alone:
+    ``"{n}x{n} matrix"`` in a stack of one, ``"slice {i} ({n}x{n})"`` otherwise.
     """
     k, n = work.shape[0], work.shape[1]
     vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
@@ -118,10 +119,8 @@ def _jacobi(work: np.ndarray, label: str) -> np.ndarray:
     _KERNEL_COUNTS[n] = (calls + 1, slices + k, spent + sum(rotations.tolist()))
     if not all(converged):
         i = int(np.argmin(converged))
-        raise NoConvergence(
-            f"{label.format(i=i, n=n)}: off-diagonal norm still above threshold "
-            f"after {rotations[i]} rotations"
-        )
+        where = f"{n}x{n} matrix" if k == 1 else f"slice {i} ({n}x{n})"
+        raise NoConvergence(f"{where}: off-diagonal norm still above threshold after {rotations[i]} rotations")
     return vecs
 
 

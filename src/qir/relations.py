@@ -75,14 +75,16 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Absolute residual of an equality that should hold exactly."""
+    """Absolute residual of an equality that should hold exactly; signed slack = -residual (-0.0 at zero)."""
 
     name: str
     residual: float
     tol: float
+    slack: float = field(init=False)
     holds: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "slack", -self.residual)
         object.__setattr__(self, "holds", self.residual <= self.tol)
 
 
@@ -238,11 +240,10 @@ def lookup_relation(name: str) -> Relation:
     return row
 
 
-def report_slack(report: Report) -> float:
-    """Uniform signed slack: inequalities as-is, identities as -residual."""
-    if isinstance(report, InequalityReport):
-        return report.slack
-    return -report.residual
+def _check_tol(tol: float) -> None:
+    """``ConfigError`` unless ``tol`` is positive and finite: any other tolerance passes or fails every verdict."""
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
 
 
 def evaluate_relations(
@@ -257,10 +258,13 @@ def evaluate_relations(
 
     ``y`` is required iff one of the names reads Y (all but eq7), and
     ``eps`` iff one needs a monitoring strength; ``eps`` is used only then.
-    A missing one raises ``ConfigError`` naming the first such relation,
-    before any entropy is taken. Every entropy comes from one bundle, taken
-    on ``rho`` and, for a monitoring name, on ``rho`` monitored by Y at ``eps``.
+    A missing one raises ``ConfigError`` naming the first such relation, as
+    does a ``tol`` that is not positive and finite, before any entropy is
+    taken. Every entropy comes from one bundle, taken on ``rho`` and, for a
+    monitoring name, on ``rho`` monitored by Y at ``eps``. Every report
+    carries its signed ``slack``.
     """
+    _check_tol(tol)
     rows = [lookup_relation(name) for name in names]
     for row in rows:
         if row.needs_y and y is None:

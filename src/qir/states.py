@@ -86,8 +86,7 @@ def _checked_stack(d_a: int, d_b: int, matrices) -> tuple[np.ndarray, np.ndarray
     worst = int(np.abs(traces - 1.0).argmax())
     if abs(traces[worst] - 1.0) > TRACE_TOL:
         raise InvariantViolation(f"({d_a}, {d_b}) state trace {complex(traces[worst])!r} != 1")
-    label = "{n}x{n} matrix" if len(rhos) == 1 else "slice {i} ({n}x{n})"
-    spectra = linalg._stack_eigenvalues(rhos, label)
+    spectra = linalg._stack_eigenvalues(rhos)
     lowest = float(spectra[:, 0].min())
     if lowest < -PSD_TOL:
         raise InvariantViolation(

@@ -107,6 +107,10 @@ class TestShannon:
             shannon([1.5, -0.5])
         with pytest.raises(NotDistribution):
             shannon([])
+        # a NaN fails every comparison: it must not pass the checks and count as a zero
+        for weights, bad in (([math.nan], "nan"), ([0.5, math.nan], "nan"), ([0.5, math.inf], "inf")):
+            with pytest.raises(NotDistribution, match=f"^non-finite weight {bad}$"):
+                shannon(weights)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8))

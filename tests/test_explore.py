@@ -399,9 +399,13 @@ class TestMinimize:
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
             ({"max_evals": -5}, "max_evals must be >= 1, got -5"),
+            # a negative tol raised a false TheoremViolation, and nan and inf silenced that check
+            *(({"tol": tol}, f"^tol must be positive and finite, got {tol}$")
+              for tol in (-1.0, 0.0, math.nan, math.inf)),
+            ({"target": math.nan}, "^target must be a number, got nan"),
         ],
     )
-    def test_rejects_a_negative_seed_and_an_empty_budget_up_front(self, bad, message, monkeypatch):
+    def test_rejects_bad_inputs_up_front(self, bad, message, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the search ran before its inputs were checked")
             yield
@@ -664,6 +668,32 @@ class TestSideBySideRestarts:
             assert [points.tobytes() for points in passes] == [batch.tobytes() for batch in batches]
             assert [len(points) for points in passes] == ([25] + [1] * 15) * used
             monkeypatch.undo()
+
+    def test_the_first_restart_wins_a_tie(self, monkeypatch):
+        # every decodable point scores the same and each restart evaluates only its
+        # start point: every restart's best ties, and the first restart's start wins
+        seed, n = 9, n_params("eq11", 2, 2)
+        point_slacks = explore._point_slacks
+
+        def start_only(x0, xatol, fatol, max_evals):
+            yield x0[None]
+
+        def tied(*args):
+            slacks, decodable = point_slacks(*args)
+            return np.where(decodable, 0.25, slacks), decodable
+
+        monkeypatch.setattr(explore, "_nelder_mead", start_only)
+        monkeypatch.setattr(explore, "_point_slacks", tied)
+        state, x, y, _ = decode_point(spawn_rng(seed, 0).standard_normal(n), 2, 2, False)
+        for target in (None, -math.inf):
+            result = minimize_slack("eq11", 2, 2, restarts=3, seed=seed, target=target)
+            assert (result.evaluations, result.restarts_used) == (3, 3), target
+            assert result.state.rho.tobytes() == state.rho.tobytes(), target
+            assert result.x.vectors.tobytes() == x.vectors.tobytes(), target
+            assert result.y.vectors.tobytes() == y.vectors.tobytes(), target
+        reached = minimize_slack("eq11", 2, 2, restarts=3, seed=seed, target=0.25)
+        assert (reached.evaluations, reached.restarts_used) == (1, 1)
+        assert reached.state.rho.tobytes() == state.rho.tobytes()
 
     @pytest.mark.parametrize(
         "relation, d_a, d_b, restarts, max_evals, sizes",

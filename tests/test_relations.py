@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qir import linalg
+from qir import linalg, relations
 from qir.channels import monitor
 from qir.entropies import cond_entropy, irreality, shannon, uncertainty, vn_entropy
 from qir.errors import ConfigError, DimensionMismatch
@@ -20,7 +20,6 @@ from qir.relations import (
     _bundles,
     _overlaps,
     mu_overlap,
-    report_slack,
 )
 from qir.states import (
     computational_basis,
@@ -328,10 +327,25 @@ class TestRegistry:
                         assert repr(report) == repr(expected[name]), (d_a, d_b, eps, name)
 
     def test_report_slack_sign_convention(self):
+        # every report carries its signed slack: lhs - rhs, or -residual
         state, x, y = random_config(12)
         reports = evaluate_relations(("eq5", "eq7"), x, y, state)
-        assert report_slack(reports["eq5"]) == reports["eq5"].slack
-        assert report_slack(reports["eq7"]) == -reports["eq7"].residual
+        assert reports["eq5"].slack == reports["eq5"].lhs - reports["eq5"].rhs
+        assert reports["eq7"].slack == -reports["eq7"].residual
+        assert InequalityReport("eq9", 0.25, 1.0, 1e-9).slack == -0.75
+        assert IdentityReport("eq8", 2e-9, 1e-9).slack == -2e-9
+        exact = IdentityReport("eq7", 0.0, 1e-9)
+        assert exact.slack == 0.0 and math.copysign(1.0, exact.slack) == -1.0 and exact.holds
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol, monkeypatch):
+        # before any entropy is taken: a bad tol would pass or fail every relation
+        def never(*args, **kwargs):
+            raise AssertionError("entropies were taken before the tolerance was checked")
+
+        monkeypatch.setattr(relations, "_bundle", never)
+        with pytest.raises(ConfigError, match=f"^tol must be positive and finite, got {tol}$"):
+            evaluate_relations(("eq5", "eq7"), computational_basis(2), fourier_basis(2), werner(0.5), tol=tol)
 
     def test_unknown_relation_rejected(self):
         state, x, y = random_config(13)

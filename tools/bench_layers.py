@@ -47,7 +47,11 @@ Cases:
 - ``minimize-restarts``: ``minimize_slack("eq11", 2, 2)`` with 4 restarts
   of 60 evaluations, stepped side by side (``side_by_side``, no target)
   and one at a time (``one_at_a_time``, ``target=-inf``, which no slack
-  reaches): the same points and result, in 36 passes or in 4 x 36;
+  reaches): the same points and result, in 36 passes or in 4 x 36; and
+  ``minimize-restarts.eq16_3x2_r50``: ``minimize_slack("eq16", 3, 2)``
+  with 50 restarts of 100 evaluations, side by side: a search whose
+  driver work grows with the restarts, and whose passes of up to 256
+  points hand the kernel stacks of 6 x 6 states and their monitored images;
 - ``small_stack``: ``_stack_eigenvalues`` of the first k = 1..8 of 8
   induced-mixed densities, routed through the Python kernel's stacked
   body (``stacked``) or its loop over the slices (``per_slice``), at n = 2,
@@ -188,6 +192,8 @@ def cases(qir):
         "minimize-restarts.side_by_side": lambda: qir.minimize_slack("eq11", 2, 2, **restarts),
         "minimize-restarts.one_at_a_time": lambda: qir.minimize_slack("eq11", 2, 2, target=-math.inf,
                                                                       **restarts),
+        "minimize-restarts.eq16_3x2_r50": lambda: qir.minimize_slack("eq16", 3, 2, restarts=50, seed=7,
+                                                                     max_evals=100),
         **small_stack_cases(qir),
     }
 
