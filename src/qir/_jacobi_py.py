@@ -20,7 +20,10 @@ slices that rotate; views of the stack where every slice rotates, gathered
 copies elsewhere. It pays per numpy call and breaks even with a loop over
 the slices at three to five, so a stack of at most ``SMALL_STACK`` slices
 runs ``_rotate`` on one slice at a time (README, "Backends"). Both give a
-slice the same bytes and rotation count.
+slice the same bytes and rotation count. A slice of n <= 2 makes at most
+one rotation, so a stack of two or more of them runs ``_unrolled``, the
+schedule's one step over the whole stack, with the same bytes. The pivot
+arithmetic of ``_rotate_stack`` and ``_unrolled`` is ``_pivot``'s.
 
 Both norms, of the input and of the off-diagonal part, come from
 ``_norms``, in one call for a whole stack. They are ``np.linalg.norm``'s
@@ -105,14 +108,16 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
 
     ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, each slice of ``a``
     exactly Hermitian, ``v`` identities on entry. Every slice follows the
-    schedule with its own threshold, skip test and rotation budget, slice
+    schedule with its own threshold, skip test and rotation budget: slice
     by slice (``_rotate``) up to ``SMALL_STACK`` slices and all at once
-    (``_rotate_stack``) above. Returns per-slice ``(rotations, converged)``
-    arrays.
+    (``_rotate_stack``) above, but unrolled (``_unrolled``) on two or more
+    slices of n <= 2. Returns per-slice ``(rotations, converged)`` arrays.
     """
     if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
         raise ValueError("kernel buffers must be stacks of square matrices of equal size")
     k, n = a.shape[0], a.shape[1]
+    if n <= 2 and k > 1:
+        return _unrolled(a, v, max_rotations)
     b = np.concatenate((a.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
     thr = OFF_NORM_FACTOR * _norms(a)
     if k <= SMALL_STACK:
@@ -124,6 +129,63 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
         rotations, converged = _rotate_stack(b, n, thr, max_rotations)
     a[...] = b[:, :, :n].transpose(0, 2, 1)
     v[...] = b[:, :, n:].transpose(0, 2, 1)
+    return rotations, converged
+
+
+def _pivot(apq: np.ndarray, beta: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple:
+    """The 2 x 2 symmetric Schur step at the pivots ``apq`` of magnitude ``beta``, one per slice.
+
+    The loop twin's scalar arithmetic as ufuncs, the same bits, signed
+    zeros too, with ``app`` and ``aqq`` the diagonal at the pivot. Returns
+    the diagonal the rotation pins and the ``(k, 2, 2)`` coefficients, per
+    slice the loop twin's columns ``[c, -conj(s)]`` and ``[s, c]``.
+    """
+    theta = (aqq - app) / (2.0 * beta)
+    sgn = np.where(theta >= 0.0, 1.0, -1.0)  # 1.0 at theta = -0.0 too
+    t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = (t * c) * (apq.conjugate() / beta)
+    m = np.empty((len(beta), 2, 2), dtype=np.complex128)
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1] = s
+    m[:, 1, 0] = -s.conjugate()
+    return app + t * beta, aqq - t * beta, m
+
+
+def _unrolled(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule on a stack of n <= 2, unrolled: the sweeps' bytes without their buffers.
+
+    A slice of n <= 1 is diagonal: it makes no rotation. A slice of n = 2
+    makes at most one, after which its pinned off-diagonal is zero and the
+    next convergence test passes. The threshold and the first test are
+    ``_norms`` and ``_converged`` on the stack, the rotation ``_pivot``. The
+    sweeps write every entry of a rotated 2 x 2 ``a`` from the pinned
+    values, so only ``v`` turns, by their ``(2, 1) * (1, 2)`` broadcast of
+    its columns. On a stack of one, ``_rotate``'s Python floats cost less
+    than these ufuncs, so ``jacobi_eigh_stack`` runs that instead.
+    """
+    k, n = a.shape[0], a.shape[1]
+    rotations = np.zeros(k, dtype=np.int64)
+    if n < 2:
+        return rotations, np.ones(k, dtype=bool)
+    thr = OFF_NORM_FACTOR * _norms(a)
+    converged = _converged(a.copy(), thr)
+    apq = a[:, 0, 1]
+    beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
+    turn = (beta > thr / n) & ~converged
+    count = np.count_nonzero(turn) if max_rotations > 0 else 0
+    if not count:
+        return rotations, converged
+    # every slice rotates: basic slices give views, not gathers and scatters
+    sel = slice(None) if count == k else np.flatnonzero(turn)
+    pinned_p, pinned_q, m = _pivot(apq[sel], beta[sel], a[sel, 0, 0].real, a[sel, 1, 1].real)
+    vt = v[sel].transpose(0, 2, 1)  # the columns of v as rows
+    v[sel] = (m[:, :, :1] * vt[:, :1] + m[:, :, 1:] * vt[:, 1:]).transpose(0, 2, 1)
+    a[sel] = 0.0
+    a[sel, 0, 0] = pinned_p
+    a[sel, 1, 1] = pinned_q
+    rotations[sel] = 1
+    converged[sel] = True
     return rotations, converged
 
 
@@ -211,21 +273,8 @@ def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
                     continue
                 # every slice rotates: basic slices give views, not gathers and scatters
                 sel = slice(None) if rows.size == k else rows
-                app = at[sel, p, p].real
-                aqq = at[sel, q, q].real
-                theta = (aqq - app) / (2.0 * beta)
-                sgn = np.where(theta >= 0.0, 1.0, -1.0)
-                t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                # the scalar expression as complex ufuncs: the same bits, signed zeros too
-                s = (t * c) * (np.conj(apq) / beta)
-                # the diagonal the rotation pins, before app and aqq (views, maybe) move
-                pinned_p, pinned_q = app + t * beta, aqq - t * beta
-                # per slice, the loop twin's coefficient columns [c, -conj(s)] and [s, c]
-                m = np.empty((len(s), 2, 2), dtype=np.complex128)
-                m[:, 0, 0] = m[:, 1, 1] = c
-                m[:, 0, 1] = s
-                m[:, 1, 0] = -np.conj(s)
+                # _pivot reads the diagonal, maybe a view, before the writes below move it
+                pinned_p, pinned_q, m = _pivot(apq, beta, at[sel, p, p].real, at[sel, q, q].real)
 
                 # columns p and q of a and v as the loop twin's (2, 1) * (1, 2n)
                 # broadcast per slice; computed before any write, as views may alias

@@ -43,9 +43,10 @@ def jacobi_eigh_stack(a, v, max_rotations):
     """Diagonalize each slice of a ``(k, n, n)`` stack in place; ``(rotations, converged)`` arrays.
 
     Whatever k: the Python kernel runs up to ``_jacobi_py.SMALL_STACK``
-    slices one at a time and more all at once, the compiled one loops over
-    them in C. Each slice gets the bits of the kernel's one-matrix
-    ``jacobi_eigh``, which qir itself does not call.
+    slices one at a time and more all at once, two or more of n <= 2 with
+    the schedule unrolled, and the compiled one loops over them in C. Each
+    slice gets the bits of the kernel's one-matrix ``jacobi_eigh``, which
+    qir itself does not call.
     """
     rotations, converged = _KERNELS[_active].jacobi_eigh_stack(a, v, max_rotations)
     return np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)

@@ -33,7 +33,7 @@ from .explore import (
     monitoring_sweep,
     run_campaign_records,
 )
-from .relations import DEFAULT_TOL, RELATIONS, _bundle, _reports, evaluate_relations
+from .relations import DEFAULT_TOL, RELATIONS, _bundle, _check_tol, _reports, evaluate_relations
 from .serialize import fmt_nats
 from .states import (
     basis_from_token,
@@ -48,22 +48,28 @@ SATURATE_EPS = 0.5  # monitoring strength used for the eq16 row of `saturate`
 
 
 def resolve_tol(explicit: float | None, configured: float | None = None) -> float:
-    """Tolerance precedence: ``--tol``, then the config file's ``tol``, then QIR_TOL, then the default."""
-    for given in (explicit, configured):
-        if given is not None:
-            if not 0 < given < math.inf:
-                raise ConfigError(f"tolerance must be positive and finite, got {given}")
-            return given
-    env = os.environ.get("QIR_TOL")
-    if env is not None:
+    """Tolerance precedence: ``--tol``, then the config file's ``tol``, then QIR_TOL, then the default.
+
+    The value taken is checked by ``relations._check_tol``, whose message is
+    prefixed with where the value came from.
+    """
+    if explicit is not None:
+        source, tol = "--tol", explicit
+    elif configured is not None:
+        source, tol = "config file", configured
+    elif (env := os.environ.get("QIR_TOL")) is not None:
+        source = "QIR_TOL"
         try:
-            value = float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ConfigError(f"QIR_TOL={env!r} is not a decimal number") from exc
-        if not 0 < value < math.inf:
-            raise ConfigError(f"QIR_TOL must be positive and finite, got {env!r}")
-        return value
-    return DEFAULT_TOL
+    else:
+        return DEFAULT_TOL
+    try:
+        _check_tol(tol)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return tol
 
 
 def _now() -> str:

@@ -483,20 +483,23 @@ def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_e
     best = [(math.inf, None)] * len(starts)
     evaluations, live = 0, range(len(starts))
     while live:
-        sizes = [len(batches[i]) for i in live]
-        evaluations += sum(sizes)
         passes = [_point_slacks(relation, d_a, d_b, chunk, tol) for chunk in _chunks([batches[i] for i in live])]
-        slacks, decodable = (np.split(np.concatenate(part), np.cumsum(sizes)[:-1]) for part in zip(*passes))
-        unfinished = []
-        for i, values, ok in zip(live, slacks, decodable):
-            for theta, value, good in zip(batches[i], values.tolist(), ok.tolist()):
-                if good and value < best[i][0]:
+        slacks, decodable = (np.concatenate(part) for part in zip(*passes))
+        values, good = slacks.tolist(), decodable.tolist()
+        unfinished, start = [], 0
+        for i in live:
+            end = start + len(batches[i])
+            for theta, value, ok in zip(batches[i], values[start:end], good[start:end]):
+                if ok and value < best[i][0]:
                     best[i] = (value, theta.copy())  # a batch may be a view of the simplex
             try:
-                batches[i] = steps[i].send(values)
+                batches[i] = steps[i].send(slacks[start:end])
             except StopIteration:
-                continue
-            unfinished.append(i)
+                pass
+            else:
+                unfinished.append(i)
+            start = end
+        evaluations += start
         live = unfinished
     return evaluations, best
 

@@ -351,8 +351,9 @@ def test_stack_slice_alone_and_inside_a_stack(rng):
 
 @needs_compiled
 def test_stack_eigenvalues_is_bitwise_herm_eig(rng, restore_backend):
-    # on the Python kernel the first SMALL_STACK slices run slice by slice, the
-    # first SMALL_STACK + 1 and the whole kernel_stack stacked
+    # at n >= 3 on the Python kernel the first SMALL_STACK slices run slice by
+    # slice, the first SMALL_STACK + 1 and the whole kernel_stack stacked; at
+    # n <= 2 every stack of two or more slices runs unrolled
     small = _jacobi_py.SMALL_STACK
     assert backend.available_backends() == ("compiled", "python")
     for name in backend.available_backends():
@@ -542,3 +543,100 @@ def test_compiled_stack_of_none(restore_backend):
         np.int64, np.bool_, (0,), (0,)
     )
     assert linalg._stack_eigenvalues(empty).shape == (0, 4)
+
+
+def small_stacks(rng, n):
+    """Stacks of n x n slices: ``kernel_stack``, each of its slices alone, slices
+    whose off-diagonal norm sits just below or above the convergence threshold,
+    and, for k = 0..40, random Hermitian matrices and rank-1 densities."""
+    ms = kernel_stack(rng, n)
+    stacks = [ms, *(ms[i : i + 1] for i in range(len(ms)))]
+    # I + x (|x| = f * 1e-14) has off-diagonal norm sqrt(2) |x| against a threshold of
+    # about sqrt(2) * 1e-14, and rotates when |x| is above half of that
+    upper = np.triu(np.ones((n, n)), 1)
+    phases = np.exp(2j * np.pi * rng.random(4))
+    stacks.append(np.array([np.eye(n) + f * 1e-14 * (p * upper + np.conj(p) * upper.T)
+                            for f in (0.6, 0.9, 1.1) for p in phases]))
+    for k in range(41):
+        stacks.append(np.array([random_hermitian(rng, n) for _ in range(k)], dtype=complex).reshape(k, n, n))
+        stacks.append(np.array([random_density(rng, n, 1) for _ in range(k)], dtype=complex).reshape(k, n, n))
+    return stacks
+
+
+def swept(ms, budget, stacked):
+    """The sweep bodies on a stack, as ``jacobi_eigh_stack`` runs them at n >= 3:
+    ``_rotate_stack`` on the whole stack, or ``_rotate`` slice by slice."""
+    k, n = ms.shape[0], ms.shape[1]
+    v = np.broadcast_to(np.eye(n, dtype=complex), ms.shape)
+    b = np.concatenate((ms.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
+    thr = _jacobi_py.OFF_NORM_FACTOR * _jacobi_py._norms(ms)
+    if stacked:
+        rotations, converged = _jacobi_py._rotate_stack(b, n, thr, budget)
+    else:
+        runs = [_jacobi_py._rotate(b[i], n, float(thr[i]), budget) for i in range(k)]
+        rotations = np.array([r for r, _ in runs], dtype=np.int64).reshape(k)
+        converged = np.array([c for _, c in runs], dtype=bool).reshape(k)
+    return b[:, :, :n].transpose(0, 2, 1), b[:, :, n:].transpose(0, 2, 1), rotations, converged
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unrolled_route_is_bitwise_the_sweeps(rng, n):
+    """The schedule unrolled for n <= 2 (``_jacobi_py._unrolled``) gives every slice
+    the bytes of ``a`` and ``v``, rotations and flags of both sweep bodies,
+    ``_rotate`` and ``_rotate_stack``, at every budget."""
+    for ms in small_stacks(rng, n):
+        ms = linalg._hermitian_part(ms)
+        for budget in (0, 1, 3, 100 * n * n):
+            a, v, r, c = run_stack(_jacobi_py._unrolled, ms, budget)
+            assert (r.dtype, c.dtype) == (np.int64, np.bool_)
+            for stacked in (False, True):
+                a0, v0, r0, c0 = swept(ms, budget, stacked)
+                assert r0.tobytes() == r.tobytes() and c0.tobytes() == c.tobytes(), (len(ms), budget, stacked)
+                assert a0.tobytes() == a.tobytes(), (len(ms), budget, stacked)
+                assert v0.tobytes() == v.tobytes(), (len(ms), budget, stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_slices_run_unrolled_from_two_slices_on(rng, n, restore_backend, monkeypatch):
+    # on the Python kernel, a stack of one n <= 2 slice runs _rotate and a larger one _unrolled
+    backend.set_backend("python")
+    ran = []
+
+    def recording(name):
+        body = getattr(_jacobi_py, name)
+
+        def run(*args):
+            ran.append(name)
+            return body(*args)
+
+        return run
+
+    for name in ("_rotate", "_rotate_stack", "_unrolled"):
+        monkeypatch.setattr(_jacobi_py, name, recording(name))
+    ms = kernel_stack(rng, n)
+    for k in (1, 2, _jacobi_py.SMALL_STACK + 1, len(ms)):
+        ran.clear()
+        linalg._stack_eigenvalues(ms[:k])
+        assert ran == (["_rotate"] if k == 1 else ["_unrolled"]), k
+
+
+@pytest.fixture(params=["python", "compiled"])
+def each_backend(request, restore_backend):
+    """Each backend in turn, the compiled one built from the shipped C if need be."""
+    if request.param == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    backend.set_backend(request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_stacks_count_and_match_one_matrix_at_a_time(rng, n, each_backend):
+    """On either backend, a stack of n <= 2 is one counted kernel call with the
+    kernel's rotations, and each slice's spectrum has the bytes of ``herm_eig``'s."""
+    for ms in small_stacks(rng, n):
+        r = run_stack(backend.jacobi_eigh_stack, linalg._hermitian_part(ms), 100 * n * n)[2]
+        start = linalg.kernel_counts()
+        values = linalg._stack_eigenvalues(ms)
+        assert linalg.kernel_counts(start) == {n: (1, len(ms), int(r.sum()))}, len(ms)
+        for i, m in enumerate(ms):
+            assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes(), (len(ms), i)

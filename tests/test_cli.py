@@ -376,9 +376,9 @@ class TestTolerance:
         monkeypatch.setenv("QIR_TOL", "1e-6")
         assert resolve_tol(1e-3, 1e-7) == 1e-3
         assert resolve_tol(None, 1e-7) == 1e-7
-        with pytest.raises(ConfigError, match="tolerance must be positive and finite, got -5"):
+        with pytest.raises(ConfigError, match=r"^--tol: tol must be positive and finite, got -5\.0$"):
             resolve_tol(-5.0, 1e-7)
-        with pytest.raises(ConfigError, match="tolerance must be positive and finite, got 0"):
+        with pytest.raises(ConfigError, match=r"^config file: tol must be positive and finite, got 0\.0$"):
             resolve_tol(None, 0.0)
 
     def test_flag_beats_the_config_tol(self, tmp_path, monkeypatch):
@@ -393,18 +393,18 @@ class TestTolerance:
 
     def test_infinite_flag_exits_2(self, capsys):
         assert main(["saturate", "--d", "2", "--tol", "inf"]) == 2
-        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == "error: --tol: tol must be positive and finite, got inf\n"
 
     def test_infinite_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("QIR_TOL", "inf")
         assert main(["saturate", "--d", "2"]) == 2
-        assert capsys.readouterr().err == "error: QIR_TOL must be positive and finite, got 'inf'\n"
+        assert capsys.readouterr().err == "error: QIR_TOL: tol must be positive and finite, got inf\n"
 
     def test_infinite_config_tol_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CAMPAIGN_CFG + "tol = inf\n")
         out = tmp_path / "results"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: tolerance must be positive and finite, got inf\n"
+        assert capsys.readouterr().err == "error: config file: tol must be positive and finite, got inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-5", "0"])
@@ -412,7 +412,7 @@ class TestTolerance:
         cfg = write_cfg(tmp_path, CAMPAIGN_CFG + "tol = 1e-9\n")
         out = tmp_path / "results"
         assert main(["verify", "--config", cfg, "--out", str(out), "--tol", tol]) == 2
-        assert capsys.readouterr().err.startswith("error: tolerance must be positive")
+        assert capsys.readouterr().err.startswith("error: --tol: tol must be positive")
         assert not out.exists()
 
 

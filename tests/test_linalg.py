@@ -246,9 +246,10 @@ class TestKernelCounts:
         assert linalg.kernel_counts(start) == {3: (1, 2, 16)}
 
     def test_an_empty_stack_is_one_call_of_no_slices(self):
-        start = linalg.kernel_counts()
-        assert linalg._stack_eigenvalues(np.zeros((0, 7, 7), dtype=complex)).shape == (0, 7)
-        assert linalg.kernel_counts(start) == {7: (1, 0, 0)}
+        for n in (0, 1, 2, 7):
+            start = linalg.kernel_counts()
+            assert linalg._stack_eigenvalues(np.zeros((0, n, n), dtype=complex)).shape == (0, n)
+            assert linalg.kernel_counts(start) == {n: (1, 0, 0)}
 
     def test_a_snapshot_is_unchanged_by_later_work(self, rng):
         start = linalg.kernel_counts()

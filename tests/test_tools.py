@@ -83,6 +83,7 @@ def test_bench_layers_small_stack_runs_each_body(restore_backend, monkeypatch):
     small = _jacobi_py.SMALL_STACK
     cases = tool.cases(qir)
     for shape, (d_a, d_b, _) in tool.SMALL_STACK_SHAPES.items():
+        assert d_a * d_b >= 3, shape  # the Python kernel runs n <= 2 unrolled, with neither body
         for k in (1, small + 1, 8):
             runs = {}
             for entry, ran in (("stacked", ["_rotate_stack"]), ("per_slice", ["_rotate"] * k)):

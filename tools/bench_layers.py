@@ -54,10 +54,11 @@ Cases:
   points hand the kernel stacks of 6 x 6 states and their monitored images;
 - ``small_stack``: ``_stack_eigenvalues`` of the first k = 1..8 of 8
   induced-mixed densities, routed through the Python kernel's stacked
-  body (``stacked``) or its loop over the slices (``per_slice``), at n = 2,
-  4 (rank 1, as ``minimize`` builds them, and full rank), 6 and 9: the
+  body (``stacked``) or its loop over the slices (``per_slice``), at n = 4
+  (rank 1, as ``minimize`` builds them, and full rank), 6 and 9: the
   crossover table that sets ``_jacobi_py.SMALL_STACK``, the largest stack
-  run slice by slice. On the compiled kernel both run the same C.
+  run slice by slice. On the compiled kernel both run the same C. The
+  Python kernel runs a stack of n <= 2 with neither body, unrolled.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def simplex_vertices(qir) -> np.ndarray:
 
 
 # the small_stack shapes: (d_a, d_b, rank) of the induced-mixed densities, rank 1 as minimize builds them
-SMALL_STACK_SHAPES = {"n2": (2, 1, 2), "n4_rank1": (2, 2, 1), "n4": (2, 2, 4), "n6": (3, 2, 6), "n9": (3, 3, 9)}
+SMALL_STACK_SHAPES = {"n4_rank1": (2, 2, 1), "n4": (2, 2, 4), "n6": (3, 2, 6), "n9": (3, 3, 9)}
 
 
 def through(linalg, kernel, entry: str, ms: np.ndarray) -> np.ndarray:
