@@ -18,12 +18,17 @@ on every slice at once (cf. batched Jacobi, Golub & Van Loan, *Matrix
 Computations*, 8.5): the scalar arithmetic, operation by operation, on the
 slices that rotate; views of the stack where every slice rotates, gathered
 copies elsewhere. It pays per numpy call and breaks even with a loop over
-the slices at three to five, so a stack of at most ``SMALL_STACK`` slices
+the slices at six to seven, so a stack of at most ``SMALL_STACK`` slices
 runs ``_rotate`` on one slice at a time (README, "Backends"). Both give a
 slice the same bytes and rotation count. A slice of n <= 2 makes at most
 one rotation, so a stack of two or more of them runs ``_unrolled``, the
 schedule's one step over the whole stack, with the same bytes. The pivot
-arithmetic of ``_rotate_stack`` and ``_unrolled`` is ``_pivot``'s.
+arithmetic of ``_rotate_stack`` and ``_unrolled`` is ``_pivot``'s, on
+ufuncs; ``_rotate``'s is ``_scalar_pivot``, the same bits in Python
+floats, which write numpy's complex-scalar formulas out operation by
+operation. ``_rotate`` reads and pins the pivot entries in one raveled
+view of its buffer, builds a pivot's views of it once per call and
+writes its products into work buffers of the call.
 
 Both norms, of the input and of the off-diagonal part, come from
 ``_norms``, in one call for a whole stack. They are ``np.linalg.norm``'s
@@ -32,13 +37,16 @@ and ``np.vecdot`` of float64 rows calls the same BLAS dot per row as
 ``ndarray.dot``.
 
 Both work on one column-major buffer ``b = [a^T | v^T]``, ``(k, n, 2n)``:
-``b[i, j]`` holds column j of slice i of ``a`` and then of ``v``. A
-rotation updates columns p and q of ``a`` and ``v`` together, as rows p
-and q of ``b[i]`` in one ``(2, 1) * (1, 2n)`` broadcast with the
-coefficients ``[[c, s], [-conj(s), c]]``; it then copies rows p and q of
-``a`` from the conjugated columns, as the compiled twin does, and pins
-the four pivot entries. Every exit copies the buffer back into ``a`` and
-``v``.
+``b[i, j]`` holds column j of slice i of ``a`` and then of ``v``. Each
+slice is column-major in memory too: ``jacobi_eigh_stack`` stacks
+``[a; v]`` row-major and transposes it. A rotation updates columns p and
+q of ``a`` and ``v`` together, as rows p and q of ``b[i]``, in a
+``(2, 1) * (1, 2n)`` broadcast per row with the coefficients
+``[[c, s], [-conj(s), c]]``, summed (``_rotate`` makes both products in
+one ``(2, 2, 1) * (2, 1, 2n)`` broadcast, whose inner loop is the same);
+it then copies rows p and q of ``a`` from the conjugated columns, as the
+compiled twin does, and pins the four pivot entries. Every exit copies
+the buffer back into ``a`` and ``v``.
 
 So ``a`` must be exactly Hermitian on entry: its bytes those of
 ``a.conj().T`` up to the sign of a zero. Then the copied rows are what
@@ -58,16 +66,18 @@ scalar; a column broadcast ``(n, 1) * (2,)`` does not. The norms are
 taken on a row-major copy of ``a``, whose raveled order sets the dot's
 summation order. ``tests/test_backends.py`` keeps the copy-per-column
 loop as its reference and compares bytes, compares the copied rows with
-rotated rows on symmetrized input, and compares ``_norms`` with
-``np.linalg.norm``.
+rotated rows on symmetrized input, compares ``_norms`` with
+``np.linalg.norm``, and compares ``_scalar_pivot`` with numpy's complex
+scalars and with ``_pivot``.
 """
 
+import functools
 import math
 
 import numpy as np
 
 OFF_NORM_FACTOR = 1e-14
-SMALL_STACK = 3  # stacks of up to this many slices run _rotate slice by slice
+SMALL_STACK = 6  # stacks of up to this many slices run _rotate slice by slice
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -118,7 +128,8 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
     k, n = a.shape[0], a.shape[1]
     if n <= 2 and k > 1:
         return _unrolled(a, v, max_rotations)
-    b = np.concatenate((a.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
+    av = np.concatenate((a, v), axis=1)  # [a; v] per slice, C-contiguous
+    b = av.transpose(0, 2, 1)  # so each slice of b is column-major
     thr = OFF_NORM_FACTOR * _norms(a)
     if k <= SMALL_STACK:
         rotations, converged = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
@@ -127,8 +138,8 @@ def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple
             rotations[i], converged[i] = _rotate(b[i], n, float(thr[i]), max_rotations)
     else:
         rotations, converged = _rotate_stack(b, n, thr, max_rotations)
-    a[...] = b[:, :, :n].transpose(0, 2, 1)
-    v[...] = b[:, :, n:].transpose(0, 2, 1)
+    a[...] = av[:, :n]
+    v[...] = av[:, n:]
     return rotations, converged
 
 
@@ -189,57 +200,96 @@ def _unrolled(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndar
     return rotations, converged
 
 
+def _scalar_pivot(apq: complex, beta: float, app: float, aqq: float) -> tuple:
+    """``_pivot`` at one pivot in Python floats, the same bits, signed zeros too.
+
+    Returns the pinned diagonal, ``c``, ``s`` and ``-conj(s)``. ``s`` repeats
+    numpy's complex-scalar ``t * c * (apq.conjugate() / beta)`` operation by
+    operation: numpy divides by ``beta + 0j`` with Smith's algorithm, as
+    ``rat = 0 / beta``, ``scl = 1 / (beta + 0 * rat)`` and a multiply by
+    ``scl``, then multiplies ``t * c + 0j`` by the quotient. Python's own
+    complex division divides by ``beta`` instead and gives other bits.
+    """
+    theta = (aqq - app) / (2.0 * beta)
+    sgn = 1.0 if theta >= 0.0 else -1.0  # 1.0 at theta = -0.0 too
+    t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    re, im = apq.real, -apq.imag  # apq.conjugate()
+    rat = 0.0 / beta
+    scl = 1.0 / (beta + 0.0 * rat)
+    re, im = (re + im * rat) * scl, (im - re * rat) * scl
+    tc = t * c
+    s_re, s_im = tc * re - 0.0 * im, tc * im + 0.0 * re
+    return app + t * beta, aqq - t * beta, c, complex(s_re, s_im), complex(-s_re, s_im)
+
+
+@functools.cache
+def _pivots(n: int) -> tuple:
+    """One sweep's pivots of an n x n slice in row order: ``(k, p, q)`` and the
+    offsets of ``a[p, q]``, ``a[p, p]``, ``a[q, q]`` and ``a[q, p]`` in ``[a; v]`` raveled."""
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    return tuple((k, p, q, p * n + q, p * (n + 1), q * (n + 1), q * n + p) for k, (p, q) in enumerate(pairs))
+
+
 def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
-    """The sweeps of one slice, on its ``(n, 2n)`` buffer ``[a^T | v^T]``."""
-    at = b[:, :n]  # a transposed: at[j, i] is a[i, j]
+    """The sweeps of one slice, on its column-major ``(n, 2n)`` buffer ``[a^T | v^T]``.
+
+    ``b.T`` is ``[a; v]``, C-contiguous, so that its raveled view is a view:
+    the pivot entries are read and pinned there, at the offsets of
+    ``_pivots``. A pivot's views of ``b`` are built at its first rotation and
+    kept for the call.
+    """
+    av = b.T
+    a, flat = av[:n], av.reshape(-1)
     skip = thr / n if n > 0 else 0.0
     rotations = 0
-    # the columns' coefficient matrix [[c, s], [-conj(s), c]] and its two columns
-    m = np.empty((2, 2), dtype=np.complex128)
-    m_p, m_q = m[:, :1], m[:, 1:]
+    pivots = _pivots(n)
+    views = [None] * len(pivots)
+    # the coefficient columns [c, -conj(s)] and [s, c], as (2, 2, 1), and their
+    # products with rows p and q of b; the sum of the two is the rotated rows
+    coef = np.empty(4, dtype=np.complex128)
+    cols = coef.reshape(2, 2, 1)
+    products = np.empty((2, 2, 2 * n), dtype=np.complex128)
+    rotated, product_q = products
+    rotated_a = rotated[:, :n]
+    multiply, add, conjugate = np.multiply, np.add, np.conjugate
 
     while True:
         # the norms read a row-major copy of a
-        if _converged(at.T[None].copy(), thr)[0]:
+        if _converged(a[None].copy(), thr)[0]:
             return rotations, True
         if rotations >= max_rotations:
             return rotations, False
-        for p in range(n - 1):
+        for k, p, q, pq, pp, qq, qp in pivots:
             if rotations >= max_rotations:
                 break
-            for q in range(p + 1, n):
-                if rotations >= max_rotations:
-                    break
-                apq = at[q, p]
-                # Python floats: the same IEEE arithmetic as numpy scalars, at
-                # a fraction of the cost; s stays a numpy complex division
-                beta = float(abs(apq))
-                if beta <= skip:
-                    continue
-                app = at.item(p, p).real
-                aqq = at.item(q, q).real
-                theta = (aqq - app) / (2.0 * beta)
-                sgn = 1.0 if theta >= 0.0 else -1.0
-                t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c * (apq.conjugate() / beta)
-
-                # columns p and q of a and v, rows p and q of b, as one
-                # (2, 1) * (1, 2n) broadcast
-                m[0, 0] = m[1, 1] = c
-                m[0, 1] = s
-                m[1, 0] = -np.conj(s)
+            apq = flat.item(pq)
+            beta = abs(apq)  # hypot, as abs() of a numpy complex scalar
+            if beta <= skip:
+                continue
+            pinned_p, pinned_q, c, s, minus_conj_s = _scalar_pivot(apq, beta, flat.item(pp).real, flat.item(qq).real)
+            coef[0] = coef[3] = c
+            coef[1] = minus_conj_s
+            coef[2] = s
+            view = views[k]
+            if view is None:
                 pair = b[p : q + 1 : q - p]
-                cols = m_p * pair[:1] + m_q * pair[1:]
-                pair[...] = cols
-                # rows p and q of a are the conjugated columns
-                np.conjugate(cols[:, :n].T, out=at[:, p : q + 1 : q - p])
-                # pin the entries the rotation fixes exactly
-                at[p, p] = app + t * beta
-                at[q, q] = aqq - t * beta
-                at[q, p] = 0.0
-                at[p, q] = 0.0
-                rotations += 1
+                view = views[k] = (pair, pair[:, None], a[p : q + 1 : q - p])
+            pair, rows, a_rows = view
+
+            # columns p and q of a and v, rows p and q of b: both products in one
+            # (2, 2, 1) * (2, 1, 2n) broadcast, each a (2, 1) * (1, 2n) one
+            multiply(cols, rows, products)
+            add(rotated, product_q, rotated)
+            pair[...] = rotated
+            # rows p and q of a are the conjugated columns
+            conjugate(rotated_a, a_rows)
+            # pin the entries the rotation fixes exactly
+            flat[pp] = pinned_p
+            flat[qq] = pinned_q
+            flat[pq] = 0.0
+            flat[qp] = 0.0
+            rotations += 1
 
 
 def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:

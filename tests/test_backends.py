@@ -219,6 +219,98 @@ def test_loop_twin_is_bitwise_the_reference(rng, n):
             assert v.tobytes() == v0.tobytes(), (n, budget)
 
 
+def pivot_parts(rng, count):
+    """``count`` pivots ``(apq, app, aqq)`` as Python numbers. Each real part is
+    ordinary, +-0.0, tiny (1e-300) or large (1e300); no ``apq`` is zero. A third
+    of the pivots tie at theta = +0 (``app == aqq``), a tenth at theta = -0
+    (``aqq = -0.0``, ``app = 0.0``)."""
+    scales = np.array([1.0, 0.0, -0.0, 1e-300, 1e300])
+
+    def parts():
+        return scales[rng.integers(0, len(scales), count)] * rng.standard_normal(count)
+
+    re, im, app, aqq = parts(), parts(), parts(), parts()
+    re[(re == 0.0) & (im == 0.0)] = 1.0
+    tied = rng.random(count) < 1 / 3
+    aqq[tied] = app[tied]
+    minus = rng.random(count) < 0.1
+    app[minus], aqq[minus] = 0.0, -0.0
+    return (re + 1j * im).tolist(), app.tolist(), aqq.tolist()
+
+
+def numpy_pivot(apq, app, aqq):
+    """The pivot arithmetic with ``s`` and ``-conj(s)`` on numpy complex scalars, as
+    the reference body computes them, and the rest on Python floats."""
+    beta = float(abs(apq))
+    theta = (aqq - app) / (2.0 * beta)
+    sgn = 1.0 if theta >= 0.0 else -1.0
+    t = -sgn / (sgn * theta + math.sqrt(theta * theta + 1.0))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c * (apq.conjugate() / beta)
+    return app + t * beta, aqq - t * beta, c, s, -np.conj(s)
+
+
+def test_scalar_pivot_is_bitwise_numpys_complex_scalars(rng):
+    """``_scalar_pivot`` gives the bytes of numpy's complex-scalar pivot arithmetic
+    (the pinned diagonal, c, ``s = t * c * (apq.conjugate() / beta)`` and
+    ``-np.conj(s)``), signed zeros included, on 10^5 pivots with zero, signed-zero,
+    tiny and large parts and ties at theta = +-0; and the bytes of ``_pivot``,
+    the stacked bodies' ufuncs, on the same pivots."""
+    apq, app, aqq = pivot_parts(rng, 100_000)
+    got = [_jacobi_py._scalar_pivot(z, abs(z), x, y) for z, x, y in zip(apq, app, aqq)]
+    want = [numpy_pivot(np.complex128(z), x, y) for z, x, y in zip(apq, app, aqq)]
+    got, want = np.array(got, dtype=complex), np.array(want, dtype=complex)
+    assert got.tobytes() == want.tobytes()
+    apq = np.array(apq)
+    with np.errstate(over="ignore"):  # theta * theta of a large gap over a tiny pivot
+        pinned_p, pinned_q, m = _jacobi_py._pivot(apq, np.hypot(apq.real, apq.imag), np.array(app), np.array(aqq))
+    assert pinned_p.tobytes() == got[:, 0].real.copy().tobytes()
+    assert pinned_q.tobytes() == got[:, 1].real.copy().tobytes()
+    assert m[:, 0, 0].tobytes() == got[:, 2].tobytes()
+    assert m[:, 0, 1].tobytes() == got[:, 3].tobytes()
+    assert m[:, 1, 0].tobytes() == got[:, 4].tobytes()
+
+
+def skip_tie():
+    """A 3 x 3 slice whose pivot (0, 1) has magnitude exactly the skip level
+    ``thr / 3`` and whose off-diagonal norm is above ``thr``, from the (1, 2)
+    entry. Its other entries are dyadic with exact squares, so that every
+    summation order gives the threshold the same bits, the C twin's included."""
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.25]], dtype=complex)
+    skip = _jacobi_py.OFF_NORM_FACTOR * math.sqrt(1.8125) / 3
+    a[0, 1] = a[1, 0] = skip
+    return a, skip
+
+
+@pytest.mark.parametrize("body", ["loop", "stacked", "compiled"])
+def test_a_pivot_at_the_skip_level_is_skipped(body, request, monkeypatch, restore_backend):
+    """Every sweep body skips a pivot of magnitude exactly ``thr / n`` (``beta <=
+    skip``): the one rotation goes to (1, 2), after which the slice has converged,
+    and column 0 of ``v`` stays e_0. The stacked body is forced with ``SMALL_STACK = 0``."""
+    a, skip = skip_tie()
+    thr = 3 * skip
+    # the premise: the tie entry leaves the norm's bits as they are, in BLAS order
+    # and summed |a|^2 in sequence, as the C twin sums it
+    assert _jacobi_py.OFF_NORM_FACTOR * _jacobi_py._norms(a[None])[0] == thr
+    fro2 = 0.0
+    for x in a.ravel().tolist():
+        fro2 += x.real * x.real + x.imag * x.imag
+    assert _jacobi_py.OFF_NORM_FACTOR * math.sqrt(fro2) == thr
+    assert float(np.linalg.norm(a - np.diag(np.diag(a)))) > thr
+    if body == "compiled":
+        request.getfixturevalue("compiled_kernel")
+        from qir import _jacobi as kernel
+    else:
+        kernel = _jacobi_py
+        monkeypatch.setattr(_jacobi_py, "SMALL_STACK", 1 if body == "loop" else 0)
+    ms = np.array([a, a])[: 1 if body == "loop" else 2]
+    a1, v1 = ms.copy(), np.broadcast_to(np.eye(3, dtype=complex), ms.shape).copy()
+    rotations, converged = kernel.jacobi_eigh_stack(a1, v1, 100 * 9)
+    assert list(rotations) == [1] * len(ms) and all(converged), body
+    e0 = np.eye(3, dtype=complex)[0]
+    assert (v1[:, :, 0] == e0).all() and (v1[:, 0, :] == e0).all(), body
+
+
 def skewed_with_signed_zeros(rng, n):
     """Densities 1e-12 off Hermitian, with -0.0 in entries the kernel reads; positive definite
     (eigenvalues at least 0.9 / n before the zeros), so that they make states."""

@@ -97,20 +97,21 @@ def test_bench_layers_small_stack_runs_each_body(restore_backend, monkeypatch):
 
 def test_bench_layers_runs_as_a_script():
     # main() on this tree: each case's eigendecompositions and rotations are
-    # the sums over n of its per-n counts
+    # the sums over n of its per-n counts, and its best time is at most its median
     done = subprocess.run(
-        [sys.executable, "tools/bench_layers.py", "--src", "src", "--repeats", "1"],
+        [sys.executable, "tools/bench_layers.py", "--src", "src", "--repeats", "2"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["backend"] == "python" and report["repeats"] == 1
+    assert report["backend"] == "python" and report["repeats"] == 2
     assert len(report["cases"]) > 80
     for case, result in report["cases"].items():
         counts = result["kernel_counts"].values()
         assert counts, case
         assert result["eigendecompositions"] == sum(slices for _, slices, _ in counts), case
         assert result["rotations"] == sum(rotations for _, _, rotations in counts), case
+        assert 0 < result["best_s"] <= result["median_s"], case
 
 
 def test_kernel_table_runs_from_the_repo_root():

@@ -11,9 +11,10 @@ kernel, a shared object built from a tree's ``src/qir/_jacobi.c`` (for
 example ``gcc -O2 -shared -fPIC -I<python include> src/qir/_jacobi.c -o
 _jacobi<EXT_SUFFIX>``), and measures on it instead of the Python kernel:
 its stack entry, qir's one kernel call, loops over the slices in C.
-Each case reports the best of ``--repeats`` wall times per operation; one
-operation's kernel work from ``linalg.kernel_counts``, ``{n: [calls,
-slices, rotations]}`` (a call is one stack, a slice one eigendecomposition),
+Each case reports the best and the median of ``--repeats`` wall times per
+operation (``best_s``, ``median_s``); one operation's kernel work from
+``linalg.kernel_counts``, ``{n: [calls, slices, rotations]}`` (a call is
+one stack, a slice one eigendecomposition),
 and its eigendecompositions and rotations summed over n; and the best time
 per rotation in us (``us_per_rotation``; it includes the checks and
 entropy work around the kernel, so it is a kernel figure only for the
@@ -21,8 +22,11 @@ entropy work around the kernel, so it is a kernel figure only for the
 ``kernel_counts`` with that tree's own copy of the tool.
 
 One invocation is not a stable measurement on a shared machine: compare
-two trees by the best of each case over five or more invocations per
-tree, alternating between the trees.
+two trees by the median over five or more invocations per tree,
+alternating between the trees, of each case's ``median_s``. The best of
+one invocation moves with a single quiet spell; on a shared 2-core VM
+the best-of values of an unchanged case read up to 2x apart between
+invocations.
 
 Cases:
 - ``kernel``: the eigendecompositions of one 21-point monitoring sweep at
@@ -70,6 +74,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -108,6 +113,7 @@ def measure(linalg, fn, repeats: int) -> dict:
     rotations = sum(r for _, _, r in counts.values())
     return {
         "best_s": best,
+        "median_s": statistics.median(times),
         "kernel_counts": counts,
         "eigendecompositions": sum(slices for _, slices, _ in counts.values()),
         "rotations": rotations,
