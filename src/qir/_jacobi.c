@@ -10,16 +10,17 @@
  *
  * Two entries, as in qir._jacobi_py:
  *   jacobi_eigh(a, v, max_rotations) -> (rotations, converged)
- *   jacobi_eigh_stack(a, v, max_rotations) -> ([rotations], [converged])
- * take C-contiguous complex128 buffers, (n, n) or (k, n, n), ``a`` exactly
- * Hermitian (its bytes those of its conjugate transpose up to the sign of a
- * zero) and ``v`` the identity on entry. A rotation updates columns p and q
- * of ``a`` and ``v`` and copies rows p and q of ``a`` from the conjugated
- * columns, as the Python twins do; rows never get a rotation of their own.
- * On exit the eigenvalues sit on the diagonal of ``a`` (unordered) and the
- * columns of ``v`` are the matching eigenvectors. The stack entry loops
- * over the slices in C; each slice gets the bits the per-matrix entry gives
- * it.
+ *   jacobi_eigh_stack(b, max_rotations) -> ([rotations], [converged])
+ * take C-contiguous complex128 buffers: (n, n) ``a`` and ``v``, or one
+ * (k, m, n) ``b`` whose slices are [a; v], m = n (no ``v``) or 2n. ``a`` is
+ * exactly Hermitian (its bytes those of its conjugate transpose up to the
+ * sign of a zero) and ``v`` the identity on entry. A rotation updates
+ * columns p and q of ``a`` and ``v`` and copies rows p and q of ``a`` from
+ * the conjugated columns, as the Python twins do; rows never get a rotation
+ * of their own. On exit the eigenvalues sit on the diagonal of ``a``
+ * (unordered) and the columns of ``v`` are the matching eigenvectors. The
+ * stack entry loops over the slices in C; each slice gets the bits the
+ * per-matrix entry gives it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -38,7 +39,7 @@ typedef double complex cplx;
 #define CX(x, y) ((x) + (y) * (cplx)_Complex_I)
 #define ABS2(z) (creal(z) * creal(z) + cimag(z) * cimag(z))
 
-/* Rotates the n x n row-major a and v in place; returns the rotation count.
+/* Rotates the row-major n x n a and vrows x n v in place; returns the rotation count.
  *
  * no-tree-vectorize: gcc 12.2's -O2 vectorizer makes these loops about 1.4x as
  * slow at n = 9 and 15. fp-contract=off: without it a build for a target with
@@ -46,7 +47,7 @@ typedef double complex cplx;
  * bits from n = 2 on. Both live in the source, not in a build line, so that
  * every gcc build gives these bits. */
 __attribute__((optimize("no-tree-vectorize", "fp-contract=off")))
-static long rotate(cplx *a, cplx *v, Py_ssize_t n, long max_rotations, int *converged)
+static long rotate(cplx *a, cplx *v, Py_ssize_t n, Py_ssize_t vrows, long max_rotations, int *converged)
 {
     double fro2 = 0.0, off2, thr, skip;
     long rotations = 0;
@@ -95,7 +96,7 @@ static long rotate(cplx *a, cplx *v, Py_ssize_t n, long max_rotations, int *conv
                 a[q * n + q] = CX(aqq - t * beta, 0);
                 a[p * n + q] = CX(0.0, 0);
                 a[q * n + p] = CX(0.0, 0);
-                for (k = 0; k < n; k++) {
+                for (k = 0; k < vrows; k++) {
                     cplx vkp = v[k * n + p], vkq = v[k * n + q];
                     v[k * n + p] = CX(c, 0) * vkp + s * vkq;
                     v[k * n + q] = -conj(s) * vkp + CX(c, 0) * vkq;
@@ -106,29 +107,19 @@ static long rotate(cplx *a, cplx *v, Py_ssize_t n, long max_rotations, int *conv
     }
 }
 
-/* ``a`` and ``v`` as writable C-contiguous complex128 buffers of ``ndim``
- * dimensions and equal, square shape; 0, or -1 with ValueError set. */
-static int get_buffers(PyObject *a, PyObject *v, Py_buffer *va, Py_buffer *vv, int ndim)
+/* ``obj`` as a writable C-contiguous complex128 buffer of ``ndim`` dimensions,
+ * the last two (n, n), or (2n, n) in a stack, and n equal to ``n`` unless that
+ * is negative; 0, or -1 with an exception set. */
+static int get_buffer(PyObject *obj, Py_buffer *view, int ndim, Py_ssize_t n)
 {
-    const int flags = PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS;
-    int i, ok;
-
-    if (PyObject_GetBuffer(a, va, flags) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
         return -1;
-    if (PyObject_GetBuffer(v, vv, flags) < 0) {
-        PyBuffer_Release(va);
-        return -1;
-    }
-    ok = va->ndim == ndim && vv->ndim == ndim && strcmp(va->format, "Zd") == 0
-        && strcmp(vv->format, "Zd") == 0 && va->shape[ndim - 1] == va->shape[ndim - 2];
-    for (i = 0; ok && i < ndim; i++)
-        ok = va->shape[i] == vv->shape[i];
-    if (ok)
+    if (view->ndim == ndim && strcmp(view->format, "Zd") == 0 && (n < 0 || view->shape[ndim - 1] == n)
+        && (view->shape[ndim - 2] == view->shape[ndim - 1] || (ndim == 3 && view->shape[1] == 2 * view->shape[2])))
         return 0;
-    PyErr_Format(PyExc_ValueError, "kernel buffers must be C-contiguous complex128 %s of equal size",
-                 ndim == 2 ? "square matrices" : "stacks of square matrices");
-    PyBuffer_Release(va);
-    PyBuffer_Release(vv);
+    PyErr_SetString(PyExc_ValueError, "kernel buffers must be C-contiguous complex128: (n, n) matrices "
+                    "of equal size, or a (k, m, n) stack with m = n or 2n");
+    PyBuffer_Release(view);
     return -1;
 }
 
@@ -139,10 +130,14 @@ static PyObject *jacobi_eigh(PyObject *self, PyObject *args)
     long max_rotations, rotations;
     int converged;
 
-    if (!PyArg_ParseTuple(args, "OOl", &a, &v, &max_rotations) || get_buffers(a, v, &va, &vv, 2) < 0)
+    if (!PyArg_ParseTuple(args, "OOl", &a, &v, &max_rotations) || get_buffer(a, &va, 2, -1) < 0)
         return NULL;
+    if (get_buffer(v, &vv, 2, va.shape[0]) < 0) {
+        PyBuffer_Release(&va);
+        return NULL;
+    }
     Py_BEGIN_ALLOW_THREADS
-    rotations = rotate(va.buf, vv.buf, va.shape[0], max_rotations, &converged);
+    rotations = rotate(va.buf, vv.buf, va.shape[0], va.shape[0], max_rotations, &converged);
     Py_END_ALLOW_THREADS
     PyBuffer_Release(&va);
     PyBuffer_Release(&vv);
@@ -151,29 +146,29 @@ static PyObject *jacobi_eigh(PyObject *self, PyObject *args)
 
 static PyObject *jacobi_eigh_stack(PyObject *self, PyObject *args)
 {
-    PyObject *a, *v, *counts, *flags, *count = Py_None;
-    Py_buffer va, vv;
+    PyObject *b, *counts, *flags, *count = Py_None;
+    Py_buffer vb;
     long max_rotations, rotations;
-    Py_ssize_t i, k, n;
+    Py_ssize_t i, k, m, n;
     int converged;
 
-    if (!PyArg_ParseTuple(args, "OOl", &a, &v, &max_rotations) || get_buffers(a, v, &va, &vv, 3) < 0)
+    if (!PyArg_ParseTuple(args, "Ol", &b, &max_rotations) || get_buffer(b, &vb, 3, -1) < 0)
         return NULL;
-    k = va.shape[0];
-    n = va.shape[1];
+    k = vb.shape[0];
+    m = vb.shape[1];
+    n = vb.shape[2];
     counts = PyList_New(k);
     flags = PyList_New(k);
     for (i = 0; counts && flags && count && i < k; i++) {
+        cplx *slice = (cplx *)vb.buf + i * m * n;
         Py_BEGIN_ALLOW_THREADS
-        rotations = rotate((cplx *)va.buf + i * n * n, (cplx *)vv.buf + i * n * n, n, max_rotations,
-                           &converged);
+        rotations = rotate(slice, slice + n * n, n, m - n, max_rotations, &converged);
         Py_END_ALLOW_THREADS
         count = PyLong_FromLong(rotations);
         PyList_SET_ITEM(counts, i, count);
         PyList_SET_ITEM(flags, i, PyBool_FromLong(converged));
     }
-    PyBuffer_Release(&va);
-    PyBuffer_Release(&vv);
+    PyBuffer_Release(&vb);
     if (counts && flags && count)
         return Py_BuildValue("(NN)", counts, flags);
     Py_XDECREF(counts);
@@ -186,8 +181,8 @@ static PyMethodDef methods[] = {
      "Diagonalize the Hermitian (n, n) ``a`` in place, accumulating the unitary in ``v``;\n"
      "returns ``(rotations, converged)``."},
     {"jacobi_eigh_stack", jacobi_eigh_stack, METH_VARARGS,
-     "``jacobi_eigh`` of each slice of (k, n, n) stacks; returns per-slice\n"
-     "``(rotations, converged)`` lists."},
+     "``jacobi_eigh`` of each slice [a; v] of a (k, m, n) buffer, m = n or 2n;\n"
+     "returns per-slice ``(rotations, converged)`` lists."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,23 +12,25 @@ diagonal gap. Sweeps repeat until the off-diagonal Frobenius norm falls
 below ``OFF_NORM_FACTOR`` times the Frobenius norm of the input, or the
 rotation budget runs out.
 
-``jacobi_eigh_stack`` diagonalizes a ``(k, n, n)`` stack, and
-``jacobi_eigh`` is its one-slice case. ``_rotate_stack`` runs the schedule
-on every slice at once (cf. batched Jacobi, Golub & Van Loan, *Matrix
-Computations*, 8.5): the scalar arithmetic, operation by operation, on the
-slices that rotate; views of the stack where every slice rotates, gathered
-copies elsewhere. It pays per numpy call and breaks even with a loop over
-the slices at six to seven, so a stack of at most ``SMALL_STACK`` slices
-runs ``_rotate`` on one slice at a time (README, "Backends"). Both give a
-slice the same bytes and rotation count. A slice of n <= 2 makes at most
-one rotation, so a stack of two or more of them runs ``_unrolled``, the
-schedule's one step over the whole stack, with the same bytes. The pivot
-arithmetic of ``_rotate_stack`` and ``_unrolled`` is ``_pivot``'s, on
-ufuncs; ``_rotate``'s is ``_scalar_pivot``, the same bits in Python
-floats, which write numpy's complex-scalar formulas out operation by
-operation. ``_rotate`` reads and pins the pivot entries in one raveled
-view of its buffer, builds a pivot's views of it once per call and
-writes its products into work buffers of the call.
+``jacobi_eigh_stack`` diagonalizes a stack of slices ``[a; v]`` in one
+``(k, m, n)`` buffer: the m - n rows of ``v`` turn with the columns of
+``a``, so m = n gives spectra only and m = 2n, with ``v`` the identity,
+eigenvectors too. ``jacobi_eigh`` is its one-slice case. ``_rotate_stack``
+runs the schedule on every slice at once (cf. batched Jacobi, Golub & Van
+Loan, *Matrix Computations*, 8.5): the scalar arithmetic, operation by
+operation, on the slices that rotate; views of the stack where every slice
+rotates, gathered copies elsewhere. It pays per numpy call and breaks even
+with a loop over the slices at six to seven, so a stack of at most
+``SMALL_STACK`` slices runs ``_rotate`` on one slice at a time (README,
+"Backends"). Both give a slice the same bytes and rotation count. A slice
+of n <= 2 makes at most one rotation, so a stack of two or more of them
+runs ``_unrolled``, the schedule's one step over the whole stack, with the
+same bytes. The pivot arithmetic of ``_rotate_stack`` and ``_unrolled`` is
+``_pivot``'s, on ufuncs; ``_rotate``'s is ``_scalar_pivot``, the same bits
+in Python floats, which write numpy's complex-scalar formulas out
+operation by operation. ``_rotate`` reads and pins the pivot entries in
+one raveled view of its buffer, builds a pivot's views of it once per call
+and writes its products into work buffers of the call.
 
 Both norms, of the input and of the off-diagonal part, come from
 ``_norms``, in one call for a whole stack. They are ``np.linalg.norm``'s
@@ -36,17 +38,15 @@ bits: that is ``sqrt(re.dot(re) + im.dot(im))`` over the raveled entries,
 and ``np.vecdot`` of float64 rows calls the same BLAS dot per row as
 ``ndarray.dot``.
 
-Both work on one column-major buffer ``b = [a^T | v^T]``, ``(k, n, 2n)``:
-``b[i, j]`` holds column j of slice i of ``a`` and then of ``v``. Each
-slice is column-major in memory too: ``jacobi_eigh_stack`` stacks
-``[a; v]`` row-major and transposes it. A rotation updates columns p and
-q of ``a`` and ``v`` together, as rows p and q of ``b[i]``, in a
-``(2, 1) * (1, 2n)`` broadcast per row with the coefficients
-``[[c, s], [-conj(s), c]]``, summed (``_rotate`` makes both products in
-one ``(2, 2, 1) * (2, 1, 2n)`` broadcast, whose inner loop is the same);
-it then copies rows p and q of ``a`` from the conjugated columns, as the
-compiled twin does, and pins the four pivot entries. Every exit copies
-the buffer back into ``a`` and ``v``.
+The bodies work on the buffer's transpose, ``(k, n, m)``: row j of a
+slice holds column j of ``a`` and then of the rows below it, ``v``, and
+is column-major in memory. A rotation updates columns p and q of ``a``
+and ``v`` together, as rows p and q of a slice, in a ``(2, 1) * (1, m)``
+broadcast per row with the coefficients ``[[c, s], [-conj(s), c]]``,
+summed (``_rotate`` makes both products in one ``(2, 2, 1) * (2, 1, m)``
+broadcast, whose inner loop is the same); it then copies rows p and q of
+``a`` from the conjugated columns, as the compiled twin does, and pins
+the four pivot entries.
 
 So ``a`` must be exactly Hermitian on entry: its bytes those of
 ``a.conj().T`` up to the sign of a zero. Then the copied rows are what
@@ -107,39 +107,40 @@ def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, 
 
     Same contract as the compiled kernel: ``a`` exactly Hermitian (its bytes
     those of ``a.conj().T`` up to the sign of a zero) and ``v`` the identity
-    on entry; returns ``(rotations, converged)``: ``jacobi_eigh_stack`` on one slice.
+    on entry; returns ``(rotations, converged)``: ``jacobi_eigh_stack`` on the
+    one buffer ``[a; v]``.
     """
-    rotations, converged = jacobi_eigh_stack(a[None], v[None], max_rotations)
+    b = np.concatenate((a, v))[None]
+    rotations, converged = jacobi_eigh_stack(b, max_rotations)
+    a[...], v[...] = b[0, : len(a)], b[0, len(a) :]
     return int(rotations[0]), bool(converged[0])
 
 
-def jacobi_eigh_stack(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize each Hermitian slice of ``a`` in place, accumulating in ``v``.
+def jacobi_eigh_stack(b: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize each Hermitian slice of the buffer ``b`` in place.
 
-    ``a`` and ``v`` are C-contiguous ``(k, n, n)`` stacks, each slice of ``a``
-    exactly Hermitian, ``v`` identities on entry. Every slice follows the
-    schedule with its own threshold, skip test and rotation budget: slice
-    by slice (``_rotate``) up to ``SMALL_STACK`` slices and all at once
+    ``b`` is a C-contiguous complex128 ``(k, m, n)`` stack: the first n rows
+    of each slice are an exactly Hermitian ``a``, and the m - n rows below
+    it, none or n of them, turn with its columns (``v``, the identity on
+    entry to get eigenvectors). Every slice follows the schedule with its
+    own threshold, skip test and rotation budget: slice by slice
+    (``_rotate``) up to ``SMALL_STACK`` slices and all at once
     (``_rotate_stack``) above, but unrolled (``_unrolled``) on two or more
     slices of n <= 2. Returns per-slice ``(rotations, converged)`` arrays.
     """
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or v.shape != a.shape:
-        raise ValueError("kernel buffers must be stacks of square matrices of equal size")
-    k, n = a.shape[0], a.shape[1]
+    if b.ndim != 3 or b.shape[1] not in (b.shape[2], 2 * b.shape[2]) or not b.flags.c_contiguous:
+        raise ValueError("the kernel buffer must be a C-contiguous (k, m, n) stack with m = n or 2n")
+    k, n = b.shape[0], b.shape[2]
     if n <= 2 and k > 1:
-        return _unrolled(a, v, max_rotations)
-    av = np.concatenate((a, v), axis=1)  # [a; v] per slice, C-contiguous
-    b = av.transpose(0, 2, 1)  # so each slice of b is column-major
-    thr = OFF_NORM_FACTOR * _norms(a)
-    if k <= SMALL_STACK:
-        rotations, converged = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
-        for i in range(k):
-            # a Python float threshold keeps the loop's compares on Python floats
-            rotations[i], converged[i] = _rotate(b[i], n, float(thr[i]), max_rotations)
-    else:
-        rotations, converged = _rotate_stack(b, n, thr, max_rotations)
-    a[...] = av[:, :n]
-    v[...] = av[:, n:]
+        return _unrolled(b, max_rotations)
+    bt = b.transpose(0, 2, 1)  # so each slice of bt is column-major
+    thr = OFF_NORM_FACTOR * _norms(b[:, :n])
+    if k > SMALL_STACK:
+        return _rotate_stack(bt, n, thr, max_rotations)
+    rotations, converged = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    for i in range(k):
+        # a Python float threshold keeps the loop's compares on Python floats
+        rotations[i], converged[i] = _rotate(bt[i], n, float(thr[i]), max_rotations)
     return rotations, converged
 
 
@@ -163,7 +164,7 @@ def _pivot(apq: np.ndarray, beta: np.ndarray, app: np.ndarray, aqq: np.ndarray) 
     return app + t * beta, aqq - t * beta, m
 
 
-def _unrolled(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
+def _unrolled(b: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
     """The schedule on a stack of n <= 2, unrolled: the sweeps' bytes without their buffers.
 
     A slice of n <= 1 is diagonal: it makes no rotation. A slice of n = 2
@@ -171,11 +172,12 @@ def _unrolled(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndar
     next convergence test passes. The threshold and the first test are
     ``_norms`` and ``_converged`` on the stack, the rotation ``_pivot``. The
     sweeps write every entry of a rotated 2 x 2 ``a`` from the pinned
-    values, so only ``v`` turns, by their ``(2, 1) * (1, 2)`` broadcast of
-    its columns. On a stack of one, ``_rotate``'s Python floats cost less
-    than these ufuncs, so ``jacobi_eigh_stack`` runs that instead.
+    values, so only the rows below ``a`` turn, by their ``(2, 1) * (1, 2)``
+    broadcast of its columns. On a stack of one, ``_rotate``'s Python floats
+    cost less than these ufuncs, so ``jacobi_eigh_stack`` runs that instead.
     """
-    k, n = a.shape[0], a.shape[1]
+    k, n = b.shape[0], b.shape[2]
+    a, v = b[:, :n], b[:, n:]
     rotations = np.zeros(k, dtype=np.int64)
     if n < 2:
         return rotations, np.ones(k, dtype=bool)
@@ -190,8 +192,9 @@ def _unrolled(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[np.ndar
     # every slice rotates: basic slices give views, not gathers and scatters
     sel = slice(None) if count == k else np.flatnonzero(turn)
     pinned_p, pinned_q, m = _pivot(apq[sel], beta[sel], a[sel, 0, 0].real, a[sel, 1, 1].real)
-    vt = v[sel].transpose(0, 2, 1)  # the columns of v as rows
-    v[sel] = (m[:, :, :1] * vt[:, :1] + m[:, :, 1:] * vt[:, 1:]).transpose(0, 2, 1)
+    if v.size:  # none on a spectrum's call, where skipping the empty turn saves 3-7 us
+        vt = v[sel].transpose(0, 2, 1)  # the columns of v as rows
+        v[sel] = (m[:, :, :1] * vt[:, :1] + m[:, :, 1:] * vt[:, 1:]).transpose(0, 2, 1)
     a[sel] = 0.0
     a[sel, 0, 0] = pinned_p
     a[sel, 1, 1] = pinned_q
@@ -232,7 +235,7 @@ def _pivots(n: int) -> tuple:
 
 
 def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int, bool]:
-    """The sweeps of one slice, on its column-major ``(n, 2n)`` buffer ``[a^T | v^T]``.
+    """The sweeps of one slice, on its column-major ``(n, m)`` buffer ``[a^T | v^T]``.
 
     ``b.T`` is ``[a; v]``, C-contiguous, so that its raveled view is a view:
     the pivot entries are read and pinned there, at the offsets of
@@ -249,7 +252,7 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
     # products with rows p and q of b; the sum of the two is the rotated rows
     coef = np.empty(4, dtype=np.complex128)
     cols = coef.reshape(2, 2, 1)
-    products = np.empty((2, 2, 2 * n), dtype=np.complex128)
+    products = np.empty((2, 2, b.shape[1]), dtype=np.complex128)
     rotated, product_q = products
     rotated_a = rotated[:, :n]
     multiply, add, conjugate = np.multiply, np.add, np.conjugate
@@ -278,7 +281,7 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
             pair, rows, a_rows = view
 
             # columns p and q of a and v, rows p and q of b: both products in one
-            # (2, 2, 1) * (2, 1, 2n) broadcast, each a (2, 1) * (1, 2n) one
+            # (2, 2, 1) * (2, 1, m) broadcast, each a (2, 1) * (1, m) one
             multiply(cols, rows, products)
             add(rotated, product_q, rotated)
             pair[...] = rotated
@@ -293,7 +296,7 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
 
 
 def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sweeps of every slice at once, on the ``(k, n, 2n)`` buffer ``[a^T | v^T]``."""
+    """The sweeps of every slice at once, on the ``(k, n, m)`` buffer ``[a^T | v^T]``."""
     k = b.shape[0]
     at = b[:, :, :n]  # each slice of a transposed
     rotations = np.zeros(k, dtype=np.int64)
@@ -326,7 +329,7 @@ def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) ->
                 # _pivot reads the diagonal, maybe a view, before the writes below move it
                 pinned_p, pinned_q, m = _pivot(apq, beta, at[sel, p, p].real, at[sel, q, q].real)
 
-                # columns p and q of a and v as the loop twin's (2, 1) * (1, 2n)
+                # columns p and q of a and v as the loop twin's (2, 1) * (1, m)
                 # broadcast per slice; computed before any write, as views may alias
                 pair = b[sel, p : q + 1 : q - p]
                 cols = m[:, :, :1] * pair[:, :1] + m[:, :, 1:] * pair[:, 1:]

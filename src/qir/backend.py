@@ -1,7 +1,8 @@
 """Kernel selection: compiled Jacobi core when available, pure Python otherwise.
 
 The choice is made at import; ``set_backend`` switches it at runtime.
-``jacobi_eigh_stack`` is the one entry to the active kernel, and
+``jacobi_eigh_stack`` is the one entry to the active kernel, on one
+``(k, m, n)`` buffer with m = n (spectra) or 2n (eigenvectors too), and
 ``linalg._jacobi`` its one caller.
 """
 
@@ -39,14 +40,15 @@ def set_backend(name: str) -> None:
     _active = name
 
 
-def jacobi_eigh_stack(a, v, max_rotations):
-    """Diagonalize each slice of a ``(k, n, n)`` stack in place; ``(rotations, converged)`` arrays.
+def jacobi_eigh_stack(b, max_rotations):
+    """Diagonalize each slice of a ``(k, m, n)`` buffer in place; ``(rotations, converged)`` arrays.
 
-    Whatever k: the Python kernel runs up to ``_jacobi_py.SMALL_STACK``
-    slices one at a time and more all at once, two or more of n <= 2 with
-    the schedule unrolled, and the compiled one loops over them in C. Each
-    slice gets the bits of the kernel's one-matrix ``jacobi_eigh``, which
-    qir itself does not call.
+    Each slice is a Hermitian matrix, or one with n identity rows below it that
+    turn into its eigenvectors; any other m is a ``ValueError``. Whatever k:
+    the Python kernel runs up to ``_jacobi_py.SMALL_STACK`` slices one at a
+    time and more all at once, two or more of n <= 2 unrolled, and the
+    compiled one loops over them in C. Each slice gets the bits of the
+    kernel's one-matrix ``jacobi_eigh``, which qir itself does not call.
     """
-    rotations, converged = _KERNELS[_active].jacobi_eigh_stack(a, v, max_rotations)
+    rotations, converged = _KERNELS[_active].jacobi_eigh_stack(b, max_rotations)
     return np.asarray(rotations, dtype=np.int64), np.asarray(converged, dtype=bool)

@@ -185,14 +185,14 @@ def _trial_inputs(cfg: CampaignConfig, index: int):
 
 
 def _trial_record(cfg: CampaignConfig, index: int) -> TrialRecord:
-    state, x, y, eps = _trial_inputs(cfg, index)
+    eps = None  # named only once drawn: a trial can fail while its state or bases are drawn
     try:
+        state, x, y, eps = _trial_inputs(cfg, index)
         reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
     except QirError as err:
+        d_a, d_b = cfg.dims[index % len(cfg.dims)]
         at_eps = "" if eps is None else f", eps = {eps!r}"
-        raise type(err)(
-            f"trial {index} at (d_A, d_B) = ({state.d_a}, {state.d_b}){at_eps}: {err}"
-        ) from None
+        raise type(err)(f"trial {index} at (d_A, d_B) = ({d_a}, {d_b}){at_eps}: {err}") from None
     slacks = {name: report.slack for name, report in reports.items()}
     return TrialRecord(index, state.d_a, state.d_b, eps, slacks)
 

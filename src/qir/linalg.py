@@ -9,9 +9,10 @@ fallback, see ``qir.backend``): ``herm_eig`` checks one matrix, and
 to be within 1e-10 of Hermitian. The kernel needs an exactly Hermitian
 input and overwrites it, so both hand it the ``_hermitian_part`` of what
 they are given, a new array; no caller copies or symmetrizes for it, and
-no caller's array is overwritten. ``_jacobi`` makes the one kernel call
-of each stack and counts it (``kernel_counts``). Products, adjoints and
-Kronecker products are numpy's own (``@``, ``.conj().T``, ``np.kron``).
+no caller's array is overwritten; only ``herm_eig``, which reads
+eigenvectors, appends identity rows for the kernel to turn. ``_jacobi``
+makes the one kernel call of each stack and counts it (``kernel_counts``).
+Products, adjoints and Kronecker products are numpy's own.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ def herm_eig(m) -> EigenDecomposition:
         raise NotHermitian(
             f"{n}x{n} matrix: Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
-    work = _hermitian_part(a[None])
-    vecs = _jacobi(work)[0]
-    w = np.diag(work[0]).real.copy()
+    work = np.concatenate((_hermitian_part(a[None]), np.eye(n, dtype=np.complex128)[None]), axis=1)
+    _jacobi(work)
+    w = np.diag(work[0, :n]).real.copy()
     order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], np.ascontiguousarray(vecs[:, order]))
+    return EigenDecomposition(w[order], np.ascontiguousarray(work[0, n:][:, order]))
 
 
 def _stack_eigenvalues(ms: np.ndarray) -> np.ndarray:
@@ -100,28 +101,26 @@ def _stack_eigenvalues(ms: np.ndarray) -> np.ndarray:
     return np.sort(np.diagonal(work, axis1=1, axis2=2).real, axis=1, kind="stable")
 
 
-def _jacobi(work: np.ndarray) -> np.ndarray:
-    """Diagonalize each slice of a finite, exactly Hermitian, C-contiguous ``(k, n, n)`` stack in place.
+def _jacobi(work: np.ndarray) -> None:
+    """Diagonalize each slice of a finite C-contiguous ``(k, m, n)`` kernel buffer in place.
 
-    The one caller of the kernel: one ``backend.jacobi_eigh_stack`` call per
-    stack, whatever k, counted in ``kernel_counts``. Returns the eigenvector
-    stack, columns in the order of the diagonals of ``work``. The budget is
-    100 * n**2 rotations per slice. A slice that exceeds it raises
-    ``NoConvergence``, after the call is counted, since its rotations were
-    spent. It names the first such slice from the stack alone:
-    ``"{n}x{n} matrix"`` in a stack of one, ``"slice {i} ({n}x{n})"`` otherwise.
+    Its first n rows are exactly Hermitian; the m - n below, none or the
+    identity, turn into eigenvector columns. The one caller of the kernel:
+    one ``backend.jacobi_eigh_stack`` call per stack, whatever k, counted in
+    ``kernel_counts``. The budget is 100 * n**2 rotations per slice. A slice
+    that exceeds it raises ``NoConvergence``, after the call is counted,
+    since its rotations were spent. It names the first such slice from the
+    stack alone: ``"{n}x{n} matrix"`` in a stack of one, ``"slice {i} ({n}x{n})"`` otherwise.
     """
-    k, n = work.shape[0], work.shape[1]
-    vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape).copy()
+    k, n = work.shape[0], work.shape[2]
     max_rotations = ROTATION_BUDGET * n * n
-    rotations, converged = backend.jacobi_eigh_stack(work, vecs, max_rotations)
+    rotations, converged = backend.jacobi_eigh_stack(work, max_rotations)
     calls, slices, spent = _KERNEL_COUNTS.get(n, (0, 0, 0))
     _KERNEL_COUNTS[n] = (calls + 1, slices + k, spent + sum(rotations.tolist()))
     if not all(converged):
         i = int(np.argmin(converged))
         where = f"{n}x{n} matrix" if k == 1 else f"slice {i} ({n}x{n})"
         raise NoConvergence(f"{where}: off-diagonal norm still above threshold after {rotations[i]} rotations")
-    return vecs
 
 
 def kernel_counts(since: dict | None = None) -> dict[int, tuple[int, int, int]]:

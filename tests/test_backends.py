@@ -161,11 +161,17 @@ def loop_twin(kernel, m, budget):
     return a, v, rotations, converged
 
 
+def with_identity(ms):
+    """The kernel buffer ``[a; I]`` of each slice of ``ms``: ``(k, 2n, n)``, C-contiguous."""
+    return np.concatenate((ms, np.broadcast_to(np.eye(ms.shape[1], dtype=complex), ms.shape)), axis=1)
+
+
 def run_stack(run, ms, budget):
-    a = ms.copy()
-    v = np.broadcast_to(np.eye(ms.shape[1], dtype=complex), ms.shape).copy()
-    rotations, converged = run(a, v, budget)
-    return a, v, rotations, converged
+    """``run`` on ``[a; I]``, eigenvectors wanted; ``a``, ``v``, rotations and flags."""
+    b = with_identity(ms)
+    rotations, converged = run(b, budget)
+    n = ms.shape[1]
+    return b[:, :n], b[:, n:], rotations, converged
 
 
 def assert_slices_equal_twin(kernel, ms, stacked, budget):
@@ -304,8 +310,7 @@ def test_a_pivot_at_the_skip_level_is_skipped(body, request, monkeypatch, restor
         kernel = _jacobi_py
         monkeypatch.setattr(_jacobi_py, "SMALL_STACK", 1 if body == "loop" else 0)
     ms = np.array([a, a])[: 1 if body == "loop" else 2]
-    a1, v1 = ms.copy(), np.broadcast_to(np.eye(3, dtype=complex), ms.shape).copy()
-    rotations, converged = kernel.jacobi_eigh_stack(a1, v1, 100 * 9)
+    _, v1, rotations, converged = run_stack(kernel.jacobi_eigh_stack, ms, 100 * 9)
     assert list(rotations) == [1] * len(ms) and all(converged), body
     e0 = np.eye(3, dtype=complex)[0]
     assert (v1[:, :, 0] == e0).all() and (v1[:, 0, :] == e0).all(), body
@@ -341,9 +346,9 @@ def test_every_matrix_handed_to_the_kernel_is_exactly_hermitian(rng, monkeypatch
     handed = []
     kernel = backend.jacobi_eigh_stack
 
-    def recording(a, v, max_rotations):
-        handed.append(a.copy())
-        return kernel(a, v, max_rotations)
+    def recording(b, max_rotations):
+        handed.append(b[:, : b.shape[2]].copy())
+        return kernel(b, max_rotations)
 
     monkeypatch.setattr(backend, "jacobi_eigh_stack", recording)
 
@@ -434,10 +439,9 @@ def test_stack_slice_alone_and_inside_a_stack(rng):
             assert alone[0].tobytes() == whole[0][i].tobytes()
             assert alone[1].tobytes() == whole[1][i].tobytes()
             assert (alone[2][0], alone[3][0]) == (whole[2][i], whole[3][i])
-    rotations, converged = _jacobi_py.jacobi_eigh_stack(
-        np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 4, 4), dtype=complex), 1600
-    )
-    assert rotations.shape == converged.shape == (0,)
+    for m in (4, 8):
+        rotations, converged = _jacobi_py.jacobi_eigh_stack(np.zeros((0, m, 4), dtype=complex), 1600)
+        assert rotations.shape == converged.shape == (0,)
     assert linalg._stack_eigenvalues(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
 
 
@@ -482,11 +486,11 @@ def test_kernel_entry_follows_the_stack_size(rng, restore_backend, monkeypatch):
     k = _jacobi_py.SMALL_STACK
     ms = np.array([random_hermitian(rng, 3) for _ in range(k + 1)])
     small = linalg._stack_eigenvalues(ms[:k])
-    assert [(body, shape) for body, shape, _ in calls] == [("_rotate", (3, 6))] * k
+    assert [(body, shape) for body, shape, _ in calls] == [("_rotate", (3, 3))] * k
     per_slice = [r for _, _, (r,) in calls]
     calls.clear()
     large = linalg._stack_eigenvalues(ms)
-    assert [(body, shape) for body, shape, _ in calls] == [("_rotate_stack", (k + 1, 3, 6))]
+    assert [(body, shape) for body, shape, _ in calls] == [("_rotate_stack", (k + 1, 3, 3))]
     assert calls[0][2][:k] == per_slice
     assert small.tobytes() == large[:k].tobytes()
 
@@ -529,8 +533,9 @@ def test_compiled_stack_loops_its_kernel(rng, restore_backend):
 def looped(kernel):
     """A stack entry made of one ``kernel.jacobi_eigh`` call per slice."""
 
-    def run(a, v, budget):
-        results = [kernel.jacobi_eigh(a[i], v[i], budget) for i in range(len(a))]
+    def run(b, budget):
+        n = b.shape[2]
+        results = [kernel.jacobi_eigh(b[i, :n], b[i, n:], budget) for i in range(len(b))]
         return [r for r, _ in results], [c for _, c in results]
 
     return run
@@ -590,33 +595,46 @@ def test_compiled_twin_gives_the_cython_builds_bytes(rng, n):
 @needs_compiled
 @pytest.mark.parametrize("entry", ["jacobi_eigh", "jacobi_eigh_stack"])
 def test_compiled_entries_reject_bad_buffers(entry):
-    """The C reads raw buffers, so every shape, type and layout it cannot use is a ``ValueError``."""
+    """The C reads raw buffers, so every shape, type and layout it cannot use is a ``ValueError``.
+
+    ``jacobi_eigh`` takes ``a`` and ``v``; ``jacobi_eigh_stack`` takes one
+    ``(k, m, n)`` buffer with m = n or 2n.
+    """
     from qir import _jacobi
 
-    run = getattr(_jacobi, entry)
-    lead = () if entry == "jacobi_eigh" else (2,)
-
-    def eye(n, k=lead):
+    def eye(n, k=()):
         return np.broadcast_to(np.eye(n, dtype=complex), k + (n, n)).copy()
 
-    read_only = eye(3)
-    read_only.setflags(write=False)
-    bad = {
-        "float64": (eye(3).real.copy(), eye(3)),
-        "non-contiguous row": (np.zeros(lead + (3, 6), dtype=complex)[..., ::2], eye(3)),
-        "non-square": (np.zeros(lead + (3, 4), dtype=complex), np.zeros(lead + (3, 4), dtype=complex)),
-        "shapes differ": (eye(3), eye(4)),
-        "read-only a": (read_only, eye(3)),
-        "read-only v": (eye(3), read_only),
-        "one axis too many": (eye(3, (1,) + lead), eye(3, (1,) + lead)),
-    }
-    if lead:
-        bad["stack lengths differ"] = (eye(3), eye(3, (3,)))
-        bad["a matrix, not a stack"] = (np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+    def read_only(a):
+        a.setflags(write=False)
+        return a
+
+    if entry == "jacobi_eigh":
+        bad = {
+            "float64": (eye(3).real.copy(), eye(3)),
+            "non-contiguous row": (np.zeros((3, 6), dtype=complex)[:, ::2], eye(3)),
+            "non-square": (np.zeros((3, 4), dtype=complex), np.zeros((3, 4), dtype=complex)),
+            "shapes differ": (eye(3), eye(4)),
+            "read-only a": (read_only(eye(3)), eye(3)),
+            "read-only v": (eye(3), read_only(eye(3))),
+            "one axis too many": (eye(3, (1,)), eye(3, (1,))),
+        }
+    else:
+        bad = {
+            "float64": (np.zeros((2, 6, 3)),),
+            "non-contiguous row": (np.zeros((2, 6, 6), dtype=complex)[..., ::2],),
+            "m below n": (np.zeros((2, 3, 4), dtype=complex),),
+            "m neither n nor 2n": (np.zeros((2, 5, 3), dtype=complex),),
+            "m = 3n": (np.zeros((2, 9, 3), dtype=complex),),
+            "read-only": (read_only(np.zeros((2, 6, 3), dtype=complex)),),
+            "one axis too many": (eye(3, (1, 2)),),
+            "a matrix, not a stack": (np.eye(3, dtype=complex),),
+        }
+    run = getattr(_jacobi, entry)
     accepted = []
-    for what, (a, v) in bad.items():
+    for what, buffers in bad.items():
         try:
-            run(a, v, 10)
+            run(*buffers, 10)
         except ValueError:
             continue
         accepted.append(what)
@@ -627,14 +645,15 @@ def test_compiled_entries_reject_bad_buffers(entry):
 def test_compiled_stack_of_none(restore_backend):
     from qir import _jacobi
 
-    empty = np.zeros((0, 4, 4), dtype=complex)
-    assert _jacobi.jacobi_eigh_stack(empty, empty.copy(), 1600) == ([], [])
     backend.set_backend("compiled")
-    rotations, converged = backend.jacobi_eigh_stack(empty, empty.copy(), 1600)
-    assert (rotations.dtype, converged.dtype, rotations.shape, converged.shape) == (
-        np.int64, np.bool_, (0,), (0,)
-    )
-    assert linalg._stack_eigenvalues(empty).shape == (0, 4)
+    for m in (4, 8):
+        empty = np.zeros((0, m, 4), dtype=complex)
+        assert _jacobi.jacobi_eigh_stack(empty, 1600) == ([], [])
+        rotations, converged = backend.jacobi_eigh_stack(empty, 1600)
+        assert (rotations.dtype, converged.dtype, rotations.shape, converged.shape) == (
+            np.int64, np.bool_, (0,), (0,)
+        )
+    assert linalg._stack_eigenvalues(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4)
 
 
 def small_stacks(rng, n):
@@ -659,16 +678,16 @@ def swept(ms, budget, stacked):
     """The sweep bodies on a stack, as ``jacobi_eigh_stack`` runs them at n >= 3:
     ``_rotate_stack`` on the whole stack, or ``_rotate`` slice by slice."""
     k, n = ms.shape[0], ms.shape[1]
-    v = np.broadcast_to(np.eye(n, dtype=complex), ms.shape)
-    b = np.concatenate((ms.transpose(0, 2, 1), v.transpose(0, 2, 1)), axis=2)
+    b = with_identity(ms)
+    bt = b.transpose(0, 2, 1)  # each slice column-major, as the bodies take it
     thr = _jacobi_py.OFF_NORM_FACTOR * _jacobi_py._norms(ms)
     if stacked:
-        rotations, converged = _jacobi_py._rotate_stack(b, n, thr, budget)
+        rotations, converged = _jacobi_py._rotate_stack(bt, n, thr, budget)
     else:
-        runs = [_jacobi_py._rotate(b[i], n, float(thr[i]), budget) for i in range(k)]
+        runs = [_jacobi_py._rotate(bt[i], n, float(thr[i]), budget) for i in range(k)]
         rotations = np.array([r for r, _ in runs], dtype=np.int64).reshape(k)
         converged = np.array([c for _, c in runs], dtype=bool).reshape(k)
-    return b[:, :, :n].transpose(0, 2, 1), b[:, :, n:].transpose(0, 2, 1), rotations, converged
+    return b[:, :n], b[:, n:], rotations, converged
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -732,3 +751,110 @@ def test_small_stacks_count_and_match_one_matrix_at_a_time(rng, n, each_backend)
         assert linalg.kernel_counts(start) == {n: (1, len(ms), int(r.sum()))}, len(ms)
         for i, m in enumerate(ms):
             assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes(), (len(ms), i)
+
+
+def contract_stacks(rng, n):
+    """``kernel_stack`` and stacks of four densities of rank 1, 2 and n, complex and
+    real, with -0.0 in the imaginary parts of the diagonal and in a mirrored pair of
+    entries; all as ``linalg._hermitian_part`` hands them to the kernel."""
+    stacks = [kernel_stack(rng, n)]
+    for rank in (1, 2, n):
+        for real in (False, True):
+            ms = np.array([random_density(rng, n, rank) for _ in range(4)])
+            if real:
+                ms = ms.real.astype(complex)
+            ms.imag[:, np.arange(n), np.arange(n)] = -0.0
+            if n > 1:
+                ms[:, 0, n - 1] = ms[:, n - 1, 0] = complex(-0.0, -0.0)
+            stacks.append(ms)
+    return [linalg._hermitian_part(ms) for ms in stacks]
+
+
+@pytest.mark.parametrize("n", STACK_SIZES)
+@pytest.mark.parametrize("body", ["loop", "stacked", "compiled"])
+def test_spectra_alone_are_bitwise_the_eigenvector_route(rng, n, body, request, monkeypatch, restore_backend):
+    """A buffer of ``a`` alone (m = n) gives ``a`` the bytes, rotation counts and
+    flags that ``[a; I]`` (m = 2n, what ``herm_eig`` hands the kernel) gives it, at
+    every budget; at the full budget its sorted diagonal is ``herm_eig``'s eigenvalues.
+
+    ``loop`` runs one slice per call (``_rotate``); ``stacked`` runs the whole
+    stack with ``SMALL_STACK = 0``, which is ``_rotate_stack`` at n >= 3 and
+    ``_unrolled`` at n <= 2; ``compiled`` is the C twin's stack entry.
+    """
+    if body == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    backend.set_backend("compiled" if body == "compiled" else "python")
+    kernel = backend._KERNELS[backend.backend_name()]
+    if body == "stacked":
+        monkeypatch.setattr(_jacobi_py, "SMALL_STACK", 0)
+
+    def run(b, budget):
+        if body != "loop":
+            return kernel.jacobi_eigh_stack(b, budget)
+        runs = [kernel.jacobi_eigh_stack(b[i : i + 1], budget) for i in range(len(b))]
+        return [r for (r,), _ in runs], [c for _, (c,) in runs]
+
+    for ms in contract_stacks(rng, n):
+        for budget in (0, 1, 3, 100 * n * n):
+            alone = ms.copy()
+            rotations, converged = run(alone, budget)
+            a, _, rotations0, converged0 = run_stack(run, ms, budget)
+            assert list(rotations) == list(rotations0) and list(converged) == list(converged0), (len(ms), budget)
+            assert alone.tobytes() == a.tobytes(), (len(ms), budget)
+        assert all(converged)
+        values = np.sort(np.diagonal(alone, axis1=1, axis2=2).real, axis=1, kind="stable")
+        for i, m in enumerate(ms):
+            assert values[i].tobytes() == linalg.herm_eig(m).eigenvalues.tobytes(), (len(ms), i)
+
+
+def test_python_stack_entry_rejects_bad_buffers():
+    """The Python twin works in place on one ``(k, m, n)`` buffer, m = n or 2n, so
+    what the C rejects for its shape or layout it rejects too."""
+    bad = {
+        "non-contiguous row": np.zeros((2, 6, 6), dtype=complex)[..., ::2],
+        "m below n": np.zeros((2, 3, 4), dtype=complex),
+        "m neither n nor 2n": np.zeros((2, 5, 3), dtype=complex),
+        "m = 3n": np.zeros((2, 9, 3), dtype=complex),
+        "one axis too many": np.zeros((1, 2, 3, 3), dtype=complex),
+        "a matrix, not a stack": np.eye(3, dtype=complex),
+    }
+    for b in bad.values():
+        with pytest.raises(ValueError, match="m = n or 2n"):
+            _jacobi_py.jacobi_eigh_stack(b, 10)
+
+
+def test_only_herm_eig_hands_the_kernel_eigenvector_rows(monkeypatch):
+    """Every buffer a spectrum's route hands the kernel is ``a`` alone, m = n: an
+    eq16 campaign trial, a sweep, a two-restart ``minimize_slack``, a state and an
+    ``entropy_bundle``. ``herm_eig`` and ``relative_entropy``, which read
+    eigenvectors, hand it ``[a; I]``, m = 2n."""
+    import qir
+    from qir.explore import CampaignConfig, _trial_record, minimize_slack, monitoring_sweep
+
+    handed = []
+    kernel = backend.jacobi_eigh_stack
+
+    def recording(b, max_rotations):
+        handed.append(b.shape)
+        return kernel(b, max_rotations)
+
+    monkeypatch.setattr(backend, "jacobi_eigh_stack", recording)
+    state = qir.random_mixed(3, 2, 6, 91)
+    x, y = qir.random_basis(3, 92), qir.random_basis(3, 93)
+    sigma = qir.max_mixed(3, 2)
+    routes = {
+        "campaign trial": lambda: _trial_record(
+            CampaignConfig(((3, 2),), 1, 7, ("eq16",), ensemble="induced-mixed"), 0),
+        "sweep": lambda: monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21)),
+        "minimize": lambda: minimize_slack("eq11", 2, 2, restarts=2, seed=7, max_evals=40),
+        "state": lambda: qir.BipartiteState(3, 2, state.rho),
+        "entropy_bundle": lambda: qir.entropy_bundle(x, state, y),
+        "herm_eig": lambda: linalg.herm_eig(state.rho),
+        "relative_entropy": lambda: qir.relative_entropy(state, sigma),
+    }
+    for name, route in routes.items():
+        handed.clear()
+        route()
+        assert handed, name
+        m_over_n = {m // n for _, m, n in handed if n}
+        assert m_over_n == ({2} if name in ("herm_eig", "relative_entropy") else {1}), (name, handed)

@@ -200,6 +200,26 @@ class TestCampaign:
         with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
             run_campaign_records(small_config(trials=3, relations=("eq5",)), workers=1)
 
+    def test_a_trial_whose_draw_fails_is_named(self, monkeypatch):
+        # the state is drawn before eps, so the message names no eps
+        import qir.explore as explore
+        from qir.errors import NoConvergence
+
+        draw = explore.random_mixed
+
+        def fails_at_3x2(d_a, d_b, rank, seed):
+            if d_a == 3:
+                raise NoConvergence("6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
+            return draw(d_a, d_b, rank, seed)
+
+        monkeypatch.setattr(explore, "random_mixed", fails_at_3x2)
+        expected = ("trial 1 at (d_A, d_B) = (3, 2): "
+                    "6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
+        for relations in (ALL_RELATIONS, ("eq5",)):
+            cfg = small_config(trials=3, relations=relations, ensemble="induced-mixed")
+            with pytest.raises(NoConvergence, match=f"^{re.escape(expected)}$"):
+                run_campaign_records(cfg, workers=1)
+
 
 class TestSweep:
     def test_bell_mub_sweep_constant(self):
@@ -258,9 +278,9 @@ class TestSweep:
         stacks = []
         stacked = backend.jacobi_eigh_stack
 
-        def counting_stack(a, v, max_rotations):
-            stacks.append(a.shape)
-            return stacked(a, v, max_rotations)
+        def counting_stack(b, max_rotations):
+            stacks.append(b.shape)
+            return stacked(b, max_rotations)
 
         state = random_mixed(3, 2, 6, 73)
         x, y = random_basis(3, 74), random_basis(3, 75)

@@ -144,7 +144,7 @@ class TestHermEig:
         m = random_hermitian(rng, 4)
         budgets = []
 
-        def stalls_after_one_rotation(a, v, max_rotations):
+        def stalls_after_one_rotation(b, max_rotations):
             budgets.append(max_rotations)
             return np.array([1]), np.array([False])
 
@@ -188,9 +188,9 @@ class TestHermEigStack:
             ms = np.array([random_hermitian(rng, 3) for _ in range(k)])
             budgets = []
 
-            def stack_stalls_on_the_last_slice(a, v, max_rotations, budgets=budgets):
+            def stack_stalls_on_the_last_slice(b, max_rotations, budgets=budgets):
                 budgets.append(max_rotations)
-                rotations, converged = stacked(a, v, max_rotations)
+                rotations, converged = stacked(b, max_rotations)
                 converged[-1] = False
                 return rotations, converged
 
@@ -222,8 +222,8 @@ class TestKernelCounts:
         returned = []
         stacked = linalg.backend.jacobi_eigh_stack
 
-        def recording(a, v, max_rotations):
-            rotations, converged = stacked(a, v, max_rotations)
+        def recording(b, max_rotations):
+            rotations, converged = stacked(b, max_rotations)
             returned.append(int(rotations.sum()))
             return rotations, converged
 
@@ -236,7 +236,7 @@ class TestKernelCounts:
         # its rotations were spent: the call, its slices and rotations count before the raise
         ms = np.array([random_hermitian(rng, 3) for _ in range(2)])
 
-        def stalls(a, v, max_rotations):
+        def stalls(b, max_rotations):
             return np.array([7, 9]), np.array([True, False])
 
         monkeypatch.setattr(linalg.backend, "jacobi_eigh_stack", stalls)
