@@ -17,36 +17,39 @@ rotation budget runs out.
 ``a``, so m = n gives spectra only and m = 2n, with ``v`` the identity,
 eigenvectors too. ``jacobi_eigh`` is its one-slice case. ``_rotate_stack``
 runs the schedule on every slice at once (cf. batched Jacobi, Golub & Van
-Loan, *Matrix Computations*, 8.5): the scalar arithmetic, operation by
-operation, on the slices that rotate; views of the stack where every slice
-rotates, gathered copies elsewhere. It pays per numpy call and breaks even
-with a loop over the slices at six to seven, so a stack of at most
-``SMALL_STACK`` slices runs ``_rotate`` on one slice at a time (README,
-"Backends"). Both give a slice the same bytes and rotation count. A slice
-of n <= 2 makes at most one rotation, so a stack of two or more of them
-runs ``_unrolled``, the schedule's one step over the whole stack, with the
-same bytes. The pivot arithmetic of ``_rotate_stack`` and ``_unrolled`` is
-``_pivot``'s, on ufuncs; ``_rotate``'s is ``_scalar_pivot``, the same bits
-in Python floats, which write numpy's complex-scalar formulas out
-operation by operation. ``_rotate`` reads and pins the pivot entries in
-one raveled view of its buffer, builds a pivot's views of it once per call
-and writes its products into work buffers of the call.
+Loan, *Matrix Computations*, 8.5), on a slice-minor copy of the live
+slices: a slice leaves the copy, written back, when it converges or runs
+out of budget. It pays per numpy call and breaks even with a loop over
+the slices at five to six, so a stack of at most ``SMALL_STACK`` slices
+runs ``_rotate`` on one slice at a time (README, "Backends"). Both give a
+slice the same bytes and rotation count. A slice of n <= 2 makes at most
+one rotation, so a stack of two or more of them runs ``_unrolled``, the
+schedule's one step over the whole stack, with the same bytes. The pivot
+arithmetic of ``_rotate_stack`` and ``_unrolled`` is ``_pivot``'s, on
+ufuncs; ``_rotate``'s is ``_scalar_pivot``, the same bits in Python
+floats, which write numpy's complex-scalar formulas out operation by
+operation. ``_rotate`` reads and pins the pivot entries in one raveled
+view of its buffer, builds a pivot's views of it once per call and
+writes its products into work buffers of the call.
 
-Both norms, of the input and of the off-diagonal part, come from
-``_norms``, in one call for a whole stack. They are ``np.linalg.norm``'s
-bits: that is ``sqrt(re.dot(re) + im.dot(im))`` over the raveled entries,
-and ``np.vecdot`` of float64 rows calls the same BLAS dot per row as
-``ndarray.dot``.
+The norms, of the input and of the off-diagonal part, are
+``np.linalg.norm``'s bits: ``sqrt(re.dot(re) + im.dot(im))`` over the
+raveled entries. ``_norms`` takes them for a whole stack, as ``np.vecdot``
+of float64 rows calls the same BLAS dot per row as ``ndarray.dot``;
+``_off_norm`` takes the loop body's test of one slice in Python floats.
 
 The bodies work on the buffer's transpose, ``(k, n, m)``: row j of a
 slice holds column j of ``a`` and then of the rows below it, ``v``, and
 is column-major in memory. A rotation updates columns p and q of ``a``
-and ``v`` together, as rows p and q of a slice, in a ``(2, 1) * (1, m)``
-broadcast per row with the coefficients ``[[c, s], [-conj(s), c]]``,
-summed (``_rotate`` makes both products in one ``(2, 2, 1) * (2, 1, m)``
-broadcast, whose inner loop is the same); it then copies rows p and q of
-``a`` from the conjugated columns, as the compiled twin does, and pins
-the four pivot entries.
+and ``v`` together, with the coefficients ``[[c, s], [-conj(s), c]]``,
+as the sum of each coefficient times a column; it then copies rows p and
+q of ``a`` from the conjugated columns, as the compiled twin does, and
+pins the four pivot entries. ``_rotate`` turns rows p and q of its slice
+in one ``(2, 2, 1) * (2, 1, m)`` broadcast: each coefficient times a
+contiguous row. ``_rotate_stack`` makes every product of its k' live
+slices in one ``(2, 2, 1, k') * (2, m, k')`` broadcast on its slice-minor
+copy, the coefficients first; where only some of them rotate at a pivot,
+it turns gathered copies of those.
 
 So ``a`` must be exactly Hermitian on entry: its bytes those of
 ``a.conj().T`` up to the sign of a zero. Then the copied rows are what
@@ -60,15 +63,18 @@ from their input as a new array, so the kernel, which overwrites ``a``,
 never overwrites a caller's array.
 
 The bits rest on numpy's complex multiply loop, which may round by operand
-layout, and on that BLAS dot. On x86-64 with AVX-512 and numpy 2.4, the
-row broadcast gives the bits of a contiguous copy of each column times a
-scalar; a column broadcast ``(n, 1) * (2,)`` does not. The norms are
-taken on a row-major copy of ``a``, whose raveled order sets the dot's
-summation order. ``tests/test_backends.py`` keeps the copy-per-column
-loop as its reference and compares bytes, compares the copied rows with
-rotated rows on symmetrized input, compares ``_norms`` with
-``np.linalg.norm``, and compares ``_scalar_pivot`` with numpy's complex
-scalars and with ``_pivot``.
+layout and order, and on that BLAS dot. On x86-64 with AVX-512 and numpy
+2.4, a coefficient times a contiguous row and a product of coefficient
+and data vectors that are both contiguous over the slices, coefficient
+first, give the same bits; a column broadcast ``(n, 1) * (2,)`` does not,
+nor does the product with the data first. The norms are taken on a
+row-major copy of ``a``, whose raveled order sets the dot's summation
+order. ``tests/test_backends.py`` keeps the copy-per-column loop as its
+reference and compares bytes, compares the copied rows with rotated rows
+on symmetrized input, compares the vector products with the scalar ones,
+compares ``_norms`` and ``_off_norm`` with ``np.linalg.norm``, and
+compares ``_scalar_pivot`` with numpy's complex scalars and with
+``_pivot``.
 """
 
 import functools
@@ -77,7 +83,7 @@ import math
 import numpy as np
 
 OFF_NORM_FACTOR = 1e-14
-SMALL_STACK = 6  # stacks of up to this many slices run _rotate slice by slice
+SMALL_STACK = 5  # stacks of up to this many slices run _rotate slice by slice
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -100,6 +106,18 @@ def _converged(off: np.ndarray, thr) -> np.ndarray:
     k, n = off.shape[0], off.shape[1]
     off.reshape(k, n * n)[:, :: n + 1] = 0.0
     return _norms(off) <= thr
+
+
+def _off_norm(a: np.ndarray) -> float:
+    """The off-diagonal norm of one C-contiguous slice, ``np.linalg.norm``'s bits, as a Python float.
+
+    A one-slice ``_norms`` of a copy with its diagonal zeroed, for the loop
+    body, whose tests pay per numpy call: the dot products are the same.
+    """
+    off = a.copy().reshape(-1)
+    off[:: len(a) + 1] = 0.0
+    re, im = off.real, off.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def jacobi_eigh(a: np.ndarray, v: np.ndarray, max_rotations: int) -> tuple[int, bool]:
@@ -149,19 +167,26 @@ def _pivot(apq: np.ndarray, beta: np.ndarray, app: np.ndarray, aqq: np.ndarray) 
 
     The loop twin's scalar arithmetic as ufuncs, the same bits, signed
     zeros too, with ``app`` and ``aqq`` the diagonal at the pivot. Returns
-    the diagonal the rotation pins and the ``(k, 2, 2)`` coefficients, per
-    slice the loop twin's columns ``[c, -conj(s)]`` and ``[s, c]``.
+    the ``(2, k)`` diagonal the rotation pins and the ``(2, 2, k)`` complex
+    coefficients, per slice the loop twin's columns ``[c, -conj(s)]`` and
+    ``[s, c]``. The loop twin's ``t = -sgn / (sgn * theta + root)`` is
+    ``1 / (|theta| + root)`` with the sign of ``-(theta + 0.0)``: negative
+    where ``theta >= 0``, at ``theta = -0.0`` too.
     """
-    theta = (aqq - app) / (2.0 * beta)
-    sgn = np.where(theta >= 0.0, 1.0, -1.0)  # 1.0 at theta = -0.0 too
-    t = -sgn / (sgn * theta + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = (t * c) * (apq.conjugate() / beta)
-    m = np.empty((len(beta), 2, 2), dtype=np.complex128)
-    m[:, 0, 0] = m[:, 1, 1] = c
-    m[:, 0, 1] = s
-    m[:, 1, 0] = -s.conjugate()
-    return app + t * beta, aqq - t * beta, m
+    theta = (aqq - app) / (beta + beta)
+    t = np.copysign(np.reciprocal(np.abs(theta) + np.sqrt(theta * theta + 1.0)), -(theta + 0.0))
+    c = np.reciprocal(np.sqrt(t * t + 1.0))
+    coef = np.empty((2, 2, len(beta)), dtype=np.complex128)
+    coef.reshape(4, -1)[::3] = c  # coef[0, 0] and coef[1, 1] in one write
+    s, minus_conj_s = coef[0, 1], coef[1, 0]
+    np.multiply(t * c, apq.conjugate() / beta, out=s)
+    np.negative(s.real, out=minus_conj_s.real)
+    minus_conj_s.imag = s.imag
+    tb = t * beta
+    pinned = np.empty((2, len(beta)))
+    np.add(app, tb, out=pinned[0])
+    np.subtract(aqq, tb, out=pinned[1])
+    return pinned, coef
 
 
 def _unrolled(b: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +216,14 @@ def _unrolled(b: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray
         return rotations, converged
     # every slice rotates: basic slices give views, not gathers and scatters
     sel = slice(None) if count == k else np.flatnonzero(turn)
-    pinned_p, pinned_q, m = _pivot(apq[sel], beta[sel], a[sel, 0, 0].real, a[sel, 1, 1].real)
+    pinned, coef = _pivot(apq[sel], beta[sel], a[sel, 0, 0].real, a[sel, 1, 1].real)
     if v.size:  # none on a spectrum's call, where skipping the empty turn saves 3-7 us
         vt = v[sel].transpose(0, 2, 1)  # the columns of v as rows
+        m = coef.transpose(2, 0, 1)
         v[sel] = (m[:, :, :1] * vt[:, :1] + m[:, :, 1:] * vt[:, 1:]).transpose(0, 2, 1)
     a[sel] = 0.0
-    a[sel, 0, 0] = pinned_p
-    a[sel, 1, 1] = pinned_q
+    a[sel, 0, 0] = pinned[0]
+    a[sel, 1, 1] = pinned[1]
     rotations[sel] = 1
     converged[sel] = True
     return rotations, converged
@@ -258,8 +284,7 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
     multiply, add, conjugate = np.multiply, np.add, np.conjugate
 
     while True:
-        # the norms read a row-major copy of a
-        if _converged(a[None].copy(), thr)[0]:
+        if _off_norm(a) <= thr:
             return rotations, True
         if rotations >= max_rotations:
             return rotations, False
@@ -296,50 +321,75 @@ def _rotate(b: np.ndarray, n: int, thr: float, max_rotations: int) -> tuple[int,
 
 
 def _rotate_stack(b: np.ndarray, n: int, thr: np.ndarray, max_rotations: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sweeps of every slice at once, on the ``(k, n, m)`` buffer ``[a^T | v^T]``."""
-    k = b.shape[0]
-    at = b[:, :, :n]  # each slice of a transposed
+    """The sweeps of every slice at once, on the ``(k, n, m)`` buffer ``[a^T | v^T]``.
+
+    They run on ``y``, a slice-minor ``(n, m, k)`` copy of the live slices:
+    ``y[j]`` is column j of ``[a; v]`` of every slice, so each entry is a
+    contiguous row over the slices. A slice leaves ``y``, and is written
+    back to ``b``, at the first test it passes or once its budget is spent.
+    """
+    k, m = b.shape[0], b.shape[2]
     rotations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     skip = thr / n if n > 0 else thr
-    live = np.arange(k)
+    pivots = _pivots(n)
+    live, rot = np.arange(k), rotations.copy()  # the live slices and their counts
+    y, views = b.transpose(1, 2, 0), None  # a view of b until the first test, then a copy
 
-    while live.size:
+    while True:
         # the norms read a row-major copy of each live slice of a, free to overwrite
-        done = _converged(np.ascontiguousarray(at.transpose(0, 2, 1)[live]), thr[live])
-        converged[live[done]] = True
-        live = live[~done]
-        live = live[rotations[live] < max_rotations]
-        if not live.size:
-            break
+        done = _converged(y[:, :n].transpose(2, 1, 0).copy(), thr)
+        out = done | (rot >= max_rotations)
+        if views is None or out.any():
+            gone = live[out]
+            b[gone] = y[:, :, out].transpose(2, 0, 1)
+            rotations[gone], converged[gone] = rot[out], done[out]
+            if out.all():
+                return rotations, converged
+            keep = ~out
+            live, rot, thr, skip = live[keep], rot[keep], thr[keep], skip[keep]
+            y = np.compress(keep, y, axis=2)
+            flat = y.reshape(n * m, len(live))
+            # per pivot: a[p, q], columns p and q of a and v, rows p and q of a,
+            # a[p, p] and a[q, q], and a[q, p] and a[p, q], each over the slices
+            views = [(flat[q * m + p], y[p : q + 1 : q - p], y[:n, p : q + 1 : q - p],
+                      flat[p * (m + 1) : q * (m + 1) + 1 : (q - p) * (m + 1)],
+                      flat[p * m + q : q * m + p + 1 : (q - p) * (m - 1)]) for _, p, q, *_ in pivots]
+            # coef[i, j] * column j, summed over j, is the rotated column i
+            products = np.empty((2, 2, m, len(live)), dtype=np.complex128)
         # a slice that cannot run out of budget in this sweep needs no check per pivot
-        budgeted = bool((rotations[live] + n * (n - 1) // 2 > max_rotations).any())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rows = live[rotations[live] < max_rotations] if budgeted else live
-                apq = at[rows, q, p]
-                beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
-                turn = beta > skip[rows]
-                if not turn.all():
-                    rows, apq, beta = rows[turn], apq[turn], beta[turn]
-                if not rows.size:
-                    continue
-                # every slice rotates: basic slices give views, not gathers and scatters
-                sel = slice(None) if rows.size == k else rows
-                # _pivot reads the diagonal, maybe a view, before the writes below move it
-                pinned_p, pinned_q, m = _pivot(apq, beta, at[sel, p, p].real, at[sel, q, q].real)
-
-                # columns p and q of a and v as the loop twin's (2, 1) * (1, m)
-                # broadcast per slice; computed before any write, as views may alias
-                pair = b[sel, p : q + 1 : q - p]
-                cols = m[:, :, :1] * pair[:, :1] + m[:, :, 1:] * pair[:, 1:]
-                b[sel, p : q + 1 : q - p] = cols
+        budgeted = bool(rot.max() + len(pivots) > max_rotations)
+        whole = 0  # rotations of every live slice not yet added to rot
+        for apq, cols, a_rows, diag, corner in views:
+            beta = np.hypot(apq.real, apq.imag)  # what abs() of a complex scalar gives
+            turn = beta > skip
+            if budgeted:
+                turn &= rot < max_rotations
+            count = np.count_nonzero(turn)
+            if not count:
+                continue
+            if count == len(live):
+                pinned, coef = _pivot(apq, beta, diag[0].real, diag[1].real)
+                np.multiply(coef[:, :, None], cols, out=products)
+                np.add(products[:, 0], products[:, 1], out=cols)
                 # rows p and q of a are the conjugated columns
-                at[sel, :, p : q + 1 : q - p] = np.conjugate(cols[:, :, :n]).transpose(0, 2, 1)
-                at[sel, p, p] = pinned_p
-                at[sel, q, q] = pinned_q
-                at[sel, q, p] = 0.0
-                at[sel, p, q] = 0.0
-                rotations[sel] += 1
-
-    return rotations, converged
+                np.conjugate(cols[:, :n].transpose(1, 0, 2), out=a_rows)
+                diag[...] = pinned
+                corner[...] = 0.0
+                if budgeted:
+                    rot += 1
+                else:
+                    whole += 1
+                continue
+            # some slices skip this pivot: turn gathered copies of the others
+            idx = np.flatnonzero(turn)
+            d = diag[:, idx].real
+            pinned, coef = _pivot(apq[idx], beta[idx], d[0], d[1])
+            rotated = coef[:, :, None] * np.take(cols, idx, axis=2)
+            rotated = rotated[:, 0] + rotated[:, 1]
+            cols[:, :, idx] = rotated
+            a_rows[:, :, idx] = np.conjugate(rotated[:, :n]).transpose(1, 0, 2)
+            diag[:, idx] = pinned
+            corner[:, idx] = 0.0
+            rot[idx] += 1
+        rot += whole

@@ -269,12 +269,12 @@ def test_scalar_pivot_is_bitwise_numpys_complex_scalars(rng):
     assert got.tobytes() == want.tobytes()
     apq = np.array(apq)
     with np.errstate(over="ignore"):  # theta * theta of a large gap over a tiny pivot
-        pinned_p, pinned_q, m = _jacobi_py._pivot(apq, np.hypot(apq.real, apq.imag), np.array(app), np.array(aqq))
-    assert pinned_p.tobytes() == got[:, 0].real.copy().tobytes()
-    assert pinned_q.tobytes() == got[:, 1].real.copy().tobytes()
-    assert m[:, 0, 0].tobytes() == got[:, 2].tobytes()
-    assert m[:, 0, 1].tobytes() == got[:, 3].tobytes()
-    assert m[:, 1, 0].tobytes() == got[:, 4].tobytes()
+        pinned, coef = _jacobi_py._pivot(apq, np.hypot(apq.real, apq.imag), np.array(app), np.array(aqq))
+    assert pinned[0].tobytes() == got[:, 0].real.copy().tobytes()
+    assert pinned[1].tobytes() == got[:, 1].real.copy().tobytes()
+    assert coef[0, 0].tobytes() == coef[1, 1].tobytes() == got[:, 2].tobytes()
+    assert coef[0, 1].tobytes() == got[:, 3].tobytes()
+    assert coef[1, 0].tobytes() == got[:, 4].tobytes()
 
 
 def skip_tie():
@@ -415,18 +415,24 @@ def test_norms_are_bitwise_np_linalg_norm(rng, n):
 
     ``_jacobi_py._norms`` takes them for a whole stack from ``np.vecdot``,
     which must call the BLAS dot that ``np.linalg.norm`` reaches through
-    ``ndarray.dot``. Checked on every ``kernel_stack`` slice and on its
-    off-diagonal part, at three scales.
+    ``ndarray.dot``; the loop body's tests take one slice's off-diagonal
+    norm from ``_off_norm``, in Python floats. Checked on every
+    ``kernel_stack`` slice and on its off-diagonal part, at five scales.
     """
     ms = kernel_stack(rng, n)
     off = ms.copy()
     off[:, np.arange(n), np.arange(n)] = 0.0
-    for scale in (1.0, 1e-12, 1e3):
+    for scale in (1.0, 1e-20, 1e-12, 1e3, 1e5):
         for stack in (ms * scale, off * scale):
             norms = _jacobi_py._norms(stack)
             assert norms.shape == (len(stack),)
             for i, m in enumerate(stack):
                 assert norms[i].tobytes() == np.float64(np.linalg.norm(m)).tobytes(), (n, scale, i)
+        for i, m in enumerate(ms * scale):
+            kept = m.copy()
+            got = _jacobi_py._off_norm(m)
+            assert type(got) is float and m.tobytes() == kept.tobytes()
+            assert np.float64(got).tobytes() == np.float64(np.linalg.norm(off[i] * scale)).tobytes(), (n, scale, i)
     assert _jacobi_py._norms(np.zeros((0, n, n), dtype=complex)).shape == (0,)
 
 
@@ -513,6 +519,74 @@ def test_stacked_body_is_bitwise_the_loop_on_small_stacks(rng, n, monkeypatch):
                 assert r0.tobytes() == r1.tobytes() and c0.tobytes() == c1.tobytes(), (n, k, budget)
                 assert a0.tobytes() == a1.tobytes(), (n, k, budget)
                 assert v0.tobytes() == v1.tobytes(), (n, k, budget)
+
+
+def leaving_stack(rng):
+    """6 x 6 slices that leave the stacked body at different sweeps: a diagonal
+    slice, a rank-1 and two full-rank densities, and ``|0><0| (x) 1/d_B`` at
+    (d_A, d_B) = (3, 2) monitored at three strengths, the first of which leaves
+    it diagonal; as ``linalg._hermitian_part`` hands them to the kernel."""
+    import qir
+
+    ket0 = np.zeros((3, 3), dtype=complex)
+    ket0[0, 0] = 1.0
+    state = qir.BipartiteState(3, 2, np.kron(ket0, np.eye(2) / 2))
+    y = qir.random_basis(3, (2, 3))
+    slices = [np.diag(rng.standard_normal(6)).astype(complex), random_density(rng, 6, 1),
+              random_density(rng, 6), random_density(rng, 6)]
+    slices += [qir.monitor(y, eps, state).rho for eps in (0.0, 0.4, 1.0)]
+    return linalg._hermitian_part(np.array(slices))
+
+
+@pytest.mark.parametrize("eigenvectors", [False, True])
+def test_slices_leave_the_stacked_body_at_different_sweeps(rng, eigenvectors):
+    """``_rotate_stack`` writes a slice back when it converges or its budget is
+    spent, and turns gathered copies where some live slices skip a pivot or are
+    out of budget. On a stack whose slices converge at different sweeps, at
+    budgets that end inside a sweep, each slice gets ``_rotate``'s bytes of ``a``
+    (and ``v``), rotation count and flag; so do a stack of one slice and a stack
+    of 1 x 1 slices, forced through the stacked body."""
+    ms = leaving_stack(rng)
+    full = swept(ms, 100 * 36, True, eigenvectors)[2]
+    # the premise: the slices leave after different numbers of sweeps of 15 pivots
+    assert full[0] == full[4] == 0 and len(set((full + 14) // 15)) >= 3, full
+    ones = rng.standard_normal((3, 1, 1)) + 0j
+    for stack in (ms, ms[3:4], ones):
+        n = stack.shape[1]
+        for budget in (0, 1, 7, 22, 37, int(full.max()) - 1, 100 * n * n):
+            a, v, r, c = swept(stack, budget, True, eigenvectors)
+            a0, v0, r0, c0 = swept(stack, budget, False, eigenvectors)
+            assert r.tobytes() == r0.tobytes() and c.tobytes() == c0.tobytes(), (n, len(stack), budget)
+            assert a.tobytes() == a0.tobytes(), (n, len(stack), budget)
+            assert v.tobytes() == v0.tobytes(), (n, len(stack), budget)
+            if stack is ms and budget == 22:
+                # the premise: some slices have converged and some ran out of budget
+                assert c.any() and not c.all() and (r == 22).any(), (r, c)
+
+
+def test_coefficient_first_products_are_the_scalar_times_row_bytes(rng):
+    """The layout fact the stacked body rests on: with the coefficient first, a
+    product of slice-contiguous complex vectors, ``coef[i] * col[r, i]`` over the
+    slices i, gives each slice the bytes of its coefficient times its contiguous
+    row, the loop body's product. Checked for real ``c`` cast to complex and for
+    complex ``s``, with signed zeros and tiny and large parts."""
+    k, m = 37, 12
+    scales = np.array([1.0, 0.0, -0.0, 1e-300, 1e300, 1e-160])
+
+    def parts(shape):
+        return scales[rng.integers(0, len(scales), shape)] * rng.standard_normal(shape)
+
+    rows = parts((k, m)) + 1j * parts((k, m))  # each slice's row, contiguous
+    cols = np.ascontiguousarray(rows.T)  # slice-minor: entry r of every slice is one row
+    c = np.abs(parts(k)).astype(complex)  # real c, cast to complex as the pivot writes it
+    s = parts(k) + 1j * parts(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coef in (c, s, -np.conj(s)):
+            got = coef * cols
+            want = np.array([coef[i] * rows[i] for i in range(k)]).T
+            assert got.tobytes() == want.tobytes(), (
+                "numpy's complex multiply loop rounds a coefficient-first product of slice-contiguous "
+                "vectors otherwise than a scalar times a contiguous row on this machine")
 
 
 @needs_compiled
@@ -674,11 +748,12 @@ def small_stacks(rng, n):
     return stacks
 
 
-def swept(ms, budget, stacked):
+def swept(ms, budget, stacked, eigenvectors=True):
     """The sweep bodies on a stack, as ``jacobi_eigh_stack`` runs them at n >= 3:
-    ``_rotate_stack`` on the whole stack, or ``_rotate`` slice by slice."""
+    ``_rotate_stack`` on the whole stack, or ``_rotate`` slice by slice; on the
+    buffer ``[a; I]`` or, without ``eigenvectors``, on ``a`` alone."""
     k, n = ms.shape[0], ms.shape[1]
-    b = with_identity(ms)
+    b = with_identity(ms) if eigenvectors else ms.copy()
     bt = b.transpose(0, 2, 1)  # each slice column-major, as the bodies take it
     thr = _jacobi_py.OFF_NORM_FACTOR * _jacobi_py._norms(ms)
     if stacked:

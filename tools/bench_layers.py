@@ -33,7 +33,10 @@ Cases:
   (d_A, d_B) = (3, 2), as ``herm_eig`` one matrix at a time (``loop``)
   and as one ``_stack_eigenvalues`` call (``stack``): the 20 monitored
   6 x 6 states, and the 147 2 x 2 B marginals and blocks, as ``_blocks``
-  gives them (``linalg`` hands the kernel their Hermitian part);
+  gives them (``linalg`` hands the kernel their Hermitian part); and
+  ``kernel.stack.monitored_6x6_k210``, one call on 210 monitored 6 x 6
+  states, 10 random states at (3, 2) each monitored at the 21 grid
+  points: the size of a batched campaign chunk;
 - ``entropy_bundle``: one bundle with X and Y for each of the 12 pairs
   d_A in 2..5, d_B in 1..3 (one operation is all 12);
 - ``bundle_2x2``: one bundle with X and Y at (2, 2), the size the
@@ -174,6 +177,7 @@ def cases(qir):
     restarts = dict(restarts=4, seed=7, max_evals=60)
     rhos = np.array([qir.monitor(y, eps, state).rho for eps in grid])
     big = rhos[1:]
+    chunk = np.array([qir.monitor(y, eps, qir.random_mixed(3, 2, 6, (27, j))).rho for j in range(10) for eps in grid])
     marginals = np.einsum("kijil->kjl", rhos.reshape(len(rhos), 3, 2, 3, 2))[:, None]
     small = np.concatenate([marginals, _blocks(x.vectors, rhos, 3, 2), _blocks(y.vectors, rhos, 3, 2)],
                            axis=1).reshape(-1, 2, 2)
@@ -193,6 +197,7 @@ def cases(qir):
         "sweep.3x2_21_points": lambda: qir.monitoring_sweep(x, y, state, grid),
         "kernel.stack.monitored_6x6_k20": lambda: linalg._stack_eigenvalues(big),
         "kernel.stack.blocks_2x2_k147": lambda: linalg._stack_eigenvalues(small),
+        "kernel.stack.monitored_6x6_k210": lambda: linalg._stack_eigenvalues(chunk),
         "minimize-simplex.per_point": lambda: [explore._point_slacks("eq11", 2, 2, v[None], 1e-9)
                                                for v in vertices],
         "minimize-simplex.batch": lambda: explore._point_slacks("eq11", 2, 2, vertices, 1e-9),
