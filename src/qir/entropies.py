@@ -12,8 +12,10 @@ Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
 ``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
 entropies of a stack of density matrices and their spectra, with one
-basis shared by the stack or one per matrix, one stacked
-eigendecomposition and two entropy passes;
+basis shared by the stack or one per matrix, in two phases:
+``_configuration_blocks`` gives the d_b x d_b slices whose spectra it
+reads, and ``_spectra_entropies`` the entropies from those spectra, so
+that a caller can diagonalize the slices of several stacks in one call;
 ``cond_entropy``, ``uncertainty``, ``irreality`` and ``dephased_entropy``
 read their state's row of it.
 """
@@ -128,21 +130,44 @@ def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndar
     ``rhos`` is a ``(k, n, n)`` stack of density matrices sharing (d_a, n / d_a),
     and ``spectra`` their ascending ``(k, n)`` spectra; shape ``(k, 2 + len(bases))``.
     Each basis is given by its vectors: one ``(d_a, d_a)`` basis shared by
-    every matrix, or a ``(k, d_a, d_a)`` stack of one per matrix. Each
-    basis's frames are built once; the B marginals and the blocks of every
-    matrix and basis, matrix by matrix, go through one stacked
-    eigendecomposition. S(rho) and the dephased entropies take one
-    entropy pass and the marginals a second; the passes check every spectrum.
+    every matrix, or a ``(k, d_a, d_a)`` stack of one per matrix. Its two
+    phases, with one stacked eigendecomposition between them: the slices
+    (``_configuration_blocks``), then the entropies (``_spectra_entropies``).
+    """
+    blocks = _configuration_blocks(bases, d_a, rhos)
+    k, d_b = len(blocks), blocks.shape[-1]
+    block_spectra = linalg._stack_eigenvalues(blocks.reshape(-1, d_b, d_b)).reshape(k, -1)
+    return _spectra_entropies(spectra, block_spectra, d_b)
+
+
+def _configuration_blocks(bases, d_a: int, rhos: np.ndarray, marginals: bool = True) -> np.ndarray:
+    """The d_b x d_b slices whose spectra the entropies of a ``(k, n, n)`` stack read: ``(k, s, d_b, d_b)``.
+
+    Per matrix, its B marginal (left out when ``marginals`` is False), then
+    its d_a blocks in each basis, bases given as in
+    ``_configuration_entropies``; each basis's frames are built once.
     """
     for b in bases:
         _check_pair(b, d_a)
+    d_b = rhos.shape[-1] // d_a
+    parts = [_marginals(rhos, d_a, d_b)[:, None]] if marginals else []
+    return np.concatenate(parts + [_blocks(b, rhos, d_a, d_b) for b in bases], axis=1)
+
+
+def _spectra_entropies(spectra: np.ndarray, block_spectra: np.ndarray, d_b: int, marginals: bool = True) -> np.ndarray:
+    """The entropies of k matrices from their ``(k, n)`` spectra and the spectra of their d_b x d_b slices.
+
+    Row i of ``block_spectra`` holds the ascending spectra of matrix i's
+    slices, one after another, as ``_configuration_blocks`` lays them out
+    with or without ``marginals``; the result's rows are [S(rho_B),] S(rho),
+    then S(rho dephased in b) per basis. S(rho) and the dephased entropies
+    take one entropy pass and the marginals a second; the passes check
+    every spectrum.
+    """
     k, n = spectra.shape
-    d_b = n // d_a
-    parts = [_marginals(rhos, d_a, d_b)[:, None]] + [_blocks(b, rhos, d_a, d_b) for b in bases]
-    blocks = np.concatenate(parts, axis=1).reshape(-1, d_b, d_b)
-    block_spectra = linalg._stack_eigenvalues(blocks).reshape(k, -1)
-    joint = _entropies(np.concatenate([spectra, block_spectra[:, d_b:]], axis=1).reshape(-1, n))
-    return np.column_stack([_entropies(block_spectra[:, :d_b]), joint.reshape(k, -1)])
+    blocks = block_spectra[:, d_b:] if marginals else block_spectra
+    joint = _entropies(np.concatenate([spectra, blocks], axis=1).reshape(-1, n)).reshape(k, -1)
+    return np.column_stack([_entropies(block_spectra[:, :d_b]), joint]) if marginals else joint
 
 
 def _state_entropies(bases, rho: BipartiteState) -> list[float]:

@@ -6,7 +6,15 @@ with ``s`` draws its state and its two bases from
 ``SeedSequence(entropy=(s, i, role))`` with roles 0, 1 and 2, and its
 monitoring strength from ``SeedSequence(entropy=s, spawn_key=(i, 3))``;
 the two constructions give different streams, so a reimplementation must
-follow both. Results are identical for any worker count.
+follow both. The layout does not depend on how the trials are evaluated:
+a campaign runs in chunks of consecutive trials, each holding at most
+``CHUNK_BYTES`` of state matrices. Each trial of a chunk draws from its
+own streams, and the linear algebra after the draws runs as stacks: one
+stacked QR and one basis check per d_A, one state check and one
+monitoring pass per (d_A, d_B), and one eigendecomposition of every
+block and marginal per d_B. ``--workers`` maps the chunks over a pool.
+Every trial gets the bits it gets alone, so results are identical for
+any chunking and any worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .channels import _monitor_grid
 from .entropies import _configuration_entropies
 from .errors import (
@@ -33,7 +42,9 @@ from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
+    _bundle_slices,
     _bundles,
+    _bundles_from_spectra,
     _check_tol,
     _reports,
     evaluate_relations,
@@ -45,7 +56,12 @@ from .states import (
     ObservableBasis,
     _checked_bases,
     _checked_stack,
+    _ginibre,
+    _haar_bases,
+    _induced_densities,
+    _phase_fixed,
     _pure,
+    _pure_densities,
     computational_basis,
     fourier_basis,
     haar_random_pure,
@@ -56,6 +72,7 @@ from .states import (
 
 HISTOGRAM_BINS = 64
 STACK_CHUNK = 256  # rows per stacked pass: sweep strengths, or search points of minimize_slack
+CHUNK_BYTES = 1 << 22  # bound on a campaign chunk's state matrices, 16 n^2 bytes per trial
 
 # stream roles within one trial
 _STATE, _BASIS_X, _BASIS_Y, _EPS = 0, 1, 2, 3
@@ -164,6 +181,7 @@ class CampaignResult:
 
 
 def _trial_inputs(cfg: CampaignConfig, index: int):
+    """The state, bases and eps of one trial, from the public constructors: the argmin's regeneration."""
     d_a, d_b = cfg.dims[index % len(cfg.dims)]
     kind, arg = _parse_ensemble(cfg.ensemble)
     if kind == "named":
@@ -180,21 +198,117 @@ def _trial_inputs(cfg: CampaignConfig, index: int):
         y = random_basis(d_a, (cfg.seed, index, _BASIS_Y))
     eps = None
     if any(RELATIONS[name].needs_eps for name in cfg.relations):
-        eps = float(spawn_rng(cfg.seed, index, _EPS).uniform(0.0, 1.0))
+        eps = _trial_eps(cfg.seed, index)
     return state, x, y, eps
 
 
-def _trial_record(cfg: CampaignConfig, index: int) -> TrialRecord:
+def _trial_eps(seed: int, index: int) -> float:
+    return float(spawn_rng(seed, index, _EPS).uniform(0.0, 1.0))
+
+
+def _campaign_chunks(cfg: CampaignConfig, workers: int) -> list[range]:
+    """The campaign's trials as runs of consecutive trials, as even as can be.
+
+    Each run holds at most ``CHUNK_BYTES`` of state matrices, counting every
+    trial at its campaign's widest pair, and there are at least ``workers``
+    runs where there are that many trials.
+    """
+    widest = max(d_a * d_b for d_a, d_b in cfg.dims)
+    most = max(1, CHUNK_BYTES // (16 * widest * widest))
+    count = max(workers, -(-cfg.trials // most))
+    size = -(-cfg.trials // count)
+    return [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
+
+
+def _chunk_records(cfg: CampaignConfig, trials: range) -> list[TrialRecord]:
+    """The records of a run of consecutive trials, evaluated as stacks.
+
+    Each trial draws its inputs from its own streams (``_chunk_inputs``)
+    and gets the slacks ``evaluate_relations`` gives it alone. The trials
+    are grouped by (d_A, d_B); each group takes one ``_bundle_slices``,
+    and the slices of every group with the same d_B one stacked
+    eigendecomposition. A chunk that raises a ``QirError`` runs again one
+    trial at a time, so the error names the first failing trial as it
+    fails alone: its dims and, once it has been drawn, its eps.
+    """
+    rows = [RELATIONS[name] for name in cfg.relations]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i in trials:
+        groups.setdefault(cfg.dims[i % len(cfg.dims)], []).append(i)
     eps = None  # named only once drawn: a trial can fail while its state or bases are drawn
     try:
-        state, x, y, eps = _trial_inputs(cfg, index)
-        reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
+        inputs = _chunk_inputs(cfg, groups)
+        if any(row.needs_eps for row in rows):
+            eps = {i: _trial_eps(cfg.seed, i) for i in trials}
+        strengths = {dims: None if eps is None else [eps[i] for i in idx] for dims, idx in groups.items()}
+        phase_one = {dims: _bundle_slices(x, y, dims[0], rhos, spectra, strengths[dims])
+                     for dims, (rhos, spectra, x, y) in inputs.items()}
+        block_spectra = _spectra_by_size([slices for _, slices in phase_one.values()])
+        records = {}
+        for (dims, (full, _)), spectra in zip(phase_one.items(), block_spectra):
+            _, _, x, y = inputs[dims]
+            for i, bundle in zip(groups[dims], _bundles_from_spectra(x, y, strengths[dims], full, spectra)):
+                slacks = {name: report.slack for name, report in _reports(rows, bundle, cfg.tol).items()}
+                records[i] = TrialRecord(i, *dims, None if eps is None else eps[i], slacks)
     except QirError as err:
-        d_a, d_b = cfg.dims[index % len(cfg.dims)]
-        at_eps = "" if eps is None else f", eps = {eps!r}"
-        raise type(err)(f"trial {index} at (d_A, d_B) = ({d_a}, {d_b}){at_eps}: {err}") from None
-    slacks = {name: report.slack for name, report in reports.items()}
-    return TrialRecord(index, state.d_a, state.d_b, eps, slacks)
+        if len(trials) > 1:
+            for i in trials:
+                _chunk_records(cfg, range(i, i + 1))
+            raise
+        d_a, d_b = cfg.dims[trials[0] % len(cfg.dims)]
+        at_eps = "" if eps is None else f", eps = {eps[trials[0]]!r}"
+        raise type(err)(f"trial {trials[0]} at (d_A, d_B) = ({d_a}, {d_b}){at_eps}: {err}") from None
+    return [records[i] for i in trials]
+
+
+def _chunk_inputs(cfg: CampaignConfig, groups: dict) -> dict:
+    """The checked inputs of each group of a chunk: ``(rhos, spectra, x, y)`` by (d_A, d_B).
+
+    Each trial draws its state and bases from its own streams, as
+    ``_trial_inputs`` does (``states._ginibre``), and the stacks get each
+    slice the bits of its constructor: the states of a group take one
+    ``_checked_stack``, and the X and Y bases of every trial with the same
+    d_A one stacked QR (``states._haar_bases``) and one ``_checked_bases``.
+    A named ensemble builds its state once, and its bases are shared.
+    """
+    kind, arg = _parse_ensemble(cfg.ensemble)
+    if kind == "named":
+        state = state_from_token(arg)
+        k = len(next(iter(groups.values())))  # a named ensemble fixes one pair
+        return {(state.d_a, state.d_b): (
+            np.repeat(state.rho[None], k, axis=0), np.repeat(state.spectrum[None], k, axis=0),
+            computational_basis(state.d_a).vectors, fourier_basis(state.d_a).vectors,
+        )}
+    states = {}
+    for (d_a, d_b), idx in groups.items():
+        n = d_a * d_b
+        if kind == "haar-pure":
+            matrices = _pure_densities(np.array([_ginibre((cfg.seed, i, _STATE), n) for i in idx]))
+        else:
+            rank = int(arg) if arg else n
+            matrices = _induced_densities(np.array([_ginibre((cfg.seed, i, _STATE), (n, rank)) for i in idx]))
+        states[d_a, d_b] = _checked_stack(d_a, d_b, matrices)
+    bases = {}
+    for d_a in dict.fromkeys(d_a for d_a, _ in groups):
+        members = [dims for dims in groups if dims[0] == d_a]
+        z = np.array([_ginibre((cfg.seed, i, role), (d_a, d_a))
+                      for dims in members for i in groups[dims] for role in (_BASIS_X, _BASIS_Y)])
+        checked = _checked_bases(d_a, _haar_bases(z)).reshape(-1, 2, d_a, d_a)
+        ends = np.cumsum([len(groups[dims]) for dims in members])[:-1]
+        bases.update(zip(members, np.split(checked, ends)))
+    return {dims: (*states[dims], bases[dims][:, 0], bases[dims][:, 1]) for dims in groups}
+
+
+def _spectra_by_size(stacks: list) -> list:
+    """``linalg._stack_eigenvalues`` of each ``(m, d, d)`` stack, in one call for all the stacks of each d."""
+    spectra = [None] * len(stacks)
+    for d in dict.fromkeys(stack.shape[-1] for stack in stacks):
+        members = [j for j, stack in enumerate(stacks) if stack.shape[-1] == d]
+        merged = linalg._stack_eigenvalues(np.concatenate([stacks[j] for j in members]))
+        ends = np.cumsum([len(stacks[j]) for j in members])[:-1]
+        for j, part in zip(members, np.split(merged, ends)):
+            spectra[j] = part
+    return spectra
 
 
 def _histogram(values: np.ndarray, hi: float) -> Histogram:
@@ -213,16 +327,19 @@ def run_campaign_records(
 ) -> tuple[CampaignResult, list[TrialRecord]]:
     """Evaluate the campaign's relations over its ensemble: the result and the per-trial records.
 
-    ``workers`` > 1 runs a pool of at most ``os.cpu_count()`` processes (a
-    forking pool starts them all at once); the output is the same for any count.
+    The trials run in chunks (``_campaign_chunks``, ``_chunk_records``).
+    ``workers`` > 1 maps the chunks over a pool of at most ``os.cpu_count()``
+    processes (a forking pool starts them all at once); the output is the
+    same for any count.
     """
+    pool_size = min(workers, os.cpu_count() or 1)
+    chunks = _campaign_chunks(cfg, max(1, pool_size))
     if workers <= 1:
-        records = [_trial_record(cfg, i) for i in range(cfg.trials)]
+        parts = [_chunk_records(cfg, trials) for trials in chunks]
     else:
-        workers = min(workers, os.cpu_count() or 1)
-        chunk = max(1, cfg.trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(partial(_trial_record, cfg), range(cfg.trials), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            parts = list(pool.map(partial(_chunk_records, cfg), chunks))
+    records = [record for part in parts for record in part]
 
     hist_hi = 4.0 * math.log(max(d_a for d_a, _ in cfg.dims))
     summaries: dict[str, RelationSummary] = {}
@@ -346,8 +463,7 @@ def _decode(thetas: np.ndarray, d_a: int, d_b: int, needs_eps: bool):
     q, r = np.linalg.qr(parts[:, :, 0] + 1j * parts[:, :, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     kept = np.flatnonzero(~(norms < 1e-12) & ~np.any(np.abs(diag) < 1e-12, axis=(1, 2)))
-    diag = diag[kept]
-    bases = q[kept] * (diag / np.abs(diag))[..., None, :]
+    bases = _phase_fixed(q[kept], diag[kept])
     eps = [0.5 * (1.0 + math.tanh(t)) for t in thetas[kept, -1].tolist()] if needs_eps else None
     return kept, z[kept] / norms[kept, None], bases, eps
 

@@ -29,8 +29,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .channels import _monitor_grid
-from .entropies import _configuration_entropies
+from .entropies import _configuration_blocks, _spectra_entropies
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .states import BipartiteState, ObservableBasis
 
@@ -151,23 +152,51 @@ def _bundles(
     spectra: np.ndarray,
     eps=None,
 ) -> list[EntropyBundle]:
-    """The ``EntropyBundle`` of each of k configurations, from one ``_configuration_entropies`` call.
+    """The ``EntropyBundle`` of each of k configurations, with one stacked eigendecomposition of their slices.
 
     ``rhos`` and ``spectra`` are the ``(k, n, n)`` matrices and ``(k, n)``
     spectra of checked states sharing (d_a, n / d_a). ``x`` and ``y`` (None
     for no Y side) are basis vectors: one ``(d_a, d_a)`` basis shared by
     every state, or a ``(k, d_a, d_a)`` stack of one per state. ``eps``,
-    None or k strengths (then ``y`` is given), adds the rows of each state
-    monitored by its Y at its strength (``_monitor_grid``) to the call.
+    None or k strengths (then ``y`` is given), adds irr(X) of each state
+    monitored by its Y at its strength. Its two phases, ``_bundle_slices``
+    and ``_bundles_from_spectra``, are apart so that a campaign chunk can
+    diagonalize the slices of all its groups with the same d_b in one call.
     Bundle i has the bits of the bundle of configuration i alone.
     """
-    k = len(rhos)
-    bases = [x] if y is None else [x, y]
+    full, slices = _bundle_slices(x, y, d_a, rhos, spectra, eps)
+    return _bundles_from_spectra(x, y, eps, full, linalg._stack_eigenvalues(slices))
+
+
+def _bundle_slices(x, y, d_a: int, rhos: np.ndarray, spectra: np.ndarray, eps=None):
+    """Phase one of ``_bundles``: the full spectra its entropies read, and its ``(m, d_b, d_b)`` slices.
+
+    The spectra are the states', then with ``eps`` those of the states
+    monitored by Y (``_monitor_grid``). The slices are each state's B
+    marginal and its X and Y blocks (``_configuration_blocks``), then with
+    ``eps`` each monitored state's X blocks alone: irr(X) of the monitored
+    state is all that a relation reads of it.
+    """
     if eps is not None:
         monitored, monitored_spectra = _monitor_grid(y, eps, d_a, rhos, spectra)
-        rhos, spectra = np.concatenate([rhos, monitored]), np.concatenate([spectra, monitored_spectra])
-        bases = [b if b.ndim == 2 else np.concatenate([b, b]) for b in bases]
-    rows = _configuration_entropies(bases, d_a, rhos, spectra).tolist()
+    blocks = _configuration_blocks([x] if y is None else [x, y], d_a, rhos)
+    d_b = blocks.shape[-1]
+    if eps is None:
+        return spectra, blocks.reshape(-1, d_b, d_b)
+    monitored_blocks = _configuration_blocks([x], d_a, monitored, marginals=False)
+    return (np.concatenate([spectra, monitored_spectra]),
+            np.concatenate([blocks.reshape(-1, d_b, d_b), monitored_blocks.reshape(-1, d_b, d_b)]))
+
+
+def _bundles_from_spectra(x, y, eps, spectra: np.ndarray, block_spectra: np.ndarray) -> list[EntropyBundle]:
+    """Phase two of ``_bundles``: the bundles from phase one's spectra and the ``(m, d_b)`` ascending spectra of its slices."""
+    k = len(spectra) if eps is None else len(spectra) // 2
+    n, d_b = spectra.shape[1], block_spectra.shape[1]
+    m = k * (1 + (n // d_b) * (1 if y is None else 2))  # the states' slices, then the monitored states'
+    rows = _spectra_entropies(spectra[:k], block_spectra[:m].reshape(k, -1), d_b).tolist()
+    if eps is not None:
+        monitored = _spectra_entropies(spectra[k:], block_spectra[m:].reshape(k, -1), d_b, marginals=False)
+        irr_monitored = (monitored[:, 1] - monitored[:, 0]).tolist()
     qs = [None] * k if y is None else [
         -2.0 * math.log(c) for c in np.broadcast_to(_overlaps(x, y), (k,)).tolist()
     ]
@@ -183,7 +212,7 @@ def _bundles(
             h_y_given_b=None if h_yb is None else h_yb - h_b,
             irreality_y=None if h_yb is None else h_yb - h_ab,
             q=qs[i],
-            irreality_x_monitored=None if eps is None else rows[k + i][2] - rows[k + i][1],
+            irreality_x_monitored=None if eps is None else irr_monitored[i],
         ))
     return bundles
 

@@ -176,10 +176,7 @@ def haar_random_pure(d_a: int, d_b: int, seed: Seed) -> BipartiteState:
     """Pure state from the unitarily invariant measure; deterministic per seed."""
     if d_a < 2 or d_b < 1:
         raise BadDimension(f"need d_a >= 2 and d_b >= 1, got ({d_a}, {d_b})")
-    rng = spawn_rng(seed)
-    n = d_a * d_b
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return _pure(d_a, d_b, z / np.linalg.norm(z))
+    return BipartiteState(d_a, d_b, _pure_densities(_ginibre(seed, d_a * d_b)[None])[0])
 
 
 def random_mixed(d_a: int, d_b: int, rank_env: int, seed: Seed) -> BipartiteState:
@@ -188,11 +185,43 @@ def random_mixed(d_a: int, d_b: int, rank_env: int, seed: Seed) -> BipartiteStat
         raise BadDimension(f"need d_a >= 2 and d_b >= 1, got ({d_a}, {d_b})")
     if rank_env < 1:
         raise BadDimension(f"rank_env must be >= 1, got {rank_env}")
+    return BipartiteState(d_a, d_b, _induced_densities(_ginibre(seed, (d_a * d_b, rank_env))[None])[0])
+
+
+def _ginibre(seed: Seed, shape) -> np.ndarray:
+    """A complex Gaussian array of ``shape`` from the stream of ``seed``: its real parts, then its imaginary parts.
+
+    The stream layout of every random constructor; the helpers below turn
+    a ``(k, ...)`` stack of such draws into what the constructors check,
+    each slice with the bits of the constructor's own draw, so that a
+    campaign can draw trial by trial and check and diagonalize as stacks.
+    """
     rng = spawn_rng(seed)
-    n = d_a * d_b
-    z = rng.standard_normal((n, rank_env)) + 1j * rng.standard_normal((n, rank_env))
-    rho = z @ z.conj().T
-    return BipartiteState(d_a, d_b, rho / np.trace(rho).real)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _pure_densities(z: np.ndarray) -> np.ndarray:
+    """|psi><psi| with psi = z / |z| for each row of a ``(k, n)`` stack: ``haar_random_pure``'s matrices, unchecked."""
+    norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))  # np.linalg.norm's bits
+    psi = z / norms[:, None]
+    return psi[:, :, None] * psi.conj()[:, None, :]  # np.outer's one broadcast multiply
+
+
+def _induced_densities(z: np.ndarray) -> np.ndarray:
+    """z z^dag / Tr(z z^dag) for each ``(n, r)`` slice of a ``(k, n, r)`` stack: ``random_mixed``'s matrices, unchecked."""
+    rho = z @ np.swapaxes(z.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _haar_bases(z: np.ndarray) -> np.ndarray:
+    """The Q of each ``(d, d)`` slice's QR with the phase fix, from one stacked ``np.linalg.qr``: ``random_basis``'s vectors, unchecked."""
+    q, r = np.linalg.qr(z)
+    return _phase_fixed(q, np.diagonal(r, axis1=-2, axis2=-1))
+
+
+def _phase_fixed(q: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Each Q's columns times the phases of the diagonal of its R, which makes Q Haar-distributed (Mezzadri 2007)."""
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def computational_basis(d: int) -> ObservableBasis:
@@ -213,11 +242,7 @@ def random_basis(d: int, seed: Seed) -> ObservableBasis:
     """Haar-random basis: QR of a Ginibre matrix with the phase-fix correction."""
     if d < 2:
         raise BadDimension(f"need d >= 2, got {d}")
-    rng = spawn_rng(seed)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return ObservableBasis(d, q * (diag / np.abs(diag)))
+    return ObservableBasis(d, _haar_bases(_ginibre(seed, (d, d))[None])[0])
 
 
 def state_from_token(token: str) -> BipartiteState:

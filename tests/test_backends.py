@@ -900,11 +900,11 @@ def test_python_stack_entry_rejects_bad_buffers():
 
 def test_only_herm_eig_hands_the_kernel_eigenvector_rows(monkeypatch):
     """Every buffer a spectrum's route hands the kernel is ``a`` alone, m = n: an
-    eq16 campaign trial, a sweep, a two-restart ``minimize_slack``, a state and an
+    eq16 campaign chunk, a sweep, a two-restart ``minimize_slack``, a state and an
     ``entropy_bundle``. ``herm_eig`` and ``relative_entropy``, which read
     eigenvectors, hand it ``[a; I]``, m = 2n."""
     import qir
-    from qir.explore import CampaignConfig, _trial_record, minimize_slack, monitoring_sweep
+    from qir.explore import CampaignConfig, _chunk_records, minimize_slack, monitoring_sweep
 
     handed = []
     kernel = backend.jacobi_eigh_stack
@@ -918,8 +918,8 @@ def test_only_herm_eig_hands_the_kernel_eigenvector_rows(monkeypatch):
     x, y = qir.random_basis(3, 92), qir.random_basis(3, 93)
     sigma = qir.max_mixed(3, 2)
     routes = {
-        "campaign trial": lambda: _trial_record(
-            CampaignConfig(((3, 2),), 1, 7, ("eq16",), ensemble="induced-mixed"), 0),
+        "campaign chunk": lambda: _chunk_records(
+            CampaignConfig(((3, 2), (2, 3)), 4, 7, ("eq16",), ensemble="induced-mixed"), range(4)),
         "sweep": lambda: monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21)),
         "minimize": lambda: minimize_slack("eq11", 2, 2, restarts=2, seed=7, max_evals=40),
         "state": lambda: qir.BipartiteState(3, 2, state.rho),

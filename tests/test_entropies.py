@@ -22,7 +22,6 @@ from qir.entropies import (
     vn_entropy,
 )
 from qir.errors import DimensionMismatch, InvariantViolation, NotDistribution
-from qir.explore import CampaignConfig, run_campaign_records
 from qir.relations import EntropyBundle
 from qir.states import (
     BipartiteState,
@@ -254,35 +253,6 @@ class TestDephasedEntropy:
             dephased_entropy(x, fake(2 * np.eye(4) / 4, [0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(DimensionMismatch):
             dephased_entropy(computational_basis(3), max_mixed(2, 2))
-
-    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
-    def test_campaign_trial_runs_two_full_size_eigendecompositions(self, ensemble):
-        # the state and the monitored state, one kernel call each; every dephased
-        # entropy comes from blocks
-        relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
-        for d_a, d_b in ACCEPTANCE_DIMS:
-            cfg = CampaignConfig(
-                dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
-            )
-            start = linalg.kernel_counts()
-            run_campaign_records(cfg)
-            counts = linalg.kernel_counts(start)
-            assert counts[d_a * d_b][:2] == (2 * cfg.trials, 2 * cfg.trials), (d_a, d_b)
-            assert max(counts) == d_a * d_b
-
-    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
-    def test_campaign_trial_runs_one_stacked_eigendecomposition(self, ensemble):
-        # the marginals and blocks of the state and of the monitored state, in one call
-        relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
-        for d_a, d_b in ACCEPTANCE_DIMS:
-            cfg = CampaignConfig(
-                dims=((d_a, d_b),), trials=2, seed=47, relations=relations, ensemble=ensemble
-            )
-            start = linalg.kernel_counts()
-            run_campaign_records(cfg)
-            counts = linalg.kernel_counts(start)
-            assert set(counts) == {d_b, d_a * d_b}, (d_a, d_b, counts)
-            assert counts[d_b][:2] == (cfg.trials, cfg.trials * 2 * (1 + 2 * d_a)), (d_a, d_b, counts)
 
 
 class TestBatchedEntropies:

@@ -117,7 +117,8 @@ class TestCampaign:
 
     def test_pool_is_capped_at_the_core_count(self, monkeypatch):
         # a forking pool starts every process it is sized for, so it is never
-        # sized above the core count; the fake records the size and maps serially
+        # sized above the core count, and it gets one chunk per process; the
+        # fake records the size and the chunks, and maps serially
         from qir.serialize import campaign_result_to_dict
 
         sizes = []
@@ -133,6 +134,8 @@ class TestCampaign:
                 return False
 
             def map(self, fn, items, chunksize=1):
+                items = list(items)
+                sizes.append(len(items))
                 return map(fn, items)
 
         cfg = small_config(trials=6)
@@ -142,7 +145,7 @@ class TestCampaign:
             monkeypatch.setattr(explore.os, "cpu_count", lambda: cores)
             sizes.clear()
             result, records = run_campaign_records(cfg, workers=workers)
-            assert sizes == [size], (cores, workers)
+            assert sizes == [size, size], (cores, workers)
             assert records == serial[1]
             assert campaign_result_to_dict(result) == campaign_result_to_dict(serial[0])
 
@@ -185,12 +188,14 @@ class TestCampaign:
     def test_trial_errors_name_the_trial(self, monkeypatch):
         import qir.explore as explore
 
-        def fails_at_3x2(names, x, y, rho, eps=None, tol=None):
-            if rho.d_a == 3:
-                raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
-            return evaluate_relations(names, x, y, rho, eps=eps, tol=tol)
+        bundles = explore._bundles_from_spectra
 
-        monkeypatch.setattr(explore, "evaluate_relations", fails_at_3x2)
+        def fails_at_3x2(x, y, eps, spectra, block_spectra):
+            if x.shape[-1] == 3:
+                raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
+            return bundles(x, y, eps, spectra, block_spectra)
+
+        monkeypatch.setattr(explore, "_bundles_from_spectra", fails_at_3x2)
         cfg = small_config(trials=3)
         eps = _trial_inputs(cfg, 1)[3]
         expected = f"trial 1 at (d_A, d_B) = (3, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
@@ -205,20 +210,175 @@ class TestCampaign:
         import qir.explore as explore
         from qir.errors import NoConvergence
 
-        draw = explore.random_mixed
+        draw = explore._induced_densities
 
-        def fails_at_3x2(d_a, d_b, rank, seed):
-            if d_a == 3:
+        def fails_at_3x2(z):
+            if z.shape[1] == 6:
                 raise NoConvergence("6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
-            return draw(d_a, d_b, rank, seed)
+            return draw(z)
 
-        monkeypatch.setattr(explore, "random_mixed", fails_at_3x2)
+        monkeypatch.setattr(explore, "_induced_densities", fails_at_3x2)
         expected = ("trial 1 at (d_A, d_B) = (3, 2): "
                     "6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
         for relations in (ALL_RELATIONS, ("eq5",)):
             cfg = small_config(trials=3, relations=relations, ensemble="induced-mixed")
             with pytest.raises(NoConvergence, match=f"^{re.escape(expected)}$"):
                 run_campaign_records(cfg, workers=1)
+
+    def test_the_first_of_two_failing_trials_is_named(self, monkeypatch):
+        # in one chunk, trial 1's draw fails before trial 0's bundle; trial 0 is named
+        import qir.explore as explore
+        from qir.errors import NoConvergence
+
+        draw, bundles = explore._induced_densities, explore._bundles_from_spectra
+
+        def draw_fails_at_3x2(z):
+            if z.shape[1] == 6:
+                raise NoConvergence("6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
+            return draw(z)
+
+        def bundle_fails_at_4x2(x, y, eps, spectra, block_spectra):
+            if x.shape[-1] == 4:
+                raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
+            return bundles(x, y, eps, spectra, block_spectra)
+
+        monkeypatch.setattr(explore, "_induced_densities", draw_fails_at_3x2)
+        monkeypatch.setattr(explore, "_bundles_from_spectra", bundle_fails_at_4x2)
+        cfg = small_config(dims=((4, 2), (3, 2)), trials=4, ensemble="induced-mixed")
+        assert explore._campaign_chunks(cfg, 1) == [range(4)]
+        eps = _trial_inputs(cfg, 0)[3]
+        expected = f"trial 0 at (d_A, d_B) = (4, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
+            run_campaign_records(cfg, workers=1)
+
+    def test_a_stacked_state_check_that_does_not_converge_names_its_trial(self, monkeypatch):
+        # the chunk's 6 x 6 states fail as "slice 0 (6x6)" of their stack; alone,
+        # trial 1 fails as its constructor does, and it is named with its dims
+        from qir.errors import NoConvergence
+
+        cfg = small_config(trials=4, ensemble="induced-mixed")
+        start = linalg.kernel_counts()
+        random_mixed(3, 2, 6, (cfg.seed, 1, explore._STATE))
+        rotations = linalg.kernel_counts(start)[6][2]
+        kernel = backend.jacobi_eigh_stack
+
+        def fails_at_6x6(b, max_rotations):
+            spent, converged = kernel(b, max_rotations)
+            return spent, converged & (b.shape[2] != 6)
+
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", fails_at_6x6)
+        with pytest.raises(NoConvergence, match=r"^slice 0 \(6x6\): "):
+            explore._chunk_inputs(cfg, {(2, 2): [0, 2], (3, 2): [1, 3]})
+        expected = (f"trial 1 at (d_A, d_B) = (3, 2): "
+                    f"6x6 matrix: off-diagonal norm still above threshold after {rotations} rotations")
+        with pytest.raises(NoConvergence, match=f"^{re.escape(expected)}$"):
+            run_campaign_records(cfg, workers=1)
+
+
+class TestCampaignChunks:
+    """The chunk route of ``run_campaign_records``, bit for bit the per-trial route."""
+
+    ENSEMBLES = ("haar-pure", "induced-mixed", "induced-mixed:1", "named:bell:2")
+
+    @staticmethod
+    def config(ensemble, relations, trials=26, seed=83):
+        dims = ((2, 2),) if ensemble.startswith("named:") else ACCEPTANCE_DIMS
+        return CampaignConfig(dims=dims, trials=trials, seed=seed, relations=relations, ensemble=ensemble)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("relations", [ALL_RELATIONS, ("eq5", "eq7", "eq10")])
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_records_are_bitwise_evaluate_relations_on_each_trial(self, monkeypatch, ensemble, relations, workers):
+        # room for 10 trials of the widest pair: 26 trials run as 9, 9 and 8
+        cfg = self.config(ensemble, relations)
+        widest = max(d_a * d_b for d_a, d_b in cfg.dims)
+        monkeypatch.setattr(explore, "CHUNK_BYTES", 10 * 16 * widest * widest)
+        assert [len(c) for c in explore._campaign_chunks(cfg, workers)] == [9, 9, 8]
+        _, records = run_campaign_records(cfg, workers=workers)
+        assert [r.trial for r in records] == list(range(cfg.trials))
+        for i, record in enumerate(records):
+            state, x, y, eps = _trial_inputs(cfg, i)
+            reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
+            assert (record.d_a, record.d_b, record.eps) == (state.d_a, state.d_b, eps), i
+            assert {name: slack.hex() for name, slack in record.slacks.items()} == {
+                name: report.slack.hex() for name, report in reports.items()}, i
+            assert list(record.slacks) == list(cfg.relations)
+
+    def test_chunks_are_even_bounded_and_one_per_worker_at_least(self, monkeypatch):
+        cfg = self.config("haar-pure", ("eq5",), trials=2520)
+        assert [len(c) for c in explore._campaign_chunks(cfg, 1)] == [840] * 3  # 1165 trials of 15 x 15 fit
+        monkeypatch.setattr(explore, "CHUNK_BYTES", 1 << 30)
+        assert explore._campaign_chunks(cfg, 1) == [range(2520)]
+        assert explore._campaign_chunks(cfg, 2) == [range(1260), range(1260, 2520)]
+        assert explore._campaign_chunks(self.config("haar-pure", ("eq5",), trials=3), 8) == [
+            range(0, 1), range(1, 2), range(2, 3)]
+        monkeypatch.setattr(explore, "CHUNK_BYTES", 1)
+        assert [len(c) for c in explore._campaign_chunks(cfg, 1)] == [1] * 2520
+
+    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed", "induced-mixed:1", "induced-mixed:2"])
+    def test_stacked_draws_are_bitwise_the_constructors(self, ensemble):
+        cfg = self.config(ensemble, ALL_RELATIONS, trials=36)
+        groups = {}
+        for i in range(cfg.trials):
+            groups.setdefault(cfg.dims[i % len(cfg.dims)], []).append(i)
+        inputs = explore._chunk_inputs(cfg, groups)
+        assert list(inputs) == list(groups)
+        for (d_a, d_b), (rhos, spectra, x, y) in inputs.items():
+            for j, i in enumerate(groups[d_a, d_b]):
+                if ensemble == "haar-pure":
+                    state = haar_random_pure(d_a, d_b, (cfg.seed, i, 0))
+                else:
+                    rank = int(ensemble.partition(":")[2] or d_a * d_b)
+                    state = random_mixed(d_a, d_b, rank, (cfg.seed, i, 0))
+                assert rhos[j].tobytes() == state.rho.tobytes(), (d_a, d_b, i)
+                assert spectra[j].tobytes() == state.spectrum.tobytes(), (d_a, d_b, i)
+                assert x[j].tobytes() == random_basis(d_a, (cfg.seed, i, 1)).vectors.tobytes(), (d_a, d_b, i)
+                assert y[j].tobytes() == random_basis(d_a, (cfg.seed, i, 2)).vectors.tobytes(), (d_a, d_b, i)
+
+    @pytest.mark.parametrize("relations", [ALL_RELATIONS, ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11")])
+    @pytest.mark.parametrize("ensemble", ["haar-pure", "induced-mixed"])
+    def test_kernel_calls_by_n_and_by_d_b(self, monkeypatch, ensemble, relations):
+        # per (d_A, d_B) group one call of its states and, with eq16, one of its
+        # monitored states; per d_B one call of every group's B marginals and X and
+        # Y blocks, and with eq16 of the monitored states' X blocks alone; each
+        # slice takes the rotations it takes alone, and no buffer carries v rows
+        handed = []
+        kernel = backend.jacobi_eigh_stack
+
+        def recording(b, max_rotations):
+            given = b.copy()
+            spent, converged = kernel(b, max_rotations)
+            handed.append((given, spent.copy(), max_rotations))
+            return spent, converged
+
+        cfg = self.config(ensemble, relations, trials=30)
+        groups = {}
+        for i in range(cfg.trials):
+            groups.setdefault(cfg.dims[i % len(cfg.dims)], []).append(i)
+        monitored = "eq16" in relations
+        expected: dict[int, list[int]] = {}
+        for (d_a, d_b), idx in groups.items():
+            k = len(idx)
+            for _ in range(2 if monitored else 1):
+                calls, slices = expected.get(d_a * d_b, (0, 0))
+                expected[d_a * d_b] = (calls + 1, slices + k)
+        for d_b in (1, 2, 3):
+            slices = sum(len(idx) * (1 + 2 * d_a + (d_a if monitored else 0))
+                         for (d_a, b), idx in groups.items() if b == d_b)
+            calls, before = expected.get(d_b, (0, 0))
+            expected[d_b] = (calls + 1, before + slices)
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", recording)
+        start = linalg.kernel_counts()
+        explore._chunk_records(cfg, range(cfg.trials))
+        counts = linalg.kernel_counts(start)
+        monkeypatch.undo()
+        assert {n: c[:2] for n, c in counts.items()} == expected
+        assert sum(len(b) for b, _, _ in handed) == sum(slices for _, slices in expected.values())
+        for b, spent, max_rotations in handed:
+            assert b.shape[1] == b.shape[2], b.shape
+            for j in range(len(b)):
+                alone, _ = kernel(b[j : j + 1].copy(), max_rotations)
+                assert alone[0] == spent[j], (b.shape, j)
 
 
 class TestSweep:

@@ -31,6 +31,30 @@ def test_bench_layers_cases_run_on_the_python_kernel():
         backend.set_backend(name)
 
 
+def test_bench_layers_builds_the_cases_of_a_tree_loaded_under_another_name():
+    # two trees side by side: the cases of this tree loaded as qir_side run on
+    # qir_side's kernel and counters, and qir's own counters do not move
+    tool = load_bench_layers()
+    path = ROOT / "src" / "qir"
+    spec = importlib.util.spec_from_file_location("qir_side", path / "__init__.py",
+                                                  submodule_search_locations=[str(path)])
+    side = importlib.util.module_from_spec(spec)
+    sys.modules["qir_side"] = side
+    try:
+        spec.loader.exec_module(side)
+        side.backend.set_backend("python")
+        cases = tool.cases(side)
+        mine, theirs = linalg.kernel_counts(), side.linalg.kernel_counts()
+        for case in ("campaign.chunk.unit_12", "minimize-simplex.batch", "small_stack.n6.k6.stacked",
+                     "bundle_2x2", "sweep.3x2_21_points"):
+            cases[case]()
+        assert linalg.kernel_counts() == mine
+        assert side.linalg.kernel_counts(theirs)[15][:2] == (2, 2)  # the unit's (5, 3) state, and monitored
+    finally:
+        for name in [name for name in sys.modules if name == "qir_side" or name.startswith("qir_side.")]:
+            del sys.modules[name]
+
+
 def calls_and_slices(result):
     """A case's per-n kernel calls and slices, rotations left out."""
     return {n: (calls, slices) for n, (calls, slices, _) in result["kernel_counts"].items()}

@@ -65,7 +65,15 @@ Cases:
   (rank 1, as ``minimize`` builds them, and full rank), 6 and 9: the
   crossover table that sets ``_jacobi_py.SMALL_STACK``, the largest stack
   run slice by slice. On the compiled kernel both run the same C. The
-  Python kernel runs a stack of n <= 2 with neither body, unrolled.
+  Python kernel runs a stack of n <= 2 with neither body, unrolled;
+- ``campaign.chunk``: ``run_campaign_records`` over the 12 pairs with all
+  seven relations, one worker: the benchmark's unit (12 induced-mixed
+  trials, one per pair, seed 88) and the two 2520-trial campaigns of
+  acceptance criteria 3+4 (haar-pure seed 1001, induced-mixed seed 1002).
+
+``cases(qir)`` takes the package, so it can build the cases of a tree
+loaded under another module name, beside a second tree, for paired
+timing in one process.
 """
 
 from __future__ import annotations
@@ -131,10 +139,7 @@ def sweep_inputs(qir):
 
 def simplex_vertices(qir) -> np.ndarray:
     """The 25 vertices of the initial simplex of ``minimize_slack("eq11", 2, 2, ..., seed=7)``."""
-    from qir import explore
-    from qir._rng import spawn_rng
-
-    return next(explore._nelder_mead(spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25))
+    return next(qir.explore._nelder_mead(qir._rng.spawn_rng(7, 0).standard_normal(24), 1e-9, 1e-12, 25))
 
 
 # the small_stack shapes: (d_a, d_b, rank) of the induced-mixed densities, rank 1 as minimize builds them
@@ -154,22 +159,37 @@ def through(linalg, kernel, entry: str, ms: np.ndarray) -> np.ndarray:
 
 def small_stack_cases(qir) -> dict:
     """``small_stack.<shape>.k<k>.<entry>`` for k = 1..8, on the first k of 8 densities of each shape."""
-    from qir import _jacobi_py, linalg
-
     out = {}
     for name, (d_a, d_b, rank) in SMALL_STACK_SHAPES.items():
         ms = np.array([qir.random_mixed(d_a, d_b, rank, (26, j)).rho for j in range(8)])
         for k in range(1, 9):
             for entry in ("stacked", "per_slice"):
                 key = f"small_stack.{name}.k{k}.{entry}"
-                out[key] = lambda e=entry, m=ms[:k]: through(linalg, _jacobi_py, e, m)
+                out[key] = lambda e=entry, m=ms[:k]: through(qir.linalg, qir._jacobi_py, e, m)
+    return out
+
+
+# the campaign.chunk cases: (trials, seed, ensemble) over the 12 acceptance pairs and all seven
+# relations; the benchmark's unit (one trial per pair) and the two criteria 3+4 campaigns
+CAMPAIGNS = {"unit_12": (12, 88, "induced-mixed"), "criteria_haar_2520": (2520, 1001, "haar-pure"),
+             "criteria_mixed_2520": (2520, 1002, "induced-mixed")}
+
+
+def campaign_cases(qir) -> dict:
+    """``campaign.chunk.<name>``: ``run_campaign_records`` of each of ``CAMPAIGNS``, one worker."""
+    dims = tuple((d_a, d_b) for d_a in (2, 3, 4, 5) for d_b in (1, 2, 3))
+    relations = ("eq5", "eq7", "eq8", "eq9", "eq10", "eq11", "eq16")
+    out = {}
+    for name, (trials, seed, ensemble) in CAMPAIGNS.items():
+        cfg = qir.explore.CampaignConfig(dims, trials, seed, relations, ensemble)
+        out[f"campaign.chunk.{name}"] = lambda c=cfg: qir.explore.run_campaign_records(c)
     return out
 
 
 def cases(qir):
-    from qir import explore, linalg
-    from qir.channels import _blocks
-    from qir.relations import entropy_bundle
+    """Every case, built from the package ``qir``: the tree it names by any module name."""
+    explore, linalg = qir.explore, qir.linalg
+    _blocks, entropy_bundle = qir.channels._blocks, qir.relations.entropy_bundle
 
     grid = np.linspace(0.0, 1.0, 21)
     x, y, state = sweep_inputs(qir)
@@ -207,6 +227,7 @@ def cases(qir):
         "minimize-restarts.eq16_3x2_r50": lambda: qir.minimize_slack("eq16", 3, 2, restarts=50, seed=7,
                                                                      max_evals=100),
         **small_stack_cases(qir),
+        **campaign_cases(qir),
     }
 
 
