@@ -11,13 +11,11 @@ taken from its d_a diagonal d_b x d_b blocks in the measured frame
 Every entropy is one row of ``_entropies``, a vectorized pass over a
 stack of spectra; ``shannon`` and ``vn_entropy`` are its one-row case.
 ``_configuration_entropies`` takes S(rho_B), S(rho) and the dephased
-entropies of a stack of density matrices and their spectra, with one
-basis shared by the stack or one per matrix, in two phases:
-``_configuration_blocks`` gives the d_b x d_b slices whose spectra it
-reads, and ``_spectra_entropies`` the entropies from those spectra, so
-that a caller can diagonalize the slices of several stacks in one call;
-``cond_entropy``, ``uncertainty``, ``irreality`` and ``dephased_entropy``
-read their state's row of it.
+entropies of several stacks of density matrices and their spectra at
+once, each with one basis shared by the stack or one per matrix: the
+d_b x d_b slices of every stack with the same d_b take one stacked
+eigendecomposition. ``cond_entropy``, ``uncertainty``, ``irreality`` and
+``dephased_entropy`` read their state's row of a one-stack call.
 """
 
 from __future__ import annotations
@@ -124,56 +122,52 @@ def _marginals(rhos: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return np.einsum("kijil->kjl", rhos.reshape(len(rhos), d_a, d_b, d_a, d_b))
 
 
-def _configuration_entropies(bases, d_a: int, rhos: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """S(rho_B), S(rho), then S(rho dephased in b) for each basis b, per matrix.
+def _configuration_entropies(passes) -> list[np.ndarray]:
+    """[S(rho_B),] S(rho), then S(rho dephased in b) for each basis b, per matrix of each pass.
 
-    ``rhos`` is a ``(k, n, n)`` stack of density matrices sharing (d_a, n / d_a),
-    and ``spectra`` their ascending ``(k, n)`` spectra; shape ``(k, 2 + len(bases))``.
-    Each basis is given by its vectors: one ``(d_a, d_a)`` basis shared by
-    every matrix, or a ``(k, d_a, d_a)`` stack of one per matrix. Its two
-    phases, with one stacked eigendecomposition between them: the slices
-    (``_configuration_blocks``), then the entropies (``_spectra_entropies``).
+    A pass is ``(bases, d_a, rhos, spectra, marginals)``: a ``(k, n, n)``
+    stack of density matrices sharing (d_a, n / d_a), their ascending
+    ``(k, n)`` spectra, and basis vectors, each one ``(d_a, d_a)`` basis
+    shared by every matrix or a ``(k, d_a, d_a)`` stack of one per matrix;
+    S(rho_B) is left out when ``marginals`` is False. Returns one
+    ``(k, [1 +] 1 + len(bases))`` array per pass. Each matrix's slices are
+    its B marginal, then its d_a blocks in each basis (``_blocks``, each
+    basis's frames built once); the slices of every pass with the same d_b
+    take one ``linalg._stack_eigenvalues`` call, in pass order. Then per
+    pass, S(rho) and the dephased entropies take one entropy pass and the
+    marginals a second; the passes check every spectrum. Row i of a pass
+    has the bits of matrix i alone.
     """
-    blocks = _configuration_blocks(bases, d_a, rhos)
-    k, d_b = len(blocks), blocks.shape[-1]
-    block_spectra = linalg._stack_eigenvalues(blocks.reshape(-1, d_b, d_b)).reshape(k, -1)
-    return _spectra_entropies(spectra, block_spectra, d_b)
-
-
-def _configuration_blocks(bases, d_a: int, rhos: np.ndarray, marginals: bool = True) -> np.ndarray:
-    """The d_b x d_b slices whose spectra the entropies of a ``(k, n, n)`` stack read: ``(k, s, d_b, d_b)``.
-
-    Per matrix, its B marginal (left out when ``marginals`` is False), then
-    its d_a blocks in each basis, bases given as in
-    ``_configuration_entropies``; each basis's frames are built once.
-    """
-    for b in bases:
-        _check_pair(b, d_a)
-    d_b = rhos.shape[-1] // d_a
-    parts = [_marginals(rhos, d_a, d_b)[:, None]] if marginals else []
-    return np.concatenate(parts + [_blocks(b, rhos, d_a, d_b) for b in bases], axis=1)
-
-
-def _spectra_entropies(spectra: np.ndarray, block_spectra: np.ndarray, d_b: int, marginals: bool = True) -> np.ndarray:
-    """The entropies of k matrices from their ``(k, n)`` spectra and the spectra of their d_b x d_b slices.
-
-    Row i of ``block_spectra`` holds the ascending spectra of matrix i's
-    slices, one after another, as ``_configuration_blocks`` lays them out
-    with or without ``marginals``; the result's rows are [S(rho_B),] S(rho),
-    then S(rho dephased in b) per basis. S(rho) and the dephased entropies
-    take one entropy pass and the marginals a second; the passes check
-    every spectrum.
-    """
-    k, n = spectra.shape
-    blocks = block_spectra[:, d_b:] if marginals else block_spectra
-    joint = _entropies(np.concatenate([spectra, blocks], axis=1).reshape(-1, n)).reshape(k, -1)
-    return np.column_stack([_entropies(block_spectra[:, :d_b]), joint]) if marginals else joint
+    slices, sizes = [], {}
+    for bases, d_a, rhos, _, marginals in passes:
+        for b in bases:
+            _check_pair(b, d_a)
+        d_b = rhos.shape[-1] // d_a
+        parts = [_marginals(rhos, d_a, d_b)[:, None]] if marginals else []
+        slices.append(np.concatenate(parts + [_blocks(b, rhos, d_a, d_b) for b in bases], axis=1))
+        sizes.setdefault(d_b, []).append(len(slices) - 1)
+    block_spectra = [None] * len(slices)
+    for d_b, members in sizes.items():
+        stacks = [slices[j].reshape(-1, d_b, d_b) for j in members]
+        merged = linalg._stack_eigenvalues(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        start = 0
+        for j, stack in zip(members, stacks):
+            block_spectra[j] = merged[start : start + len(stack)].reshape(len(slices[j]), -1)
+            start += len(stack)
+    rows = []
+    for (_, d_a, _, spectra, marginals), found in zip(passes, block_spectra):
+        k, n = spectra.shape
+        d_b = n // d_a
+        blocks = found[:, d_b:] if marginals else found
+        joint = _entropies(np.concatenate([spectra, blocks], axis=1).reshape(-1, n)).reshape(k, -1)
+        rows.append(np.column_stack([_entropies(found[:, :d_b]), joint]) if marginals else joint)
+    return rows
 
 
 def _state_entropies(bases, rho: BipartiteState) -> list[float]:
     """The row of ``_configuration_entropies`` for one state and its ``ObservableBasis``es."""
     vectors = [b.vectors for b in bases]
-    return _configuration_entropies(vectors, rho.d_a, rho.rho[None], rho.spectrum[None])[0].tolist()
+    return _configuration_entropies([(vectors, rho.d_a, rho.rho[None], rho.spectrum[None], True)])[0][0].tolist()
 
 
 def dephased_entropy(x: ObservableBasis, rho: BipartiteState) -> float:

@@ -12,7 +12,8 @@ a campaign runs in chunks of consecutive trials, each holding at most
 own streams, and the linear algebra after the draws runs as stacks: one
 stacked QR and one basis check per d_A, one state check and one
 monitoring pass per (d_A, d_B), and one eigendecomposition of every
-block and marginal per d_B. ``--workers`` maps the chunks over a pool.
+block and marginal per d_B, all in one ``relations._bundles`` call per
+chunk. ``--workers`` maps the chunks over a pool.
 Every trial gets the bits it gets alone, so results are identical for
 any chunking and any worker count.
 """
@@ -27,7 +28,6 @@ from functools import partial
 
 import numpy as np
 
-from . import linalg
 from .channels import _monitor_grid
 from .entropies import _configuration_entropies
 from .errors import (
@@ -42,9 +42,7 @@ from ._rng import spawn_rng
 from .relations import (
     DEFAULT_TOL,
     RELATIONS,
-    _bundle_slices,
     _bundles,
-    _bundles_from_spectra,
     _check_tol,
     _reports,
     evaluate_relations,
@@ -225,8 +223,8 @@ def _chunk_records(cfg: CampaignConfig, trials: range) -> list[TrialRecord]:
 
     Each trial draws its inputs from its own streams (``_chunk_inputs``)
     and gets the slacks ``evaluate_relations`` gives it alone. The trials
-    are grouped by (d_A, d_B); each group takes one ``_bundle_slices``,
-    and the slices of every group with the same d_B one stacked
+    are grouped by (d_A, d_B), and the groups take one ``_bundles`` call,
+    in which the slices of every group with the same d_B take one stacked
     eigendecomposition. A chunk that raises a ``QirError`` runs again one
     trial at a time, so the error names the first failing trial as it
     fails alone: its dims and, once it has been drawn, its eps.
@@ -241,13 +239,11 @@ def _chunk_records(cfg: CampaignConfig, trials: range) -> list[TrialRecord]:
         if any(row.needs_eps for row in rows):
             eps = {i: _trial_eps(cfg.seed, i) for i in trials}
         strengths = {dims: None if eps is None else [eps[i] for i in idx] for dims, idx in groups.items()}
-        phase_one = {dims: _bundle_slices(x, y, dims[0], rhos, spectra, strengths[dims])
-                     for dims, (rhos, spectra, x, y) in inputs.items()}
-        block_spectra = _spectra_by_size([slices for _, slices in phase_one.values()])
+        bundles = _bundles([(x, y, dims[0], rhos, spectra, strengths[dims])
+                            for dims, (rhos, spectra, x, y) in inputs.items()])
         records = {}
-        for (dims, (full, _)), spectra in zip(phase_one.items(), block_spectra):
-            _, _, x, y = inputs[dims]
-            for i, bundle in zip(groups[dims], _bundles_from_spectra(x, y, strengths[dims], full, spectra)):
+        for (dims, idx), group in zip(groups.items(), bundles):
+            for i, bundle in zip(idx, group):
                 slacks = {name: report.slack for name, report in _reports(rows, bundle, cfg.tol).items()}
                 records[i] = TrialRecord(i, *dims, None if eps is None else eps[i], slacks)
     except QirError as err:
@@ -297,18 +293,6 @@ def _chunk_inputs(cfg: CampaignConfig, groups: dict) -> dict:
         ends = np.cumsum([len(groups[dims]) for dims in members])[:-1]
         bases.update(zip(members, np.split(checked, ends)))
     return {dims: (*states[dims], bases[dims][:, 0], bases[dims][:, 1]) for dims in groups}
-
-
-def _spectra_by_size(stacks: list) -> list:
-    """``linalg._stack_eigenvalues`` of each ``(m, d, d)`` stack, in one call for all the stacks of each d."""
-    spectra = [None] * len(stacks)
-    for d in dict.fromkeys(stack.shape[-1] for stack in stacks):
-        members = [j for j, stack in enumerate(stacks) if stack.shape[-1] == d]
-        merged = linalg._stack_eigenvalues(np.concatenate([stacks[j] for j in members]))
-        ends = np.cumsum([len(stacks[j]) for j in members])[:-1]
-        for j, part in zip(members, np.split(merged, ends)):
-            spectra[j] = part
-    return spectra
 
 
 def _histogram(values: np.ndarray, hi: float) -> Histogram:
@@ -417,7 +401,7 @@ def monitoring_sweep(
     h = np.empty((len(eps_grid), 4))
     for i in range(0, len(eps_grid), STACK_CHUNK):
         grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
-        h[i : i + STACK_CHUNK] = _configuration_entropies([x.vectors, y.vectors], rho.d_a, *grid)
+        h[i : i + STACK_CHUNK] = _configuration_entropies([([x.vectors, y.vectors], rho.d_a, *grid, True)])[0]
     h_b, h_ab, h_xb, h_yb = h.T
     try:
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
@@ -474,9 +458,9 @@ def _point_slacks(relation: str, d_a: int, d_b: int, thetas: np.ndarray, tol: fl
     A point that does not decode (``_decode``) scores 1e3. The rest are
     checked as their constructors check them, as stacks (``_checked_stack``
     and ``_checked_bases``), their spectra take one stacked call, and their
-    bundles one ``_bundles`` call; point i gets the bits of the slack
-    ``evaluate_relations`` gives it. Returns the ``(k,)`` slacks and the
-    ``(k,)`` mask of decodable points.
+    bundles are the one group of a ``_bundles`` call; point i gets the bits
+    of the slack ``evaluate_relations`` gives it. Returns the ``(k,)``
+    slacks and the ``(k,)`` mask of decodable points.
     """
     row = lookup_relation(relation)
     kept, psi, bases, eps = _decode(thetas, d_a, d_b, row.needs_eps)
@@ -484,7 +468,7 @@ def _point_slacks(relation: str, d_a: int, d_b: int, thetas: np.ndarray, tol: fl
     if len(kept):
         rhos, spectra = _checked_stack(d_a, d_b, psi[:, :, None] * psi.conj()[:, None, :])
         bases = _checked_bases(d_a, bases.reshape(-1, d_a, d_a)).reshape(-1, 2, d_a, d_a)
-        bundles = _bundles(bases[:, 0], bases[:, 1], d_a, rhos, spectra, eps)
+        bundles = _bundles([(bases[:, 0], bases[:, 1], d_a, rhos, spectra, eps)])[0]
         slacks[kept] = [_reports([row], bundle, tol)[relation].slack for bundle in bundles]
     decodable = np.zeros(len(thetas), dtype=bool)
     decodable[kept] = True
@@ -655,8 +639,9 @@ def minimize_slack(
     another, whatever the passes.
 
     A ``tol`` that is not positive and finite, or a NaN ``target``, raises
-    ``ConfigError`` before any search; a best slack below ``-tol`` raises
-    ``TheoremViolation``.
+    ``ConfigError`` before any search; a ``QirError`` raised while searching
+    is raised again as its type, prefixed with the relation and dims; a best
+    slack below ``-tol`` raises ``TheoremViolation``.
     """
     info = lookup_relation(relation)
     if info.kind != "inequality":
@@ -680,7 +665,10 @@ def minimize_slack(
     for first in range(0, restarts, window):
         restarts_used = min(first + window, restarts)
         starts = [spawn_rng(seed, restart).standard_normal(n_params) for restart in range(first, restarts_used)]
-        count, window_best = _searches(relation, d_a, d_b, tol, starts, max_evals)
+        try:
+            count, window_best = _searches(relation, d_a, d_b, tol, starts, max_evals)
+        except QirError as err:
+            raise type(err)(f"{relation} search at (d_A, d_B) = ({d_a}, {d_b}): {err}") from None
         evaluations += count
         found += window_best
         if target is not None and any(value <= target for value, _ in window_best):

@@ -340,17 +340,24 @@ class TestBatchedEntropies:
             spectra = [linalg.herm_eig(b).eigenvalues for b in blocks(x, state)]
             return scalar_entropy(np.concatenate(spectra))
 
+        # one call over every pair and stack, each also as a pass without marginals
+        passes, cases = [], []
         for d_a, d_b in ACCEPTANCE_DIMS:
             x, y = random_basis(d_a, (48, d_a, d_b)), computational_basis(d_a)
             for rhos, spectra, states in self.stacks(k, d_a, d_b):
-                h = _configuration_entropies([x.vectors, y.vectors], d_a, rhos, spectra)
-                assert h.shape == (k, 4)
-                for i, state in enumerate(states):
-                    h_b = scalar_entropy(linalg.herm_eig(marginal_b(state)).eigenvalues)
-                    expected = (h_b, scalar_entropy(state.spectrum), per_block(x, state), per_block(y, state))
-                    assert [bits(v) for v in h[i]] == [bits(v) for v in expected], (d_a, d_b, i)
-                    assert bits(h[i, 2]) == bits(dephased_entropy(x, state))
-                    assert bits(h[i, 1]) == bits(vn_entropy(state))
+                passes += [([x.vectors, y.vectors], d_a, rhos, spectra, True), ([y.vectors], d_a, rhos, spectra, False)]
+                cases.append((x, y, states))
+        rows = _configuration_entropies(passes)
+        assert len(rows) == len(passes)
+        for (x, y, states), h, h_y in zip(cases, rows[::2], rows[1::2]):
+            assert h.shape == (k, 4) and h_y.shape == (k, 2)
+            for i, state in enumerate(states):
+                h_b = scalar_entropy(linalg.herm_eig(marginal_b(state)).eigenvalues)
+                expected = (h_b, scalar_entropy(state.spectrum), per_block(x, state), per_block(y, state))
+                assert [bits(v) for v in h[i]] == [bits(v) for v in expected], (state.d_a, state.d_b, i)
+                assert [bits(v) for v in h_y[i]] == [bits(v) for v in expected[1::2]], (state.d_a, state.d_b, i)
+                assert bits(h[i, 2]) == bits(dephased_entropy(x, state))
+                assert bits(h[i, 1]) == bits(vn_entropy(state))
 
 
 class TestUncertainty:

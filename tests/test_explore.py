@@ -10,7 +10,7 @@ import pytest
 from qir import backend, explore, linalg
 from qir.channels import dephase, monitor
 from qir.entropies import irreality, shannon, vn_entropy
-from qir.errors import ConfigError, InvariantViolation, OutOfRange
+from qir.errors import ConfigError, InvariantViolation, NoConvergence, OutOfRange
 from qir.explore import (
     ArgminDescriptor,
     CampaignConfig,
@@ -188,14 +188,14 @@ class TestCampaign:
     def test_trial_errors_name_the_trial(self, monkeypatch):
         import qir.explore as explore
 
-        bundles = explore._bundles_from_spectra
+        bundles = explore._bundles
 
-        def fails_at_3x2(x, y, eps, spectra, block_spectra):
-            if x.shape[-1] == 3:
+        def fails_at_3x2(groups):
+            if any(x.shape[-1] == 3 for x, *_ in groups):
                 raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
-            return bundles(x, y, eps, spectra, block_spectra)
+            return bundles(groups)
 
-        monkeypatch.setattr(explore, "_bundles_from_spectra", fails_at_3x2)
+        monkeypatch.setattr(explore, "_bundles", fails_at_3x2)
         cfg = small_config(trials=3)
         eps = _trial_inputs(cfg, 1)[3]
         expected = f"trial 1 at (d_A, d_B) = (3, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
@@ -230,20 +230,20 @@ class TestCampaign:
         import qir.explore as explore
         from qir.errors import NoConvergence
 
-        draw, bundles = explore._induced_densities, explore._bundles_from_spectra
+        draw, bundles = explore._induced_densities, explore._bundles
 
         def draw_fails_at_3x2(z):
             if z.shape[1] == 6:
                 raise NoConvergence("6x6 matrix: off-diagonal norm still above threshold after 3600 rotations")
             return draw(z)
 
-        def bundle_fails_at_4x2(x, y, eps, spectra, block_spectra):
-            if x.shape[-1] == 4:
+        def bundle_fails_at_4x2(groups):
+            if any(x.shape[-1] == 4 for x, *_ in groups):
                 raise InvariantViolation("H(X|B) -1.000e-06 below -1e-9")
-            return bundles(x, y, eps, spectra, block_spectra)
+            return bundles(groups)
 
         monkeypatch.setattr(explore, "_induced_densities", draw_fails_at_3x2)
-        monkeypatch.setattr(explore, "_bundles_from_spectra", bundle_fails_at_4x2)
+        monkeypatch.setattr(explore, "_bundles", bundle_fails_at_4x2)
         cfg = small_config(dims=((4, 2), (3, 2)), trials=4, ensemble="induced-mixed")
         assert explore._campaign_chunks(cfg, 1) == [range(4)]
         eps = _trial_inputs(cfg, 0)[3]
@@ -507,9 +507,9 @@ class TestSweep:
 
         entropies = explore._configuration_entropies
 
-        def drifting(bases, d_a, rhos, spectra):
-            h = entropies(bases, d_a, rhos, spectra)
-            h[-1, 3] += 1e-6  # S(rho dephased in Y) at eps = 1
+        def drifting(passes):
+            h = entropies(passes)
+            h[0][-1, 3] += 1e-6  # S(rho dephased in Y) at eps = 1
             return h
 
         monkeypatch.setattr(explore, "_configuration_entropies", drifting)
@@ -593,6 +593,21 @@ class TestMinimize:
         monkeypatch.setattr(explore, "_nelder_mead", never)
         with pytest.raises(ConfigError, match=message):
             minimize_slack("eq11", 2, 2, **{"restarts": 1, "seed": 0, **bad})
+
+    @pytest.mark.parametrize("target", [None, 1.0])
+    @pytest.mark.parametrize("error, message", [
+        (InvariantViolation, "H(X|B) -1.000e-06 below -1e-9"),
+        (NoConvergence, "slice 37 (4x4): off-diagonal norm still above threshold after 1600 rotations"),
+    ], ids=["InvariantViolation", "NoConvergence"])
+    def test_search_errors_name_the_relation_and_dims(self, error, message, target, monkeypatch):
+        # the error keeps its type and gains the relation and dims, side by side and one restart at a time
+        def fails(groups):
+            raise error(message)
+
+        monkeypatch.setattr(explore, "_bundles", fails)
+        expected = f"eq16 search at (d_A, d_B) = (3, 2): {message}"
+        with pytest.raises(error, match=f"^{re.escape(expected)}$"):
+            minimize_slack("eq16", 3, 2, restarts=2, seed=0, target=target, max_evals=50)
 
     def test_deterministic(self):
         a = minimize_slack("eq5", 2, 1, restarts=2, seed=11, max_evals=500)

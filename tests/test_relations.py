@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -378,21 +379,41 @@ class TestRegistry:
 
 @pytest.mark.parametrize("monitored", [False, True])
 def test_bundles_of_a_stack_are_the_bundles_of_each_configuration(monitored):
-    # one basis per configuration, and one shared by all; with and without Y
+    # one call over every acceptance pair (d_A sharing a d_B, and three d_B),
+    # each with one basis per configuration and one shared by all, with and
+    # without Y; when monitored, every other group with Y carries strengths
+    groups, configurations = [], []
     for k, (d_a, d_b) in enumerate(ACCEPTANCE_DIMS):
         states = [random_mixed(d_a, d_b, d_a * d_b, (640, k, i)) for i in range(3)] + [
             haar_random_pure(d_a, d_b, (641, k))]
         xs = [random_basis(d_a, (642, k, i)) for i in range(4)]
         ys = [random_basis(d_a, (643, k, i)) for i in range(4)]
-        eps = [0.0, 0.3, 1.0, 0.75] if monitored else None
         rhos = np.array([s.rho for s in states])
         spectra = np.array([s.spectrum for s in states])
         per_row = np.array([x.vectors for x in xs]), np.array([y.vectors for y in ys])
-        cases = [(per_row[0], per_row[1], xs, ys), (xs[0].vectors, ys[0].vectors, [xs[0]] * 4, [ys[0]] * 4)]
-        if not monitored:
-            cases.append((per_row[0], None, xs, [None] * 4))
-        for x, y, x_each, y_each in cases:
-            got = _bundles(x, y, d_a, rhos, spectra, eps)
-            alone = [_bundle(bx, by, s, None if eps is None else e)
-                     for bx, by, s, e in zip(x_each, y_each, states, eps or [None] * 4)]
-            assert got == alone, (d_a, d_b, monitored, y is None)
+        cases = [(per_row[0], per_row[1], xs, ys), (xs[0].vectors, ys[0].vectors, [xs[0]] * 4, [ys[0]] * 4),
+                 (per_row[0], None, xs, [None] * 4)]
+        for j, (x, y, x_each, y_each) in enumerate(cases):
+            eps = [0.0, 0.3, 1.0, 0.75] if monitored and y is not None and (k + j) % 2 == 0 else None
+            groups.append((x, y, d_a, rhos, spectra, eps))
+            configurations.append((x_each, y_each, states))
+
+    # one kernel call per slice size, and one per group for its monitored states
+    calls, slices = Counter(), Counter()
+    for x, y, d_a, rhos, _, eps in groups:
+        n = rhos.shape[-1]
+        slices[n // d_a] += len(rhos) * (1 + d_a * (1 if y is None else 2) + (0 if eps is None else d_a))
+        if eps is not None:
+            calls[n] += 1
+            slices[n] += sum(e != 0.0 for e in eps)
+    calls.update({rhos.shape[-1] // d_a for _, _, d_a, rhos, _, _ in groups})
+    start = linalg.kernel_counts()
+    got = _bundles(groups)
+    grown = linalg.kernel_counts(since=start)
+    assert {n: c[:2] for n, c in grown.items()} == {n: (calls[n], slices[n]) for n in calls}
+
+    assert len(got) == len(groups)
+    for (x, y, d_a, rhos, _, eps), (x_each, y_each, states), bundles in zip(groups, configurations, got):
+        alone = [_bundle(bx, by, s, None if eps is None else e)
+                 for bx, by, s, e in zip(x_each, y_each, states, eps or [None] * 4)]
+        assert bundles == alone, (d_a, rhos.shape[-1] // d_a, eps is None, x.ndim, y is None)
