@@ -110,28 +110,22 @@ def _monitor_grid(
     per strength ``(k, d_a, d_a)``; ``rhos`` and ``spectra`` are the matrices
     and spectra of checked states, one shared ``(1, n, n)`` and ``(1, n)`` or
     one per strength. Row i has the bytes of the state ``monitor(y_i, eps_i,
-    rho_i)`` builds; a strength of 0 gets rho_i's own. The mixtures, exactly
-    Hermitian, are not checked again (the entropy pass that reads a spectrum
-    checks it); their spectra take one stacked call.
+    rho_i)`` builds: every row's mixture is formed in one broadcast, and a
+    strength of 0 keeps rho_i's own matrix and spectrum. The mixtures,
+    exactly Hermitian, are not checked again (the entropy pass that reads a
+    spectrum checks it); the spectra of those with a nonzero strength take
+    one stacked call.
     """
     strengths = np.array([_check_strength(eps) for eps in strengths])
     _check_pair(y, d_a)
     k, n = len(strengths), rhos.shape[-1]
-    monitored = np.broadcast_to(rhos, (k, n, n)).copy()
-    monitored_spectra = np.broadcast_to(spectra, (k, n)).copy()
     mixed = strengths != 0.0
+    dephased = _dephased_matrix(y, rhos, d_a, n // d_a)
+    monitored = np.where(mixed[:, None, None], _monitored_matrix(rhos, dephased, strengths[:, None, None]), rhos)
+    monitored_spectra = np.broadcast_to(spectra, (k, n)).copy()
     if mixed.any():
-        dephased = _dephased_matrix(y, rhos, d_a, n // d_a)
-        monitored[mixed] = _monitored_matrix(
-            _rows(rhos, mixed), _rows(dephased, mixed), strengths[mixed, None, None]
-        )
         monitored_spectra[mixed] = linalg._stack_eigenvalues(monitored[mixed])
     return monitored, monitored_spectra
-
-
-def _rows(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The rows of ``stack`` that ``mask`` selects; a stack of one is shared by every row."""
-    return stack if len(stack) == 1 else stack[mask]
 
 
 def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> BipartiteState:

@@ -45,7 +45,6 @@ from .relations import (
     _bundles,
     _check_tol,
     _reports,
-    evaluate_relations,
     lookup_relation,
     mu_bound,
 )
@@ -117,6 +116,8 @@ class CampaignConfig:
             raise ConfigError("relations must name at least one relation")
         for name in self.relations:
             lookup_relation(name)
+            if self.relations.count(name) > 1:
+                raise ConfigError(f"relation {name!r} is named more than once")
         kind, arg = _parse_ensemble(self.ensemble)
         if kind == "named":
             named = state_from_token(arg)
@@ -238,8 +239,7 @@ def _chunk_records(cfg: CampaignConfig, trials: range) -> list[TrialRecord]:
         inputs = _chunk_inputs(cfg, groups)
         if any(row.needs_eps for row in rows):
             eps = {i: _trial_eps(cfg.seed, i) for i in trials}
-        strengths = {dims: None if eps is None else [eps[i] for i in idx] for dims, idx in groups.items()}
-        bundles = _bundles([(x, y, dims[0], rhos, spectra, strengths[dims])
+        bundles = _bundles([(x, y, dims[0], rhos, spectra, None if eps is None else [eps[i] for i in groups[dims]])
                             for dims, (rhos, spectra, x, y) in inputs.items()])
         records = {}
         for (dims, idx), group in zip(groups.items(), bundles):
@@ -391,7 +391,9 @@ def monitoring_sweep(
     each chunk takes two stacked eigendecompositions: one of its monitored
     matrices, one of all their B marginals and X and Y blocks. A slice's
     bits do not depend on its stack, so the chunks move no output bit. A
-    strength outside [0, 1] raises ``OutOfRange`` naming it.
+    ``QirError`` raised while the grid is evaluated, such as the
+    ``OutOfRange`` of a strength outside [0, 1], is raised again as its
+    type, prefixed with the dims.
     """
     eps_grid = np.asarray(grid, dtype=float)
     if eps_grid.ndim != 1 or eps_grid.size == 0:
@@ -399,14 +401,14 @@ def monitoring_sweep(
     if np.any(np.diff(eps_grid) < 0.0):
         raise OutOfRange("grid values must be ascending")
     h = np.empty((len(eps_grid), 4))
-    for i in range(0, len(eps_grid), STACK_CHUNK):
-        grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
-        h[i : i + STACK_CHUNK] = _configuration_entropies([([x.vectors, y.vectors], rho.d_a, *grid, True)])[0]
-    h_b, h_ab, h_xb, h_yb = h.T
     try:
+        for i in range(0, len(eps_grid), STACK_CHUNK):
+            grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
+            h[i : i + STACK_CHUNK] = _configuration_entropies([([x.vectors, y.vectors], rho.d_a, *grid, True)])[0]
+        h_b, h_ab, h_xb, h_yb = h.T
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))
-    except InvariantViolation as err:
-        raise InvariantViolation(f"sweep at (d_A, d_B) = ({rho.d_a}, {rho.d_b}): {err}") from None
+    except QirError as err:
+        raise type(err)(f"sweep at (d_A, d_B) = ({rho.d_a}, {rho.d_b}): {err}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -551,30 +553,13 @@ def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float, max_evals: int):
             return
 
 
-def _chunks(batches: list):
-    """The rows of ``batches``, in order, as stacks of at most ``STACK_CHUNK`` rows.
-
-    A stack may hold the end of one batch and the start of the next.
-    """
-    pieces, room = [], STACK_CHUNK
-    for batch in batches:
-        while len(batch):
-            pieces.append(batch[:room])
-            batch, room = batch[room:], room - len(pieces[-1])
-            if not room:
-                yield np.concatenate(pieces)
-                pieces, room = [], STACK_CHUNK
-    if pieces:
-        yield np.concatenate(pieces)
-
-
 def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_evals: int):
     """Run a search of ``relation``'s slack from each start point, side by side.
 
-    Each tick takes the pending batch of every unfinished search, in start
-    order, and evaluates them in stacked passes of at most ``STACK_CHUNK``
-    points (``_chunks``, ``_point_slacks``). A point's slack does not
-    depend on its pass, so each search takes the steps it takes alone.
+    Each tick stacks the pending batch of every unfinished search, in start
+    order, and evaluates the stack in slices of at most ``STACK_CHUNK``
+    points (``_point_slacks``). A point's slack does not depend on its
+    pass, so each search takes the steps it takes alone.
     Returns the number of points evaluated and, per start, its search's
     first decodable point of least slack as ``(slack, point)`` or ``(inf, None)``.
     """
@@ -583,15 +568,17 @@ def _searches(relation: str, d_a: int, d_b: int, tol: float, starts: list, max_e
     best = [(math.inf, None)] * len(starts)
     evaluations, live = 0, range(len(starts))
     while live:
-        passes = [_point_slacks(relation, d_a, d_b, chunk, tol) for chunk in _chunks([batches[i] for i in live])]
+        rows = np.concatenate([batches[i] for i in live])
+        passes = [_point_slacks(relation, d_a, d_b, rows[j : j + STACK_CHUNK], tol)
+                  for j in range(0, len(rows), STACK_CHUNK)]
         slacks, decodable = (np.concatenate(part) for part in zip(*passes))
         values, good = slacks.tolist(), decodable.tolist()
         unfinished, start = [], 0
         for i in live:
             end = start + len(batches[i])
-            for theta, value, ok in zip(batches[i], values[start:end], good[start:end]):
+            for theta, value, ok in zip(rows[start:end], values[start:end], good[start:end]):
                 if ok and value < best[i][0]:
-                    best[i] = (value, theta.copy())  # a batch may be a view of the simplex
+                    best[i] = (value, theta)
             try:
                 batches[i] = steps[i].send(slacks[start:end])
             except StopIteration:
@@ -633,10 +620,12 @@ def minimize_slack(
     ``target`` the restarts run one at a time, and the search stops after
     the restart in which the best slack reached the target. Each point
     gets the slack it gets alone and ``_searches`` keeps each restart's
-    first best point. The best point is picked once, here: the first least
-    over all restarts, in restart order, so the first restart wins a tie and
-    the result is that of a point-by-point search of one restart after
-    another, whatever the passes.
+    first best point with its slack. The best point is picked once, here:
+    the first least over all restarts, in restart order, so the first
+    restart wins a tie and the result is that of a point-by-point search of
+    one restart after another, whatever the passes. It is scored once: the
+    result reports the slack the search gave it, and builds its state and
+    bases from the decoded point through their constructors.
 
     A ``tol`` that is not positive and finite, or a NaN ``target``, raises
     ``ConfigError`` before any search; a ``QirError`` raised while searching
@@ -674,15 +663,13 @@ def minimize_slack(
         if target is not None and any(value <= target for value, _ in window_best):
             break
 
-    _, best_theta = min(found, key=lambda pair: pair[0])  # min keeps the first of equal slacks
+    best_slack, best_theta = min(found, key=lambda pair: pair[0])  # min keeps the first of equal slacks
     if best_theta is None:
         raise ConfigError("search never produced a decodable point")
     _, psi, bases, eps = _decode(best_theta[None], d_a, d_b, info.needs_eps)
     state = _pure(d_a, d_b, psi[0])
     x, y = ObservableBasis(d_a, bases[0, 0]), ObservableBasis(d_a, bases[0, 1])
     eps = None if eps is None else eps[0]
-    best = evaluate_relations((relation,), x, y, state, eps=eps, tol=tol)[relation]
-    best_slack = float(best.slack)
     if best_slack < -tol:
         raise TheoremViolation(
             f"{relation} slack {best_slack:.3e} below -{tol:.1e}; "

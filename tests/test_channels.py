@@ -234,6 +234,16 @@ class TestMonitor:
                     assert rhos[i].tobytes() == monitored.rho.tobytes(), (d_a, d_b, eps)
                     assert spectra[i].tobytes() == monitored.spectrum.tobytes(), (d_a, d_b, eps)
                 assert rhos[0].tobytes() == state.rho.tobytes()
+            # one state and one basis per row, as campaigns and searches hand them on
+            states = [random_mixed(d_a, d_b, d_a * d_b, (316, k, i)) if i % 2
+                      else haar_random_pure(d_a, d_b, (316, k, i)) for i in range(len(grid))]
+            ys = [random_basis(d_a, (317, k, i)) for i in range(len(grid))]
+            rhos, spectra = _monitor_grid(np.array([y.vectors for y in ys]), grid, d_a,
+                                          np.array([s.rho for s in states]), np.array([s.spectrum for s in states]))
+            for i, eps in enumerate(grid):
+                monitored = monitor(ys[i], eps, states[i])
+                assert rhos[i].tobytes() == monitored.rho.tobytes(), (d_a, d_b, i)
+                assert spectra[i].tobytes() == monitored.spectrum.tobytes(), (d_a, d_b, i)
         with pytest.raises(OutOfRange, match=r"monitoring strength must lie in \[0, 1\], got 1\.5"):
             _monitor_grid(y.vectors, [0.0, 1.5], d_a, state.rho[None], state.spectrum[None])
 

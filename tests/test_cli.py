@@ -84,6 +84,13 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "eq99" in capsys.readouterr().err
 
+    def test_a_relation_named_twice_exit_2(self, tmp_path, capsys):
+        # it ran, printed eq5 twice and wrote two equal eq5 rows per trial to slacks.csv
+        cfg = write_cfg(tmp_path, CAMPAIGN_CFG.replace("eq5, eq7", "eq5, eq5"))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "relation 'eq5' is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[campaign]\ndims = 2x2\nseed = 1\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -71,6 +71,11 @@ class TestCampaignConfig:
         with pytest.raises(ConfigError):
             small_config(relations=("eq5", "bogus"))
 
+    def test_rejects_a_relation_named_twice(self):
+        # it was evaluated and reported twice, though the result holds it once
+        with pytest.raises(ConfigError, match=r"^relation 'eq5' is named more than once$"):
+            small_config(relations=("eq5", "eq5", "eq9"))
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ConfigError):
             small_config(trials=0)
@@ -520,6 +525,29 @@ class TestSweep:
         ):
             monitoring_sweep(x, y, state, grid)
 
+    def test_every_sweep_error_names_its_dims(self, monkeypatch):
+        # a kernel failure or a bad strength inside the grid's evaluation keeps its
+        # type and gains the dims, as the trace's own checks do
+        state = random_mixed(3, 2, 6, 67)
+        x, y = random_basis(3, 68), random_basis(3, 69)
+        with pytest.raises(
+            OutOfRange, match=r"^sweep at \(d_A, d_B\) = \(3, 2\): monitoring strength must lie in \[0, 1\], got 1\.5$"
+        ):
+            monitoring_sweep(x, y, state, [0.0, 1.5])
+        kernel = backend.jacobi_eigh_stack
+
+        def fails_at_6x6(b, max_rotations):
+            spent, converged = kernel(b, max_rotations)
+            return spent, converged & (b.shape[2] != 6)
+
+        monkeypatch.setattr(backend, "jacobi_eigh_stack", fails_at_6x6)
+        with pytest.raises(
+            NoConvergence,
+            match=r"^sweep at \(d_A, d_B\) = \(3, 2\): slice 0 \(6x6\): off-diagonal norm still above threshold "
+            r"after \d+ rotations$",
+        ):
+            monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 5))
+
     def test_trace_invariants_enforced(self):
         with pytest.raises(InvariantViolation, match=r"eq16 slack -1\.000e-01 below -1e-9 at eps = 1\.0"):
             SweepTrace(
@@ -559,6 +587,15 @@ class TestMinimize:
             [result.relation], result.x, result.y, result.state, eps=result.eps
         )[result.relation]
         assert abs(report.slack - result.best_slack) <= 1e-9
+
+    @pytest.mark.parametrize("target", [None, 0.5])
+    @pytest.mark.parametrize("relation, d_a, d_b", [("eq11", 2, 2), ("eq16", 3, 2)])
+    def test_the_best_slack_is_that_of_the_result(self, relation, d_a, d_b, target):
+        # the search scores its best point once; evaluate_relations gives the result's
+        # state, bases and eps the same bits
+        result = minimize_slack(relation, d_a, d_b, restarts=3, seed=12, target=target, max_evals=150)
+        report = evaluate_relations((relation,), result.x, result.y, result.state, eps=result.eps)[relation]
+        assert result.best_slack.hex() == report.slack.hex()
 
     def test_monitored_relation_carries_eps(self):
         result = minimize_slack("eq16", 2, 1, restarts=5, seed=1, target=1e-6, max_evals=2000)
