@@ -101,31 +101,23 @@ def monitor(y: ObservableBasis, eps: float, rho: BipartiteState) -> BipartiteSta
     return monitor_n(y, eps, 1, rho)
 
 
-def _monitor_grid(
-    y: np.ndarray, strengths, d_a: int, rhos: np.ndarray, spectra: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _monitor_grid(y: np.ndarray, strengths, d_a: int, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices ``(k, n, n)`` and spectra ``(k, n)`` of each matrix monitored by Y at its strength.
 
     ``strengths`` holds k strengths. ``y`` is one basis ``(d_a, d_a)`` or one
-    per strength ``(k, d_a, d_a)``; ``rhos`` and ``spectra`` are the matrices
-    and spectra of checked states, one shared ``(1, n, n)`` and ``(1, n)`` or
-    one per strength. Row i has the bytes of the state ``monitor(y_i, eps_i,
-    rho_i)`` builds: every row's mixture is formed in one broadcast, and a
-    strength of 0 keeps rho_i's own matrix and spectrum. The mixtures,
-    exactly Hermitian, are not checked again (the entropy pass that reads a
-    spectrum checks it); the spectra of those with a nonzero strength take
-    one stacked call.
+    per strength ``(k, d_a, d_a)``; ``rhos`` are the matrices of checked
+    states, one shared ``(1, n, n)`` or one per strength. Row i has the bytes
+    of the state ``monitor(y_i, eps_i, rho_i)`` builds: the mixtures are formed
+    in one broadcast, a strength of 0 keeps rho_i (its mixture can flip the sign
+    of a zero), and one stacked call takes every row's spectrum, rho_i's from
+    the Hermitian part its state check diagonalized. The rows are not checked
+    again (the entropy pass that reads a spectrum checks it).
     """
-    strengths = np.array([_check_strength(eps) for eps in strengths])
+    strengths = np.array([_check_strength(eps) for eps in strengths])[:, None, None]
     _check_pair(y, d_a)
-    k, n = len(strengths), rhos.shape[-1]
-    mixed = strengths != 0.0
-    dephased = _dephased_matrix(y, rhos, d_a, n // d_a)
-    monitored = np.where(mixed[:, None, None], _monitored_matrix(rhos, dephased, strengths[:, None, None]), rhos)
-    monitored_spectra = np.broadcast_to(spectra, (k, n)).copy()
-    if mixed.any():
-        monitored_spectra[mixed] = linalg._stack_eigenvalues(monitored[mixed])
-    return monitored, monitored_spectra
+    dephased = _dephased_matrix(y, rhos, d_a, rhos.shape[-1] // d_a)
+    monitored = np.where(strengths != 0.0, _monitored_matrix(rhos, dephased, strengths), rhos)
+    return monitored, linalg._stack_eigenvalues(monitored)
 
 
 def monitor_n(y: ObservableBasis, eps: float, n: int, rho: BipartiteState) -> BipartiteState:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -61,9 +60,6 @@ from .states import (
     _pure_densities,
     computational_basis,
     fourier_basis,
-    haar_random_pure,
-    random_basis,
-    random_mixed,
     state_from_token,
 )
 
@@ -179,28 +175,6 @@ class CampaignResult:
         return sum(s.violations for s in self.relations.values())
 
 
-def _trial_inputs(cfg: CampaignConfig, index: int):
-    """The state, bases and eps of one trial, from the public constructors: the argmin's regeneration."""
-    d_a, d_b = cfg.dims[index % len(cfg.dims)]
-    kind, arg = _parse_ensemble(cfg.ensemble)
-    if kind == "named":
-        state = state_from_token(arg)
-        x = computational_basis(d_a)
-        y = fourier_basis(d_a)
-    else:
-        if kind == "haar-pure":
-            state = haar_random_pure(d_a, d_b, (cfg.seed, index, _STATE))
-        else:
-            rank = int(arg) if arg else d_a * d_b
-            state = random_mixed(d_a, d_b, rank, (cfg.seed, index, _STATE))
-        x = random_basis(d_a, (cfg.seed, index, _BASIS_X))
-        y = random_basis(d_a, (cfg.seed, index, _BASIS_Y))
-    eps = None
-    if any(RELATIONS[name].needs_eps for name in cfg.relations):
-        eps = _trial_eps(cfg.seed, index)
-    return state, x, y, eps
-
-
 def _trial_eps(seed: int, index: int) -> float:
     return float(spawn_rng(seed, index, _EPS).uniform(0.0, 1.0))
 
@@ -260,8 +234,8 @@ def _chunk_records(cfg: CampaignConfig, trials: range) -> list[TrialRecord]:
 def _chunk_inputs(cfg: CampaignConfig, groups: dict) -> dict:
     """The checked inputs of each group of a chunk: ``(rhos, spectra, x, y)`` by (d_A, d_B).
 
-    Each trial draws its state and bases from its own streams, as
-    ``_trial_inputs`` does (``states._ginibre``), and the stacks get each
+    Each trial draws its state and bases from its own streams, as the
+    public constructors do (``states._ginibre``), and the stacks get each
     slice the bits of its constructor: the states of a group take one
     ``_checked_stack``, and the X and Y bases of every trial with the same
     d_A one stacked QR (``states._haar_bases``) and one ``_checked_bases``.
@@ -321,6 +295,8 @@ def run_campaign_records(
     if workers <= 1:
         parts = [_chunk_records(cfg, trials) for trials in chunks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(partial(_chunk_records, cfg), chunks))
     records = [record for part in parts for record in part]
@@ -389,10 +365,10 @@ def monitoring_sweep(
     ``uncertainty(y, monitor(y, eps, rho))`` at each eps. The grid runs in
     chunks of ``STACK_CHUNK`` strengths, so memory does not grow with it;
     each chunk takes two stacked eigendecompositions: one of its monitored
-    matrices, one of all their B marginals and X and Y blocks. A slice's
-    bits do not depend on its stack, so the chunks move no output bit. A
-    ``QirError`` raised while the grid is evaluated, such as the
-    ``OutOfRange`` of a strength outside [0, 1], is raised again as its
+    matrices (rho itself at eps = 0), one of their B marginals and X and Y
+    blocks. A slice's bits do not depend on its stack, so the chunks move
+    no output bit. A ``QirError`` raised while the grid is evaluated, such
+    as the ``OutOfRange`` of a strength outside [0, 1], is raised again as its
     type, prefixed with the dims.
     """
     eps_grid = np.asarray(grid, dtype=float)
@@ -403,7 +379,7 @@ def monitoring_sweep(
     h = np.empty((len(eps_grid), 4))
     try:
         for i in range(0, len(eps_grid), STACK_CHUNK):
-            grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None], rho.spectrum[None])
+            grid = _monitor_grid(y.vectors, eps_grid[i : i + STACK_CHUNK], rho.d_a, rho.rho[None])
             h[i : i + STACK_CHUNK] = _configuration_entropies([([x.vectors, y.vectors], rho.d_a, *grid, True)])[0]
         h_b, h_ab, h_xb, h_yb = h.T
         return SweepTrace(eps_grid, h_xb - h_ab, h_yb - h_b, mu_bound(x, y))

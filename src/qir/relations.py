@@ -152,15 +152,15 @@ def _bundles(groups) -> list[list[EntropyBundle]]:
     ``(d_a, d_a)`` basis shared by every state or a ``(k, d_a, d_a)`` stack
     of one per state, and ``eps``, None or k strengths (then ``y`` is
     given), which adds irr(X) of each state monitored by its Y at its
-    strength (``_monitor_grid``): of the monitored state only its X blocks
-    are read. Returns one list of k bundles per group; bundle i of a group
-    has the bits of the bundle of its configuration alone.
+    strength, from ``rhos`` alone (``_monitor_grid``; only the X blocks of
+    a monitored state are read). Returns one list of k bundles per group;
+    bundle i of a group has the bits of the bundle of its configuration alone.
     """
     passes = []
     for x, y, d_a, rhos, spectra, eps in groups:
         passes.append(([x] if y is None else [x, y], d_a, rhos, spectra, True))
         if eps is not None:
-            passes.append(([x], d_a, *_monitor_grid(y, eps, d_a, rhos, spectra), False))
+            passes.append(([x], d_a, *_monitor_grid(y, eps, d_a, rhos), False))
     rows = iter(_configuration_entropies(passes))
     bundles = []
     for x, y, _, rhos, _, eps in groups:

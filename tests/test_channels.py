@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qir import _jacobi_py, backend
 from qir.channels import (
     _dephased_matrix,
     _frame,
@@ -227,7 +228,7 @@ class TestMonitor:
         for k, (d_a, d_b) in enumerate(dims):
             for state in (random_mixed(d_a, d_b, d_a * d_b, (313, k)), haar_random_pure(d_a, d_b, (314, k))):
                 y = random_basis(d_a, (315, k))
-                rhos, spectra = _monitor_grid(y.vectors, grid, d_a, state.rho[None], state.spectrum[None])
+                rhos, spectra = _monitor_grid(y.vectors, grid, d_a, state.rho[None])
                 assert rhos.shape == (len(grid), d_a * d_b, d_a * d_b) and spectra.shape == (len(grid), d_a * d_b)
                 for i, eps in enumerate(grid):
                     monitored = monitor(y, eps, state)
@@ -238,14 +239,46 @@ class TestMonitor:
             states = [random_mixed(d_a, d_b, d_a * d_b, (316, k, i)) if i % 2
                       else haar_random_pure(d_a, d_b, (316, k, i)) for i in range(len(grid))]
             ys = [random_basis(d_a, (317, k, i)) for i in range(len(grid))]
-            rhos, spectra = _monitor_grid(np.array([y.vectors for y in ys]), grid, d_a,
-                                          np.array([s.rho for s in states]), np.array([s.spectrum for s in states]))
+            rhos, spectra = _monitor_grid(np.array([y.vectors for y in ys]), grid, d_a, np.array([s.rho for s in states]))
             for i, eps in enumerate(grid):
                 monitored = monitor(ys[i], eps, states[i])
                 assert rhos[i].tobytes() == monitored.rho.tobytes(), (d_a, d_b, i)
                 assert spectra[i].tobytes() == monitored.spectrum.tobytes(), (d_a, d_b, i)
         with pytest.raises(OutOfRange, match=r"monitoring strength must lie in \[0, 1\], got 1\.5"):
-            _monitor_grid(y.vectors, [0.0, 1.5], d_a, state.rho[None], state.spectrum[None])
+            _monitor_grid(y.vectors, [0.0, 1.5], d_a, state.rho[None])
+
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    def test_a_grid_row_of_strength_0_is_bitwise_rho(self, kernel, request, restore_backend):
+        # a row of strength 0 takes its spectrum from the grid's stacked call, not
+        # from its state: alone (k = 1), in a stack the loop body runs (k <=
+        # SMALL_STACK) and in one the stacked body runs, at n = 2 (unrolled) and
+        # n >= 3, with one state shared by the rows or one state and basis per row;
+        # the first state's imaginary entries below the diagonal have a real part of
+        # -0.0, which (1 - 0) rho + 0 Delta_Y rho would turn into +0.0
+        if kernel == "compiled":
+            request.getfixturevalue("compiled_kernel")
+        backend.set_backend(kernel)
+        small = _jacobi_py.SMALL_STACK
+        for k in (1, small, small + 3):
+            grid = [0.0 if i % 3 == 0 else (i + 1) / (k + 1) for i in range(k)]
+            for j, (d_a, d_b) in enumerate(((2, 1), (3, 1), (2, 2), (3, 2))):
+                n = d_a * d_b
+                signed = np.diag(np.arange(1, n + 1) / (n * (n + 1) / 2)).astype(complex)
+                off = ~np.eye(n, dtype=bool)
+                signed.real[off] = -0.0
+                signed.imag[off] = 0.005 * (np.triu(np.ones((n, n))) - np.tril(np.ones((n, n))))[off]
+                states = [BipartiteState(d_a, d_b, signed)] + [
+                    random_mixed(d_a, d_b, n, (318, k, j, i)) if i % 2 else haar_random_pure(d_a, d_b, (318, k, j, i))
+                    for i in range(1, k)]
+                ys = np.array([random_basis(d_a, (319, k, j, i)).vectors for i in range(k)])
+                each = _monitor_grid(ys, grid, d_a, np.array([s.rho for s in states]))
+                for shared in {0, k - 1}:
+                    rhos, spectra = _monitor_grid(ys[0], grid, d_a, states[shared].rho[None])
+                    for i in range(0, k, 3):
+                        assert rhos[i].tobytes() == states[shared].rho.tobytes(), (k, d_a, d_b, shared, i)
+                        assert spectra[i].tobytes() == states[shared].spectrum.tobytes(), (k, d_a, d_b, shared, i)
+                        assert each[0][i].tobytes() == states[i].rho.tobytes(), (k, d_a, d_b, i)
+                        assert each[1][i].tobytes() == states[i].spectrum.tobytes(), (k, d_a, d_b, i)
 
     def test_monitor_n_edge_counts(self):
         state, _, y = random_triple(7)

@@ -311,7 +311,7 @@ class TestBatchedEntropies:
             if k == 1:
                 yield state.rho[None], state.spectrum[None], [state]
             else:
-                yield *_monitor_grid(y.vectors, grid, d_a, state.rho[None], state.spectrum[None]), [
+                yield *_monitor_grid(y.vectors, grid, d_a, state.rho[None]), [
                     monitor(y, eps, state) for eps in grid]
 
     @pytest.mark.parametrize("k", [1, 21])

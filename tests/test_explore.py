@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import queue
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qir
 from qir import backend, explore, linalg
 from qir.channels import dephase, monitor
 from qir.entropies import irreality, shannon, vn_entropy
@@ -18,10 +23,9 @@ from qir.explore import (
     minimize_slack,
     monitoring_sweep,
     run_campaign_records,
-    _trial_inputs,
 )
 from qir._rng import spawn_rng
-from qir.relations import evaluate_relations
+from qir.relations import RELATIONS, evaluate_relations
 from qir.states import (
     ObservableBasis,
     _pure,
@@ -32,6 +36,7 @@ from qir.states import (
     max_mixed,
     random_basis,
     random_mixed,
+    state_from_token,
     werner,
 )
 
@@ -52,6 +57,37 @@ def per_block_entropy(x, rho):
 def marginal_entropy(rho):
     """S(rho_B) with one ``herm_eig`` call."""
     return shannon(np.clip(linalg.herm_eig(marginal_b(rho)).eigenvalues, 0.0, None))
+
+
+def trial_inputs(cfg, index):
+    """The state, bases and eps of one campaign trial, each from its public
+    constructor and its own streams: the per-trial reference route of the chunks."""
+    d_a, d_b = cfg.dims[index % len(cfg.dims)]
+    kind, arg = explore._parse_ensemble(cfg.ensemble)
+    if kind == "named":
+        state = state_from_token(arg)
+        x = computational_basis(d_a)
+        y = fourier_basis(d_a)
+    else:
+        if kind == "haar-pure":
+            state = haar_random_pure(d_a, d_b, (cfg.seed, index, explore._STATE))
+        else:
+            rank = int(arg) if arg else d_a * d_b
+            state = random_mixed(d_a, d_b, rank, (cfg.seed, index, explore._STATE))
+        x = random_basis(d_a, (cfg.seed, index, explore._BASIS_X))
+        y = random_basis(d_a, (cfg.seed, index, explore._BASIS_Y))
+    eps = None
+    if any(RELATIONS[name].needs_eps for name in cfg.relations):
+        eps = explore._trial_eps(cfg.seed, index)
+    return state, x, y, eps
+
+
+def run_fresh(code):
+    """``python -c code`` in a new interpreter that imports this qir."""
+    package_root = str(Path(qir.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
 def small_config(**overrides):
@@ -145,7 +181,7 @@ class TestCampaign:
 
         cfg = small_config(trials=6)
         serial = run_campaign_records(cfg)
-        monkeypatch.setattr(explore, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         for cores, workers, size in ((2, 2, 2), (2, 3, 2), (2, 100_000, 2), (8, 3, 3), (None, 3, 1)):
             monkeypatch.setattr(explore.os, "cpu_count", lambda: cores)
             sizes.clear()
@@ -153,6 +189,18 @@ class TestCampaign:
             assert sizes == [size, size], (cores, workers)
             assert records == serial[1]
             assert campaign_result_to_dict(result) == campaign_result_to_dict(serial[0])
+
+    def test_a_one_worker_campaign_loads_no_process_pool(self):
+        # the pool is imported only for workers > 1, so import qir and a serial
+        # campaign leave multiprocessing unloaded
+        proc = run_fresh(
+            "import sys, qir\n"
+            "cfg = qir.CampaignConfig(dims=((2, 2), (3, 2)), trials=4, seed=77, relations=('eq5', 'eq16'))\n"
+            "qir.run_campaign_records(cfg, workers=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_named_saturating_case(self):
         cfg = small_config(
@@ -181,7 +229,7 @@ class TestCampaign:
         cfg = small_config(trials=30)
         result, records = run_campaign_records(cfg)
         summary = result.relations["eq11"]
-        state, x, y, eps = _trial_inputs(cfg, summary.argmin.trial)
+        state, x, y, eps = trial_inputs(cfg, summary.argmin.trial)
         report = evaluate_relations(["eq11"], x, y, state, eps=eps, tol=cfg.tol)["eq11"]
         assert abs(report.slack - summary.min_slack) <= 1e-12
 
@@ -202,7 +250,7 @@ class TestCampaign:
 
         monkeypatch.setattr(explore, "_bundles", fails_at_3x2)
         cfg = small_config(trials=3)
-        eps = _trial_inputs(cfg, 1)[3]
+        eps = trial_inputs(cfg, 1)[3]
         expected = f"trial 1 at (d_A, d_B) = (3, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
             run_campaign_records(cfg, workers=1)
@@ -251,7 +299,7 @@ class TestCampaign:
         monkeypatch.setattr(explore, "_bundles", bundle_fails_at_4x2)
         cfg = small_config(dims=((4, 2), (3, 2)), trials=4, ensemble="induced-mixed")
         assert explore._campaign_chunks(cfg, 1) == [range(4)]
-        eps = _trial_inputs(cfg, 0)[3]
+        eps = trial_inputs(cfg, 0)[3]
         expected = f"trial 0 at (d_A, d_B) = (4, 2), eps = {eps!r}: H(X|B) -1.000e-06 below -1e-9"
         with pytest.raises(InvariantViolation, match=f"^{re.escape(expected)}$"):
             run_campaign_records(cfg, workers=1)
@@ -302,7 +350,7 @@ class TestCampaignChunks:
         _, records = run_campaign_records(cfg, workers=workers)
         assert [r.trial for r in records] == list(range(cfg.trials))
         for i, record in enumerate(records):
-            state, x, y, eps = _trial_inputs(cfg, i)
+            state, x, y, eps = trial_inputs(cfg, i)
             reports = evaluate_relations(cfg.relations, x, y, state, eps=eps, tol=cfg.tol)
             assert (record.d_a, record.d_b, record.eps) == (state.d_a, state.d_b, eps), i
             assert {name: slack.hex() for name, slack in record.slacks.items()} == {
@@ -436,8 +484,8 @@ class TestSweep:
         start = linalg.kernel_counts()
         monitoring_sweep(x, y, state, np.linspace(0.0, 1.0, 21))
         counts = linalg.kernel_counts(start)
-        # one call of the 20 monitored states, then one of rho_B and 3 + 3 blocks per point
-        assert {n: c[:2] for n, c in counts.items()} == {6: (1, 20), 2: (1, 21 * 7)}
+        # one call of the 21 monitored states, eps = 0 among them, then one of rho_B and 3 + 3 blocks per point
+        assert {n: c[:2] for n, c in counts.items()} == {6: (1, 21), 2: (1, 21 * 7)}
 
     def test_long_grids_run_in_chunks_with_the_bits_of_short_ones(self, monkeypatch):
         stacks = []
@@ -453,8 +501,8 @@ class TestSweep:
         monkeypatch.setattr(backend, "jacobi_eigh_stack", counting_stack)
         trace = monitoring_sweep(x, y, state, grid)
         monkeypatch.undo()
-        # eps = 0 takes rho's own spectrum; per point rho_B and 3 + 3 blocks
-        assert stacks == [(255, 6, 6), (256 * 7, 2, 2), (256, 6, 6), (256 * 7, 2, 2), (5, 6, 6), (5 * 7, 2, 2)]
+        # eps = 0 is diagonalized with the other rows; per point rho_B and 3 + 3 blocks
+        assert stacks == [(256, 6, 6), (256 * 7, 2, 2), (256, 6, 6), (256 * 7, 2, 2), (5, 6, 6), (5 * 7, 2, 2)]
         for i in range(0, len(grid), 51):
             alone = monitoring_sweep(x, y, state, grid[i : i + 1])
             assert trace.irreality_x[i].tobytes() == alone.irreality_x.tobytes(), i
@@ -1085,21 +1133,10 @@ class TestNelderMead:
         assert search() == ours
 
     def test_a_search_imports_no_scipy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import qir
-
-        package_root = str(Path(qir.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-        code = (
+        proc = run_fresh(
             "import sys, qir\n"
             "qir.minimize_slack('eq11', 2, 2, restarts=1, seed=0, max_evals=30)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
